@@ -222,6 +222,10 @@ def _cmd_train_generator(args) -> None:
 
 def _cmd_generate(args) -> None:
     model = load_generator(args.model)
+    if not 1 <= args.max_len < model.max_context:
+        raise InvalidConfig(
+            f"--max-len must be in [1, {model.max_context - 1}] for this model, got {args.max_len}"
+        )
     examples = parse_tables_file(args.tables)
     if args.dataset:
         records = read_augmented_dataset(args.dataset, examples)

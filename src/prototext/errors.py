@@ -7,6 +7,8 @@ data problems, and everything else.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 
 class PrototextError(Exception):
     """Base class for all errors raised by this package."""
@@ -80,3 +82,17 @@ class StageError(PrototextError):
     def __init__(self, stage: str, cause: BaseException):
         self.stage = stage
         super().__init__(f"stage '{stage}' failed: {cause}")
+
+
+@contextmanager
+def malformed_file(path, what: str):
+    """Turn the failures of decoding a file's content into a ParseError.
+
+    Covers invalid JSON or text encoding and missing, ill-typed or
+    inconsistent fields. ``OSError`` is not caught: a file that cannot
+    be read is not a data error.
+    """
+    try:
+        yield
+    except (ValueError, KeyError, TypeError, AttributeError, InvalidConfig) as exc:
+        raise ParseError(f"malformed {what}: {exc}", path=str(path)) from exc

@@ -25,7 +25,11 @@ irrelevant prototype material.
 
 Inference (next_token_dist, decode_greedy) is read-only on the model and
 safe to run concurrently; training mutates the parameter arrays in a
-fixed single-threaded update order.
+fixed single-threaded update order. next_token_dist runs the full
+forward over the whole prefix. decode_greedy decodes incrementally: it
+keeps a key/value cache that lives only in its own call, runs one
+forward over the conditioning, then one single-position forward per
+emitted token, and emits the same tokens as a full forward per token.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidConfig, InputTooLong, ParseError
+from .errors import InvalidConfig, InputTooLong, ParseError, malformed_file
 from .optim import Adam
 from .selector import AugmentedRecord
 from .tabledata import Table, linearize_table
@@ -176,15 +180,33 @@ def build_conditioning(
     return ConditioningInput(ids=tuple(ids), table_len=len(table_ids), prototype_spans=clipped)
 
 
-def _forward(params: dict[str, np.ndarray], ids: Sequence[int]):
+def _forward(
+    params: dict[str, np.ndarray],
+    ids: Sequence[int],
+    kv: tuple[np.ndarray, np.ndarray] | None = None,
+    start: int = 0,
+):
+    """Forward pass over ``ids`` placed at positions ``start``, ``start+1``, ...
+
+    ``kv`` is an optional pair of (max_context, dim) key/value buffers.
+    When given, the keys and values of ``ids`` are written to rows
+    ``start:start+n`` and the queries attend over rows ``:start+n``, so
+    rows before ``start`` must already hold the keys and values of the
+    earlier positions. Without it, ``start`` must be 0.
+    """
     n = len(ids)
     d = params["tok_emb"].shape[1]
-    x0 = params["tok_emb"][list(ids)] + params["pos_emb"][:n]
+    x0 = params["tok_emb"][list(ids)] + params["pos_emb"][start : start + n]
     q = x0 @ params["w_query"]
     k = x0 @ params["w_key"]
     v = x0 @ params["w_value"]
+    if kv is not None:
+        kv[0][start : start + n] = k
+        kv[1][start : start + n] = v
+        k = kv[0][: start + n]
+        v = kv[1][: start + n]
     scores = (q @ k.T) / math.sqrt(d)
-    causal = np.tril(np.ones((n, n), dtype=bool))
+    causal = np.tril(np.ones((n, start + n), dtype=bool), k=start)
     scores = np.where(causal, scores, -np.inf)
     shifted = scores - scores.max(axis=1, keepdims=True)
     expd = np.exp(shifted)
@@ -423,26 +445,39 @@ def _dist_for_ids(model: GeneratorModel, ids: Sequence[int]) -> np.ndarray:
             f"sequence needs {len(ids)} positions, max_context is {model.max_context}"
         )
     logits, _ = _forward(model.params, ids)
+    return _last_row_dist(logits)
+
+
+def _last_row_dist(logits: np.ndarray) -> np.ndarray:
     return np.exp(_log_softmax(logits[-1:]))[0]
 
 
 def decode_greedy(model: GeneratorModel, cond: ConditioningInput, max_len: int) -> list[str]:
     """Greedy decoding; stops at <eos> (excluded) or after max_len tokens.
 
-    Argmax ties resolve toward the lowest vocabulary index.
+    Argmax ties resolve toward the lowest vocabulary index. One forward
+    over the conditioning fills a key/value cache local to this call;
+    each later token then costs one single-position forward.
     """
     if len(cond.ids) + max_len > model.max_context:
         raise InputTooLong(
             f"conditioning ({len(cond.ids)}) plus max_len ({max_len}) exceeds "
             f"max_context {model.max_context}"
         )
+    kv = (
+        np.empty((model.max_context, model.dim)),
+        np.empty((model.max_context, model.dim)),
+    )
     ids = list(cond.ids)
     out: list[str] = []
     eos = model.vocab.eos_id
+    start = 0
     for _ in range(max_len):
-        nxt = int(np.argmax(_dist_for_ids(model, ids)))
+        logits, _ = _forward(model.params, ids[start:], kv, start)
+        nxt = int(np.argmax(_last_row_dist(logits)))
         if nxt == eos:
             break
+        start = len(ids)
         ids.append(nxt)
         out.append(model.vocab.tokens[nxt])
     return out
@@ -523,21 +558,22 @@ def save_generator(path: str | Path, model: GeneratorModel) -> None:
         "params": {key: model.params[key].tolist() for key in PARAM_KEYS},
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, allow_nan=False)
+        fh.write(json.dumps(payload, sort_keys=True, allow_nan=False))
         fh.write("\n")
 
 
 def load_generator(path: str | Path) -> GeneratorModel:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != GENERATOR_FORMAT or payload.get("version") != GENERATOR_VERSION:
-        raise ParseError("not a recognized generator model file", path=str(path))
-    params = {
-        key: np.array(values, dtype=np.float64)
-        for key, values in payload["params"].items()
-    }
-    return GeneratorModel(
-        vocab=Vocabulary.from_tokens(payload["tokens"]),
-        max_context=int(payload["max_context"]),
-        params=params,
-    )
+    with malformed_file(path, "generator model file"):
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        if payload.get("format") != GENERATOR_FORMAT or payload.get("version") != GENERATOR_VERSION:
+            raise ParseError("not a recognized generator model file", path=str(path))
+        params = {
+            key: np.array(values, dtype=np.float64)
+            for key, values in payload["params"].items()
+        }
+        return GeneratorModel(
+            vocab=Vocabulary.from_tokens(payload["tokens"]),
+            max_context=int(payload["max_context"]),
+            params=params,
+        )

@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidConfig, InsufficientNegatives, ParseError
+from .errors import InvalidConfig, InsufficientNegatives, ParseError, malformed_file
 from .optim import Adam
 from .retrieval import CandidateSet, InvertedIndex, filter_leakage, retrieve
 from .tabledata import Corpus, Example, Table, linearize_table
@@ -413,18 +413,19 @@ def save_selector(path: str | Path, model: SelectorModel) -> None:
         "bias": model.bias,
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, allow_nan=False)
+        fh.write(json.dumps(payload, sort_keys=True, allow_nan=False))
         fh.write("\n")
 
 
 def load_selector(path: str | Path) -> SelectorModel:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != SELECTOR_FORMAT or payload.get("version") != SELECTOR_VERSION:
-        raise ParseError("not a recognized selector model file", path=str(path))
-    return SelectorModel(
-        vocab=Vocabulary.from_tokens(payload["tokens"]),
-        embeddings=np.array(payload["embeddings"], dtype=np.float64),
-        projection=np.array(payload["projection"], dtype=np.float64),
-        bias=float(payload["bias"]),
-    )
+    with malformed_file(path, "selector model file"):
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        if payload.get("format") != SELECTOR_FORMAT or payload.get("version") != SELECTOR_VERSION:
+            raise ParseError("not a recognized selector model file", path=str(path))
+        return SelectorModel(
+            vocab=Vocabulary.from_tokens(payload["tokens"]),
+            embeddings=np.array(payload["embeddings"], dtype=np.float64),
+            projection=np.array(payload["projection"], dtype=np.float64),
+            bias=float(payload["bias"]),
+        )

@@ -1,13 +1,24 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from prototext.cli import main
+from prototext.generator import GeneratorTrainConfig, init_generator, save_generator
+from prototext.selector import SelectorModel, save_selector
+from prototext.vocab import Vocabulary
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def tiny_generator_file(tmp_path):
+    path = tmp_path / "generator.json"
+    config = GeneratorTrainConfig(dim=4, max_context=16)
+    save_generator(path, init_generator(Vocabulary.build([]), config))
+    return path
 
 
 class TestExitCodes:
@@ -33,6 +44,66 @@ class TestExitCodes:
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"corpus_path": "x", "bogus_field": 1}), encoding="utf-8")
         assert run_cli("ablate", "--config", str(cfg)) == 1
+
+    @pytest.mark.parametrize("max_len", ["0", "16", "300"])
+    def test_generate_max_len_outside_context_is_config_error(
+        self, tiny_bench, tmp_path, capsys, max_len
+    ):
+        model = tiny_generator_file(tmp_path)
+        out = tmp_path / "out.jsonl"
+        code = run_cli(
+            "generate", "--model", str(model), "--tables", tiny_bench["test_tables"],
+            "--max-len", max_len, "--out", str(out),
+        )
+        assert code == 1
+        assert "--max-len" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _truncate(text):
+    return text[: len(text) // 2]
+
+
+def _drop_tokens(text):
+    payload = json.loads(text)
+    del payload["tokens"]
+    return json.dumps(payload)
+
+
+def _ill_typed_tokens(text):
+    payload = json.loads(text)
+    payload["tokens"] = 7
+    return json.dumps(payload)
+
+
+CORRUPTIONS = [_truncate, _drop_tokens, _ill_typed_tokens]
+
+
+class TestCorruptModelFiles:
+    @pytest.mark.parametrize("corrupt", CORRUPTIONS)
+    def test_corrupt_generator_is_data_error(self, tiny_bench, tmp_path, capsys, corrupt):
+        model = tiny_generator_file(tmp_path)
+        model.write_text(corrupt(model.read_text()), encoding="utf-8")
+        code = run_cli(
+            "generate", "--model", str(model), "--tables", tiny_bench["test_tables"],
+            "--out", str(tmp_path / "out.jsonl"),
+        )
+        assert code == 2
+        assert str(model) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corrupt", CORRUPTIONS)
+    def test_corrupt_selector_is_data_error(self, tiny_bench, tmp_path, capsys, corrupt):
+        vocab = Vocabulary.build([])
+        model = tmp_path / "selector.json"
+        save_selector(model, SelectorModel(vocab, np.ones((len(vocab), 3)), np.ones(3), 0.0))
+        model.write_text(corrupt(model.read_text()), encoding="utf-8")
+        code = run_cli(
+            "select", "--model", str(model), "--corpus", tiny_bench["corpus"],
+            "--tables", tiny_bench["test_tables"], "--candidates", str(tmp_path / "none.jsonl"),
+            "--out", str(tmp_path / "augmented.jsonl"),
+        )
+        assert code == 2
+        assert str(model) in capsys.readouterr().err
 
 
 class TestStageCommands:

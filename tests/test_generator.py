@@ -1,10 +1,14 @@
 import logging
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdcheck import central_diff, max_rel_error
+from prototext import generator
 from prototext.errors import InputTooLong, InvalidConfig
 from prototext.generator import (
     ConditioningInput,
@@ -328,6 +332,76 @@ class TestDecodeGreedy:
         model = tiny_uniform_model()
         with pytest.raises(InputTooLong):
             decode_greedy(model, bare_cond(*[0] * 10), max_len=10)
+
+
+# Cached and full-forward logits differ only by BLAS summation order
+# (single-row vs. matrix products); 3.6e-14 was the largest gap measured
+# on the desk model, so float64 leaves ample room below this bound.
+CACHED_LOGITS_ATOL = 1e-12
+
+
+def reference_decode(model, cond, max_len):
+    """Greedy decoding with a full forward over the whole prefix per token."""
+    out = []
+    for _ in range(max_len):
+        nxt = int(np.argmax(next_token_dist(model, cond, out)))
+        if nxt == model.vocab.eos_id:
+            break
+        out.append(model.vocab.tokens[nxt])
+    return out
+
+
+def assert_decode_matches_reference(model, cond, max_len):
+    """decode_greedy emits the reference tokens, every forward it runs
+    matches the full forward's last row, and the model is untouched."""
+    before = {key: value.tobytes() for key, value in model.params.items()}
+    step_rows = []
+    real_forward = generator._forward
+
+    def recording_forward(params, ids, kv=None, start=0):
+        logits, cache = real_forward(params, ids, kv, start)
+        step_rows.append(logits[-1].copy())
+        return logits, cache
+
+    with mock.patch.object(generator, "_forward", recording_forward):
+        got = decode_greedy(model, cond, max_len)
+    expected = reference_decode(model, cond, max_len)
+    assert got == expected
+    assert {key: value.tobytes() for key, value in model.params.items()} == before
+
+    seq = list(cond.ids) + model.vocab.ids(got)
+    assert len(step_rows) == min(len(got) + 1, max_len)
+    for i, row in enumerate(step_rows):
+        full, _ = real_forward(model.params, seq[: len(cond.ids) + i])
+        assert np.max(np.abs(row - full[-1])) <= CACHED_LOGITS_ATOL
+    return expected
+
+
+@st.composite
+def decode_cases(draw):
+    n_content = draw(st.integers(1, 10))
+    max_context = draw(st.integers(2, 24))
+    config = small_config(dim=draw(st.integers(1, 8)), max_context=max_context)
+    model = randomized_model(plain_vocab(n_content), config, seed=draw(st.integers(0, 2**32 - 1)))
+    n_cond = draw(st.integers(1, max_context - 1))
+    ids = draw(st.lists(st.integers(0, len(model.vocab) - 1), min_size=n_cond, max_size=n_cond))
+    max_len = draw(st.integers(1, max_context - n_cond))
+    return model, bare_cond(*ids), max_len
+
+
+class TestCachedDecodeEquivalence:
+    @settings(deadline=None, max_examples=60)
+    @given(decode_cases())
+    def test_matches_full_forward_decoder(self, case):
+        assert_decode_matches_reference(*case)
+
+    @pytest.mark.parametrize("seed, stops_at_eos", [(4, True), (2, False)])
+    def test_both_stop_reasons_covered(self, seed, stops_at_eos):
+        vocab = plain_vocab(10)
+        model = randomized_model(vocab, small_config(max_context=32), seed=seed)
+        max_len = 12
+        out = assert_decode_matches_reference(model, bare_cond(1, 2, 3), max_len)
+        assert (len(out) < max_len) == stops_at_eos
 
 
 class TestGeneratorPersistence:
