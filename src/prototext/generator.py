@@ -113,11 +113,16 @@ class GeneratorModel:
         missing = set(PARAM_KEYS) - set(self.params)
         if missing:
             raise InvalidConfig(f"generator parameters missing: {sorted(missing)}")
-        if self.params["tok_emb"].shape[0] != len(self.vocab):
-            raise InvalidConfig("token embedding rows do not match the vocabulary")
-        if self.params["pos_emb"].shape[0] != self.max_context:
-            raise InvalidConfig("position embedding rows do not match max_context")
+        tok_emb = self.params["tok_emb"]
+        if tok_emb.ndim != 2 or tok_emb.shape[0] != len(self.vocab) or tok_emb.shape[1] < 1:
+            raise InvalidConfig("token embedding must be a (vocabulary size, dim >= 1) matrix")
+        expected = param_shapes(len(self.vocab), tok_emb.shape[1], self.max_context)
         for key in PARAM_KEYS:
+            if self.params[key].shape != expected[key]:
+                raise InvalidConfig(
+                    f"generator parameter {key} has shape {self.params[key].shape}, "
+                    f"expected {expected[key]}"
+                )
             if not np.all(np.isfinite(self.params[key])):
                 raise InvalidConfig(f"generator parameter {key} is not finite")
 
@@ -126,27 +131,31 @@ class GeneratorModel:
         return self.params["tok_emb"].shape[1]
 
 
+def param_shapes(v: int, d: int, max_context: int) -> dict[str, tuple[int, int]]:
+    """Shape of every parameter matrix for vocabulary size v and width d."""
+    return {
+        "tok_emb": (v, d),
+        "pos_emb": (max_context, d),
+        "w_query": (d, d),
+        "w_key": (d, d),
+        "w_value": (d, d),
+        "w_attn_out": (d, d),
+        "w_ff_in": (d, 2 * d),
+        "w_ff_out": (2 * d, d),
+        "w_out": (d, v),
+    }
+
+
 def init_generator(vocab: Vocabulary, config: GeneratorTrainConfig) -> GeneratorModel:
     """Seeded initialization; the zero output projection makes the
     next-token distribution exactly uniform before any update."""
     rng = np.random.default_rng(config.seed)
-    d = config.dim
-    v = len(vocab)
-
-    def u(shape):
-        return rng.uniform(-0.1, 0.1, size=shape)
-
+    shapes = param_shapes(len(vocab), config.dim, config.max_context)
+    # drawn in param_shapes order, which fixes the seeded values
     params = {
-        "tok_emb": u((v, d)),
-        "pos_emb": u((config.max_context, d)),
-        "w_query": u((d, d)),
-        "w_key": u((d, d)),
-        "w_value": u((d, d)),
-        "w_attn_out": u((d, d)),
-        "w_ff_in": u((d, 2 * d)),
-        "w_ff_out": u((2 * d, d)),
-        "w_out": np.zeros((d, v)),
+        key: rng.uniform(-0.1, 0.1, size=shape) for key, shape in shapes.items() if key != "w_out"
     }
+    params["w_out"] = np.zeros(shapes["w_out"])
     return GeneratorModel(vocab=vocab, max_context=config.max_context, params=params)
 
 
@@ -568,12 +577,16 @@ def load_generator(path: str | Path) -> GeneratorModel:
             payload = json.load(fh)
         if payload.get("format") != GENERATOR_FORMAT or payload.get("version") != GENERATOR_VERSION:
             raise ParseError("not a recognized generator model file", path=str(path))
+        vocab = Vocabulary.from_tokens(payload["tokens"])
+        missing = [t for t in RESERVED_TOKENS if t not in vocab]
+        if missing:
+            raise ParseError(f"generator vocabulary lacks {missing}", path=str(path))
         params = {
             key: np.array(values, dtype=np.float64)
             for key, values in payload["params"].items()
         }
         return GeneratorModel(
-            vocab=Vocabulary.from_tokens(payload["tokens"]),
+            vocab=vocab,
             max_context=int(payload["max_context"]),
             params=params,
         )

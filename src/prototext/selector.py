@@ -60,6 +60,8 @@ class SelectorModel:
             raise InvalidConfig("embedding matrix shape does not match vocabulary")
         if self.embeddings.shape[1] < 1:
             raise InvalidConfig("embedding dimension must be >= 1")
+        if self.projection.shape != (self.embeddings.shape[1],):
+            raise InvalidConfig("projection width does not match the embedding dimension")
         if not (
             np.all(np.isfinite(self.embeddings))
             and np.all(np.isfinite(self.projection))
@@ -139,9 +141,8 @@ def _table_ids(model_vocab: Vocabulary, table: Table) -> list[int]:
 
 def _pooled(emb: np.ndarray, ids: Sequence[int]) -> np.ndarray:
     # summing in sorted-id order makes the mean bit-identical under any
-    # permutation of the input tokens; add.reduce then divide is exactly
-    # what ndarray.mean computes, without its per-call bookkeeping
-    return np.add.reduce(emb[sorted(ids)], axis=0) / len(ids)
+    # permutation of the input tokens
+    return emb[np.sort(np.asarray(ids, dtype=np.intp))].mean(axis=0)
 
 
 def encode_pair(model: SelectorModel, table: Table, sentence: Sequence[str]) -> np.ndarray:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -107,13 +106,6 @@ def linearize_table(table: Table) -> list[str]:
     delimiters are reserved tokens, so segment boundaries stay
     recoverable no matter what the cell text contains.
     """
-    return list(_linearized(table))
-
-
-# tables are immutable and hashable, and training and scoring linearize
-# the same few tables over and over
-@lru_cache(maxsize=4096)
-def _linearized(table: Table) -> tuple[str, ...]:
     if len(table.pairs) == 0:  # unreachable through the Table constructor
         raise InvalidTable("cannot linearize an empty table")
     tokens: list[str] = []
@@ -123,7 +115,7 @@ def _linearized(table: Table) -> tuple[str, ...]:
         tokens.extend(tokenize(pair.attribute))
         tokens.append(ATTR_DELIM)
         tokens.extend(tokenize(pair.value))
-    return tuple(tokens)
+    return tokens
 
 
 def _loads_line(line: str, line_no: int, path: str) -> dict:

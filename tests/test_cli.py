@@ -76,11 +76,29 @@ def _ill_typed_tokens(text):
     return json.dumps(payload)
 
 
+def _narrow_selector_projection(text):
+    payload = json.loads(text)
+    payload["projection"] = payload["projection"][:-1]
+    return json.dumps(payload)
+
+
+def _narrow_generator_w_key(text):
+    payload = json.loads(text)
+    payload["params"]["w_key"] = [row[:-1] for row in payload["params"]["w_key"]]
+    return json.dumps(payload)
+
+
+def _rename_eos(text):
+    payload = json.loads(text)
+    payload["tokens"] = ["<end>" if t == "<eos>" else t for t in payload["tokens"]]
+    return json.dumps(payload)
+
+
 CORRUPTIONS = [_truncate, _drop_tokens, _ill_typed_tokens]
 
 
 class TestCorruptModelFiles:
-    @pytest.mark.parametrize("corrupt", CORRUPTIONS)
+    @pytest.mark.parametrize("corrupt", CORRUPTIONS + [_narrow_generator_w_key, _rename_eos])
     def test_corrupt_generator_is_data_error(self, tiny_bench, tmp_path, capsys, corrupt):
         model = tiny_generator_file(tmp_path)
         model.write_text(corrupt(model.read_text()), encoding="utf-8")
@@ -91,7 +109,7 @@ class TestCorruptModelFiles:
         assert code == 2
         assert str(model) in capsys.readouterr().err
 
-    @pytest.mark.parametrize("corrupt", CORRUPTIONS)
+    @pytest.mark.parametrize("corrupt", CORRUPTIONS + [_narrow_selector_projection])
     def test_corrupt_selector_is_data_error(self, tiny_bench, tmp_path, capsys, corrupt):
         vocab = Vocabulary.build([])
         model = tmp_path / "selector.json"
