@@ -10,7 +10,6 @@ error, 3 internal error.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from pathlib import Path
@@ -25,16 +24,19 @@ from .errors import (
 from .evaluation import evaluate_pairs, sign_test
 from .generator import (
     GeneratorTrainConfig,
-    build_conditioning,
-    decode_greedy,
+    generate_outputs,
     load_generator,
+    read_outputs,
     save_generator,
     train_generator,
+    write_outputs,
 )
 from .pipeline import (
     PipelineConfig,
     VARIANTS,
+    dump_json,
     load_config,
+    read_config_file,
     run_ablation,
     shared_vocabulary,
     sweep_n,
@@ -53,13 +55,12 @@ from .selector import (
     load_selector,
     read_augmented_dataset,
     save_selector,
-    select_top_n,
+    select_prototypes,
     train_selector,
     write_augmented_dataset,
-    AugmentedRecord,
 )
 from .synth import SyntheticSpec, synth_benchmark
-from .tabledata import load_corpus, parse_tables_file
+from .tabledata import Corpus, load_corpus, parse_tables_file
 from .tokenization import tokenize
 
 log = logging.getLogger(__name__)
@@ -86,51 +87,41 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out-dir", help="directory for run artifacts")
 
 
-def _dump(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2, allow_nan=False)
-        fh.write("\n")
+def _stage_config(args, cls, section: str, flags: dict[str, str]):
+    """Build a stage's config from the --config section, then the flags.
 
-
-def _config_section(args, section: str) -> dict:
-    if not args.config:
-        return {}
-    with open(args.config, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    value = raw.get(section, {})
-    if not isinstance(value, dict):
+    ``flags`` maps config field names to argument names; flags that were
+    given override the file.
+    """
+    values = read_config_file(args.config).get(section, {}) if args.config else {}
+    if not isinstance(values, dict):
         raise InvalidConfig(f"config section {section!r} must be an object")
-    return value
+    for name, attr in flags.items():
+        if getattr(args, attr, None) is not None:
+            values[name] = getattr(args, attr)
+    if args.seed is not None:
+        values["seed"] = args.seed
+    try:
+        return cls(**values)
+    except TypeError as exc:
+        raise InvalidConfig(f"bad config section {section!r}: {exc}") from None
 
 
 def _selector_config(args) -> SelectorTrainConfig:
-    base = _config_section(args, "selector")
-    for name, attr in (("k", "k"), ("learning_rate", "lr"), ("epochs", "epochs"),
-                       ("dim", "dim")):
-        value = getattr(args, attr, None)
-        if value is not None:
-            base[name] = value
-    if args.seed is not None:
-        base["seed"] = args.seed
-    return SelectorTrainConfig(**base)
+    flags = {"k": "k", "learning_rate": "lr", "epochs": "epochs", "dim": "dim"}
+    return _stage_config(args, SelectorTrainConfig, "selector", flags)
 
 
 def _generator_config(args) -> GeneratorTrainConfig:
-    base = _config_section(args, "generator")
-    for name, attr in (
-        ("learning_rate", "lr"),
-        ("epochs", "epochs"),
-        ("dim", "dim"),
-        ("max_context", "max_context"),
-        ("max_decode_len", "max_decode_len"),
-        ("ca_enabled", "ca_loss"),
-    ):
-        value = getattr(args, attr, None)
-        if value is not None:
-            base[name] = value
-    if args.seed is not None:
-        base["seed"] = args.seed
-    return GeneratorTrainConfig(**base)
+    flags = {
+        "learning_rate": "lr",
+        "epochs": "epochs",
+        "dim": "dim",
+        "max_context": "max_context",
+        "max_decode_len": "max_decode_len",
+        "ca_enabled": "ca_loss",
+    }
+    return _stage_config(args, GeneratorTrainConfig, "generator", flags)
 
 
 def _cmd_synth(args) -> None:
@@ -189,22 +180,7 @@ def _cmd_select(args) -> None:
     corpus = load_corpus(args.corpus)
     examples = parse_tables_file(args.tables)
     cand_sets = {c.table_id: c for c in read_candidate_sets(args.candidates)}
-    records = []
-    for ex in examples:
-        cands = cand_sets.get(ex.id)
-        if cands is None or len(cands) == 0:
-            chosen: tuple[int, ...] = ()
-        else:
-            chosen = tuple(select_top_n(model, ex.table, cands, corpus, args.n).ids())
-        records.append(
-            AugmentedRecord(
-                table_id=ex.id,
-                table=ex.table,
-                prototype_ids=chosen,
-                prototypes=tuple(corpus.get(s).text for s in chosen),
-                reference=ex.reference,
-            )
-        )
+    records = select_prototypes(examples, cand_sets, corpus, args.n, model)
     write_augmented_dataset(args.out, records)
     print(f"selected prototypes for {len(records)} tables -> {args.out}")
 
@@ -230,37 +206,15 @@ def _cmd_generate(args) -> None:
     if args.dataset:
         records = read_augmented_dataset(args.dataset, examples)
     else:
-        records = [
-            AugmentedRecord(ex.id, ex.table, (), (), ex.reference) for ex in examples
-        ]
-    budget = model.max_context - args.max_len
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for rec in records:
-            protos = [tokenize(p) for p in rec.prototypes]
-            cond = build_conditioning(rec.table, protos, model.vocab, budget)
-            tokens = decode_greedy(model, cond, args.max_len)
-            fh.write(
-                json.dumps({"output": " ".join(tokens), "table_id": rec.table_id}, sort_keys=True)
-                + "\n"
-            )
+        # without a dataset every table is conditioned on itself alone
+        records = select_prototypes(examples, {}, Corpus(()), 0)
+    write_outputs(args.out, generate_outputs(model, records, args.max_len))
     print(f"generated {len(records)} outputs -> {args.out}")
-
-
-def _read_outputs(path: str) -> dict[int, str]:
-    outputs: dict[int, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            outputs[int(record["table_id"])] = str(record.get("output", ""))
-    return outputs
 
 
 def _cmd_eval(args) -> None:
     refs = parse_tables_file(args.ref)
-    hyp = _read_outputs(args.hyp)
+    hyp = read_outputs(args.hyp)
     missing = [ex.id for ex in refs if ex.id not in hyp]
     if missing:
         raise InvalidInput(f"hypothesis file lacks outputs for tables {missing[:5]}")
@@ -273,7 +227,7 @@ def _cmd_eval(args) -> None:
         "n": report.pair_count,
     }
     if args.compare:
-        other = _read_outputs(args.compare)
+        other = read_outputs(args.compare)
         missing = [ex.id for ex in refs if ex.id not in other]
         if missing:
             raise InvalidInput(f"comparison file lacks outputs for tables {missing[:5]}")
@@ -291,7 +245,7 @@ def _cmd_eval(args) -> None:
             block["rouge4_sign_test_p"] = None
             block["note"] = str(exc)
         payload["sign_test"] = block
-    _dump(args.out, payload)
+    dump_json(args.out, payload)
     print(f"bleu4={report.bleu4:.6f} rouge4_f={report.rouge4_f:.6f} n={report.pair_count}")
 
 

@@ -30,6 +30,8 @@ forward over the whole prefix. decode_greedy decodes incrementally: it
 keeps a key/value cache that lives only in its own call, runs one
 forward over the conditioning, then one single-position forward per
 emitted token, and emits the same tokens as a full forward per token.
+generate_outputs decodes a list of records; write_outputs and
+read_outputs own the ``{"output", "table_id"}`` JSONL outputs format.
 """
 
 from __future__ import annotations
@@ -274,14 +276,46 @@ def _log_softmax(rows: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
+def _forward_losses(
+    model: GeneratorModel,
+    x_ids: Sequence[int],
+    y_ids: Sequence[int],
+    negative_ids: Sequence[int],
+):
+    """Forward pass and both loss terms for one id-level sequence pair.
+
+    Also returns what the backward pass needs: the logits and forward
+    cache, the target rows' probabilities, the target ids and the sorted
+    negative ids.
+    """
+    if len(y_ids) == 0:
+        raise InvalidConfig("target sequence must be non-empty")
+    seq = list(x_ids) + list(y_ids)
+    if len(seq) > model.max_context:
+        raise InputTooLong(
+            f"sequence needs {len(seq)} positions, max_context is {model.max_context}"
+        )
+    logits, cache = _forward(model.params, seq)
+    first = len(x_ids) - 1
+    logp = _log_softmax(logits[first : first + len(y_ids)])
+    probs = np.exp(logp)
+    targets = np.asarray(list(y_ids))
+    lm = float(-logp[np.arange(len(y_ids)), targets].sum())
+    neg = sorted(set(int(t) for t in negative_ids))
+    ca = 0.0
+    if neg:
+        ca = float(-np.log(np.maximum(1.0 - probs[:, neg], CA_CLAMP)).sum())
+    return lm, ca, (logits, cache, probs, targets, neg)
+
+
 def losses_from_ids(
     model: GeneratorModel,
     x_ids: Sequence[int],
     y_ids: Sequence[int],
     negative_ids: Sequence[int] = (),
 ) -> tuple[float, float]:
-    """LM and content-aware loss for one id-level sequence pair."""
-    lm, ca, _ = _losses_core(model, x_ids, y_ids, negative_ids, want_grads=False)
+    """LM and content-aware loss for one id-level sequence pair (forward only)."""
+    lm, ca, _ = _forward_losses(model, x_ids, y_ids, negative_ids)
     return lm, ca
 
 
@@ -319,61 +353,22 @@ def component_loss_and_grads(
     include_ca * L_CA``, which lets either objective be checked in
     isolation.
     """
-    lm, ca, grads = _losses_core(
-        model, x_ids, y_ids, negative_ids, want_grads=True,
-        include_lm=include_lm, include_ca=include_ca,
+    lm, ca, (logits, cache, probs, targets, neg) = _forward_losses(
+        model, x_ids, y_ids, negative_ids
     )
-    return lm, ca, grads
-
-
-def _losses_core(
-    model: GeneratorModel,
-    x_ids: Sequence[int],
-    y_ids: Sequence[int],
-    negative_ids: Sequence[int],
-    want_grads: bool,
-    include_lm: bool = True,
-    include_ca: bool = True,
-):
-    if len(y_ids) == 0:
-        raise InvalidConfig("target sequence must be non-empty")
-    seq = list(x_ids) + list(y_ids)
-    if len(seq) > model.max_context:
-        raise InputTooLong(
-            f"sequence needs {len(seq)} positions, max_context is {model.max_context}"
-        )
-    logits, cache = _forward(model.params, seq)
-    first = len(x_ids) - 1
-    rows = logits[first : first + len(y_ids)]
-    logp = _log_softmax(rows)
-    probs = np.exp(logp)
-    targets = np.asarray(list(y_ids))
-    r_idx = np.arange(len(y_ids))
-    lm = float(-logp[r_idx, targets].sum())
-
-    neg = sorted(set(int(t) for t in negative_ids))
-    ca = 0.0
-    one_minus = None
-    if neg:
-        p_neg = probs[:, neg]
-        one_minus = 1.0 - p_neg
-        ca = float(-np.log(np.maximum(one_minus, CA_CLAMP)).sum())
-
-    if not want_grads:
-        return lm, ca, None
-
     d_rows = np.zeros_like(probs)
     if include_lm:
         d_rows += probs
-        d_rows[r_idx, targets] -= 1.0
+        d_rows[np.arange(len(targets)), targets] -= 1.0
     if include_ca and neg:
+        one_minus = 1.0 - probs[:, neg]
         coef = np.where(one_minus > CA_CLAMP, probs[:, neg] / one_minus, 0.0)
         d_rows[:, neg] += coef
         d_rows -= probs * coef.sum(axis=1, keepdims=True)
     d_logits = np.zeros_like(logits)
+    first = len(x_ids) - 1
     d_logits[first : first + len(y_ids)] = d_rows
-    grads = _backward(model.params, cache, d_logits)
-    return lm, ca, grads
+    return lm, ca, _backward(model.params, cache, d_logits)
 
 
 def negative_token_ids(
@@ -423,19 +418,6 @@ def ca_loss(
     y_ids = model.vocab.ids(y)
     _, ca = losses_from_ids(model, cond.ids, y_ids, neg)
     return ca
-
-
-def total_loss(
-    model: GeneratorModel,
-    cond: ConditioningInput,
-    y: Sequence[str],
-    prototypes: Sequence[Sequence[str]],
-    ca_enabled: bool,
-) -> float:
-    y_ids = model.vocab.ids(y)
-    neg = negative_token_ids(model.vocab, y, prototypes) if ca_enabled else []
-    lm, ca = losses_from_ids(model, cond.ids, y_ids, neg)
-    return lm + ca if ca_enabled else lm
 
 
 def next_token_dist(
@@ -490,6 +472,56 @@ def decode_greedy(model: GeneratorModel, cond: ConditioningInput, max_len: int) 
         ids.append(nxt)
         out.append(model.vocab.tokens[nxt])
     return out
+
+
+def generate_outputs(
+    model: GeneratorModel, records: Sequence[AugmentedRecord], max_len: int
+) -> list[tuple[int, list[str]]]:
+    """Greedy output tokens for each record, as ``(table_id, tokens)``.
+
+    The conditioning gets ``max_context - max_len`` positions, so the
+    decoded tokens always fit the context window.
+    """
+    budget = model.max_context - max_len
+    outputs = []
+    for rec in records:
+        protos = [tokenize(p) for p in rec.prototypes]
+        cond = build_conditioning(rec.table, protos, model.vocab, budget)
+        outputs.append((rec.table_id, decode_greedy(model, cond, max_len)))
+    return outputs
+
+
+def write_outputs(path: str | Path, outputs: Sequence[tuple[int, Sequence[str]]]) -> None:
+    """One JSON record per table: ``{"output": str, "table_id": int}``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for table_id, tokens in outputs:
+            fh.write(
+                json.dumps({"output": " ".join(tokens), "table_id": table_id}, sort_keys=True)
+                + "\n"
+            )
+
+
+def read_outputs(path: str | Path) -> dict[int, str]:
+    """Read an outputs file back as ``{table_id: output}``.
+
+    A line that is not a record with an integer ``table_id``, or a
+    ``table_id`` seen before, is a :class:`ParseError`.
+    """
+    outputs: dict[int, str] = {}
+    spath = str(path)
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+                table_id = int(record["table_id"])
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ParseError(f"malformed output record ({exc})", line_no, spath) from None
+            if table_id in outputs:
+                raise ParseError(f"duplicate table_id {table_id}", line_no, spath)
+            outputs[table_id] = str(record.get("output", ""))
+    return outputs
 
 
 def _record_ids(

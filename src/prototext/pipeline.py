@@ -28,12 +28,13 @@ from .errors import AllTies, InvalidConfig, PrototextError, StageError
 from .evaluation import EvalReport, evaluate_pairs, precision_at_k, sign_test
 from .generator import (
     GeneratorTrainConfig,
-    build_conditioning,
-    decode_greedy,
+    generate_outputs,
     save_generator,
     train_generator,
+    write_outputs,
 )
 from .retrieval import (
+    CandidateSet,
     build_index,
     filter_leakage,
     retrieve,
@@ -41,10 +42,10 @@ from .retrieval import (
     write_candidate_sets,
 )
 from .selector import (
-    AugmentedRecord,
+    SelectorModel,
     SelectorTrainConfig,
     save_selector,
-    select_top_n,
+    select_prototypes,
     train_selector,
     write_augmented_dataset,
 )
@@ -99,7 +100,8 @@ def config_from_dict(raw: dict, **overrides) -> PipelineConfig:
         raise InvalidConfig(f"bad config structure: {exc}") from None
 
 
-def load_config(path: str | Path, **overrides) -> PipelineConfig:
+def read_config_file(path: str | Path) -> dict:
+    """The JSON object a config file holds; anything else is InvalidConfig."""
     with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
@@ -107,7 +109,11 @@ def load_config(path: str | Path, **overrides) -> PipelineConfig:
             raise InvalidConfig(f"config file {path} is not valid JSON: {exc.msg}") from None
     if not isinstance(raw, dict):
         raise InvalidConfig("config file must contain a JSON object")
-    return config_from_dict(raw, **overrides)
+    return raw
+
+
+def load_config(path: str | Path, **overrides) -> PipelineConfig:
+    return config_from_dict(read_config_file(path), **overrides)
 
 
 @dataclass(frozen=True)
@@ -119,7 +125,8 @@ class PipelineResult:
     generator_epoch_losses: tuple[float, ...]
 
 
-def _dump_json(path: Path, payload: dict) -> None:
+def dump_json(path: str | Path, payload: dict) -> None:
+    """Write a report as sorted, indented JSON."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
@@ -142,19 +149,17 @@ def _filtered_candidates(index, corpus, examples, m):
     return out
 
 
-def _records_from_prototypes(examples, chosen_ids, corpus) -> list[AugmentedRecord]:
-    records = []
-    for ex, ids in zip(examples, chosen_ids):
-        records.append(
-            AugmentedRecord(
-                table_id=ex.id,
-                table=ex.table,
-                prototype_ids=tuple(ids),
-                prototypes=tuple(corpus.get(sid).text for sid in ids),
-                reference=ex.reference,
-            )
-        )
-    return records
+def _by_table_id(candidate_sets: Sequence[CandidateSet]) -> dict[int, CandidateSet]:
+    return {c.table_id: c for c in candidate_sets}
+
+
+def _train_selector(
+    config: PipelineConfig, corpus: Corpus, examples: Sequence[Example], candidate_sets
+) -> tuple[SelectorModel, list[float]]:
+    """Train the selector on the training tables, seeded ``seed + 1``."""
+    triples = [(ex.table, ex.reference, c) for ex, c in zip(examples, candidate_sets)]
+    sel_config = dataclasses.replace(config.selector, seed=config.seed + 1)
+    return train_selector(triples, corpus, sel_config)
 
 
 def shared_vocabulary(corpus: Corpus, examples: Sequence[Example]) -> Vocabulary:
@@ -202,32 +207,17 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     selector_losses: list[float] = []
 
     def selection_stage():
-        if config.variant == "BASE":
-            train_ids = [() for _ in train_examples]
-            test_ids = [() for _ in test_examples]
-        elif config.variant == "RET":
-            train_ids = [tuple(c.ids()[: config.n]) for c in train_cands]
-            test_ids = [tuple(c.ids()[: config.n]) for c in test_cands]
-        else:
-            triples = [
-                (ex.table, ex.reference, cands)
-                for ex, cands in zip(train_examples, train_cands)
-            ]
-            sel_config = dataclasses.replace(config.selector, seed=config.seed + 1)
-            model, losses = train_selector(triples, corpus, sel_config)
+        model = None
+        if config.variant in ("RET_PS", "RET_PS_CA"):
+            model, losses = _train_selector(config, corpus, train_examples, train_cands)
             selector_losses.extend(losses)
             paths["selector_model"] = str(out / "selector.json")
             save_selector(paths["selector_model"], model)
-
-            def top(ex, cands):
-                if len(cands) == 0 or config.n == 0:
-                    return ()
-                return tuple(select_top_n(model, ex.table, cands, corpus, config.n).ids())
-
-            train_ids = [top(ex, c) for ex, c in zip(train_examples, train_cands)]
-            test_ids = [top(ex, c) for ex, c in zip(test_examples, test_cands)]
-        train_records = _records_from_prototypes(train_examples, train_ids, corpus)
-        test_records = _records_from_prototypes(test_examples, test_ids, corpus)
+        n = 0 if config.variant == "BASE" else config.n
+        train_records = select_prototypes(
+            train_examples, _by_table_id(train_cands), corpus, n, model
+        )
+        test_records = select_prototypes(test_examples, _by_table_id(test_cands), corpus, n, model)
         paths["augmented_train"] = str(out / "augmented_train.jsonl")
         paths["conditioning_test"] = str(out / "conditioning_test.jsonl")
         write_augmented_dataset(paths["augmented_train"], train_records)
@@ -251,20 +241,9 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     gen_model, generator_losses, gen_config = _stage("train-generator", generator_stage)
 
     def decode_stage():
-        budget = gen_config.max_context - gen_config.max_decode_len
-        outputs = []
-        for rec in test_records:
-            proto_tokens = [tokenize(p) for p in rec.prototypes]
-            cond = build_conditioning(rec.table, proto_tokens, gen_model.vocab, budget)
-            tokens = decode_greedy(gen_model, cond, gen_config.max_decode_len)
-            outputs.append((rec.table_id, tokens))
+        outputs = generate_outputs(gen_model, test_records, gen_config.max_decode_len)
         paths["outputs"] = str(out / "outputs.jsonl")
-        with open(paths["outputs"], "w", encoding="utf-8") as fh:
-            for table_id, tokens in outputs:
-                fh.write(
-                    json.dumps({"output": " ".join(tokens), "table_id": table_id}, sort_keys=True)
-                    + "\n"
-                )
+        write_outputs(paths["outputs"], outputs)
         return outputs
 
     outputs = _stage("generate", decode_stage)
@@ -286,7 +265,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             "selector_epoch_losses": selector_losses,
             "generator_epoch_losses": generator_losses,
         }
-        _dump_json(Path(paths["report"]), payload)
+        dump_json(paths["report"], payload)
         return report
 
     report = _stage("evaluate", evaluation_stage)
@@ -374,7 +353,7 @@ def run_ablation(
         "rows": rows,
         "sign_tests": comparisons,
     }
-    _dump_json(out / "ablation.json", payload)
+    dump_json(out / "ablation.json", payload)
     return payload
 
 
@@ -399,7 +378,7 @@ def sweep_n(config: PipelineConfig, n_values: Sequence[int]) -> dict:
             {"n": n, "bleu4": result.report.bleu4, "rouge4_f": result.report.rouge4_f}
         )
     payload = {"seed": config.seed, "variant": "RET_PS_CA", "rows": rows}
-    _dump_json(out / "sweep.json", payload)
+    dump_json(out / "sweep.json", payload)
     return payload
 
 
@@ -419,27 +398,19 @@ def selector_precision_benchmark(config: PipelineConfig) -> dict:
     index = build_index(corpus)
     train_cands = _filtered_candidates(index, corpus, train_examples, config.m)
     test_cands = _filtered_candidates(index, corpus, test_examples, config.m)
-    triples = [
-        (ex.table, ex.reference, cands)
-        for ex, cands in zip(train_examples, train_cands)
-    ]
-    sel_config = dataclasses.replace(config.selector, seed=config.seed + 1)
-    model, losses = train_selector(triples, corpus, sel_config)
+    model, losses = _train_selector(config, corpus, train_examples, train_cands)
 
     bm25_scores = []
     selector_scores = []
-    everything = list(zip(train_examples, train_cands)) + list(zip(test_examples, test_cands))
-    for ex, cands in everything:
-        relevant = labels.get(ex.id, set())
-        bm25_scores.append(precision_at_k(cands.ids(), relevant, config.n))
-        if len(cands) == 0:
-            selector_scores.append(0.0)
-            continue
-        chosen = select_top_n(model, ex.table, cands, corpus, config.n)
-        selector_scores.append(precision_at_k(chosen.ids(), relevant, config.n))
+    for examples, cands in ((train_examples, train_cands), (test_examples, test_cands)):
+        records = select_prototypes(examples, _by_table_id(cands), corpus, config.n, model)
+        for rec, c in zip(records, cands):
+            relevant = labels.get(rec.table_id, set())
+            bm25_scores.append(precision_at_k(c.ids(), relevant, config.n))
+            selector_scores.append(precision_at_k(rec.prototype_ids, relevant, config.n))
     return {
         "n": config.n,
-        "tables": len(everything),
+        "tables": len(bm25_scores),
         "bm25_precision": sum(bm25_scores) / len(bm25_scores),
         "selector_precision": sum(selector_scores) / len(selector_scores),
         "selector_epoch_losses": losses,

@@ -25,7 +25,6 @@ __all__ = [
     "B",
     "InvertedIndex",
     "CandidateSet",
-    "tokenize",
     "build_index",
     "bm25_score",
     "retrieve",
@@ -222,8 +221,10 @@ def load_index(path: str | Path) -> InvertedIndex:
             raise ParseError(f"invalid index header ({exc.msg})", 1, spath) from None
         if header.get("format") != INDEX_FORMAT or header.get("version") != INDEX_VERSION:
             raise ParseError("not a recognized index file", 1, spath)
-        lengths_line = json.loads(fh.readline())
-        doc_lengths = {int(sid): int(n) for sid, n in lengths_line["doc_lengths"]}
+        try:
+            doc_lengths = {int(sid): int(n) for sid, n in json.loads(fh.readline())["doc_lengths"]}
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ParseError(f"invalid doc_lengths line ({exc})", 2, spath) from None
         postings: dict[str, tuple[tuple[int, int], ...]] = {}
         for line_no, line in enumerate(fh, start=3):
             line = line.strip()

@@ -27,13 +27,13 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import InvalidConfig, InsufficientNegatives, ParseError, malformed_file
 from .optim import Adam
-from .retrieval import CandidateSet, InvertedIndex, filter_leakage, retrieve
+from .retrieval import CandidateSet
 from .tabledata import Corpus, Example, Table, linearize_table
 from .tokenization import SEP, UNK, tokenize
 from .vocab import Vocabulary
@@ -77,7 +77,6 @@ class SelectorModel:
 @dataclass(frozen=True)
 class SelectorTrainConfig:
     k: int = 5
-    margin: float = 1.0
     learning_rate: float = 1e-2
     epochs: int = 30
     seed: int = 0
@@ -86,8 +85,6 @@ class SelectorTrainConfig:
     def __post_init__(self):
         if self.k < 1:
             raise InvalidConfig(f"k must be >= 1, got {self.k}")
-        if self.margin != 1.0:
-            raise InvalidConfig("the ranking margin is fixed at 1")
         if self.learning_rate <= 0:
             raise InvalidConfig("learning rate must be positive")
         if self.epochs < 0:
@@ -115,9 +112,11 @@ class PrototypeSet:
 
 @dataclass(frozen=True)
 class SelectorGradients:
+    """Gradients of the margin loss; the bias has none, since it cancels
+    inside every hinge term."""
+
     embeddings: np.ndarray
     projection: np.ndarray
-    bias: float
 
 
 @dataclass(frozen=True)
@@ -141,8 +140,10 @@ def _table_ids(model_vocab: Vocabulary, table: Table) -> list[int]:
 
 def _pooled(emb: np.ndarray, ids: Sequence[int]) -> np.ndarray:
     # summing in sorted-id order makes the mean bit-identical under any
-    # permutation of the input tokens
-    return emb[np.sort(np.asarray(ids, dtype=np.intp))].mean(axis=0)
+    # permutation of the input tokens; add.reduce then divide is exactly
+    # what ndarray.mean computes, without its per-call bookkeeping, and
+    # take is the same gather as fancy indexing at less cost per call
+    return np.add.reduce(emb.take(sorted(ids), axis=0), axis=0) / len(ids)
 
 
 def encode_pair(model: SelectorModel, table: Table, sentence: Sequence[str]) -> np.ndarray:
@@ -237,7 +238,7 @@ def margin_loss_grad(
     _, d_emb, d_w = _loss_and_grads(
         model.embeddings, model.projection, model.bias, ids_y, ids_negs
     )
-    return SelectorGradients(embeddings=d_emb, projection=d_w, bias=0.0)
+    return SelectorGradients(embeddings=d_emb, projection=d_w)
 
 
 TrainExample = tuple[Table, str, CandidateSet]
@@ -325,25 +326,30 @@ def select_top_n(
     return PrototypeSet(table_id=candidates.table_id, entries=tuple(scored[:n]), n=n)
 
 
-def build_augmented_dataset(
+def select_prototypes(
     examples: Sequence[Example],
-    index: InvertedIndex,
-    model: SelectorModel,
+    candidates_by_table_id: Mapping[int, CandidateSet],
     corpus: Corpus,
-    m: int,
     n: int,
+    model: SelectorModel | None = None,
 ) -> list[AugmentedRecord]:
-    """Retrieve, leakage-filter, and select prototypes for every example.
+    """Choose up to n prototypes per example, one record per example.
 
-    Examples with no surviving candidates get an empty prototype set;
-    the generator then conditions on the table alone.
+    Without a model the candidates keep their BM25 order; with one, the
+    n best-scoring candidates are chosen by :func:`select_top_n`. A
+    table whose candidate set is missing or empty, and every table when
+    n is 0, gets no prototypes; the generator then conditions on the
+    table alone.
     """
+    if n < 0:
+        raise InvalidConfig(f"n must be >= 0, got {n}")
     records: list[AugmentedRecord] = []
     for ex in examples:
-        cands = retrieve(index, ex.table, m, table_id=ex.id)
-        cands = filter_leakage(cands, corpus, ex.reference)
-        if len(cands) == 0:
+        cands = candidates_by_table_id.get(ex.id)
+        if n == 0 or cands is None or len(cands) == 0:
             chosen: tuple[int, ...] = ()
+        elif model is None:
+            chosen = tuple(cands.ids()[:n])
         else:
             chosen = tuple(select_top_n(model, ex.table, cands, corpus, n).ids())
         records.append(
@@ -392,12 +398,20 @@ def read_augmented_dataset(path: str | Path, examples: Sequence[Example]) -> lis
             table_id = raw.get("table_id")
             if table_id not in by_id:
                 raise ParseError(f"table_id {table_id} not present in tables file", line_no, spath)
+            prototype_ids = tuple(raw.get("prototype_ids", []))
+            prototypes = tuple(raw.get("prototypes", []))
+            if len(prototype_ids) != len(prototypes):
+                raise ParseError(
+                    f"{len(prototype_ids)} prototype_ids but {len(prototypes)} prototypes",
+                    line_no,
+                    spath,
+                )
             records.append(
                 AugmentedRecord(
                     table_id=table_id,
                     table=by_id[table_id].table,
-                    prototype_ids=tuple(raw.get("prototype_ids", [])),
-                    prototypes=tuple(raw.get("prototypes", [])),
+                    prototype_ids=prototype_ids,
+                    prototypes=prototypes,
                     reference=raw.get("reference", by_id[table_id].reference),
                 )
             )

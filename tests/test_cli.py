@@ -45,6 +45,41 @@ class TestExitCodes:
         cfg.write_text(json.dumps({"corpus_path": "x", "bogus_field": 1}), encoding="utf-8")
         assert run_cli("ablate", "--config", str(cfg)) == 1
 
+    @pytest.mark.parametrize(
+        "content", ["{bad", "[1, 2]", '{"selector": {"margin": 1.0}}', '{"selector": 3}']
+    )
+    def test_malformed_stage_config_is_config_error(self, tiny_bench, tmp_path, capsys, content):
+        index, cands = tmp_path / "index.jsonl", tmp_path / "cands.jsonl"
+        assert run_cli("index", "--corpus", tiny_bench["corpus"], "--out", str(index)) == 0
+        assert run_cli(
+            "retrieve", "--index", str(index), "--tables", tiny_bench["train_tables"],
+            "--out", str(cands),
+        ) == 0
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(content, encoding="utf-8")
+        out = tmp_path / "selector.json"
+        code = run_cli(
+            "train-selector", "--config", str(cfg), "--corpus", tiny_bench["corpus"],
+            "--tables", tiny_bench["train_tables"], "--candidates", str(cands),
+            "--out", str(out),
+        )
+        assert code == 1
+        assert "internal error" not in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_corrupt_index_lengths_line_is_data_error(self, tiny_bench, tmp_path, capsys):
+        index = tmp_path / "index.jsonl"
+        assert run_cli("index", "--corpus", tiny_bench["corpus"], "--out", str(index)) == 0
+        lines = index.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1] = lines[1][: len(lines[1]) // 2] + "\n"
+        index.write_text("".join(lines), encoding="utf-8")
+        code = run_cli(
+            "retrieve", "--index", str(index), "--tables", tiny_bench["test_tables"],
+            "--out", str(tmp_path / "cands.jsonl"),
+        )
+        assert code == 2
+        assert f"{index}:line 2" in capsys.readouterr().err
+
     @pytest.mark.parametrize("max_len", ["0", "16", "300"])
     def test_generate_max_len_outside_context_is_config_error(
         self, tiny_bench, tmp_path, capsys, max_len
@@ -238,6 +273,46 @@ class TestStageCommands:
         payload = json.loads(report.read_text())
         assert payload["bleu4"] == pytest.approx(1.0)
         assert payload["sign_test"]["rouge4_sign_test_p"] == pytest.approx(2 * 0.5 ** 12, abs=1e-12)
+
+
+def _reference_outputs(tables_path):
+    examples = [json.loads(l) for l in open(tables_path) if l.strip()]
+    return [json.dumps({"table_id": ex["id"], "output": ex["reference"]}) for ex in examples]
+
+
+class TestHypothesisFiles:
+    @pytest.mark.parametrize("flag", ["--hyp", "--compare"])
+    @pytest.mark.parametrize(
+        "extra", ['{"table_id": 0, "output": "x"', '"garbage"', '{"output": "no id"}']
+    )
+    def test_malformed_line_is_data_error(self, tiny_bench, tmp_path, capsys, flag, extra):
+        good = tmp_path / "good.jsonl"
+        bad = tmp_path / "bad.jsonl"
+        lines = _reference_outputs(tiny_bench["train_tables"])
+        good.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        bad.write_text("\n".join(lines[:1] + [extra] + lines[1:]) + "\n", encoding="utf-8")
+        files = {"--hyp": good, "--compare": good, flag: bad}
+        code = run_cli(
+            "eval", "--hyp", str(files["--hyp"]), "--compare", str(files["--compare"]),
+            "--ref", tiny_bench["train_tables"], "--out", str(tmp_path / "report.json"),
+        )
+        assert code == 2
+        assert f"{bad}:line 2" in capsys.readouterr().err
+
+    def test_duplicate_table_id_is_data_error(self, tiny_bench, tmp_path, capsys):
+        hyp = tmp_path / "hyp.jsonl"
+        lines = _reference_outputs(tiny_bench["train_tables"])
+        first_id = json.loads(lines[0])["table_id"]
+        dup = json.dumps({"table_id": first_id, "output": "garbage"})
+        hyp.write_text("\n".join(lines + [dup]) + "\n", encoding="utf-8")
+        code = run_cli(
+            "eval", "--hyp", str(hyp), "--ref", tiny_bench["train_tables"],
+            "--out", str(tmp_path / "report.json"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{hyp}:line {len(lines) + 1}" in err
+        assert f"duplicate table_id {first_id}" in err
 
 
 class TestPipelineCommands:

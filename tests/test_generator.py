@@ -20,11 +20,11 @@ from prototext.generator import (
     init_generator,
     lm_loss,
     load_generator,
+    loss_and_grads,
     losses_from_ids,
     negative_token_ids,
     next_token_dist,
     save_generator,
-    total_loss,
     train_generator,
 )
 from prototext.selector import AugmentedRecord
@@ -190,6 +190,14 @@ class TestCaLoss:
         model.params["tok_emb"][...] += 0.0
         after = ca_loss(model, bare_cond(0), ["a"], [["c"]])
         assert after < before
+
+
+def total_loss(model, cond, y, prototypes, ca_enabled):
+    """The training loss of one record, through loss_and_grads."""
+    y_ids = model.vocab.ids(y)
+    neg = negative_token_ids(model.vocab, y, prototypes)
+    loss, _ = loss_and_grads(model, cond.ids, y_ids, neg, ca_enabled)
+    return loss
 
 
 class TestTotalLoss:

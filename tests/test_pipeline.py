@@ -35,7 +35,6 @@ class TestConfig:
         assert config.m == 100
         assert config.n == 3
         assert config.selector.k == 5
-        assert config.selector.margin == 1.0
 
     def test_variant_validated(self, tiny_config):
         with pytest.raises(InvalidConfig):

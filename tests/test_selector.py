@@ -1,26 +1,28 @@
 import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 from fdcheck import central_diff, max_rel_error
-from prototext.errors import InsufficientNegatives, InvalidConfig
-from prototext.retrieval import CandidateSet, build_index
+from prototext.errors import InsufficientNegatives, InvalidConfig, ParseError
+from prototext.retrieval import CandidateSet, build_index, filter_leakage, retrieve
 from prototext.selector import (
     SelectorModel,
     SelectorTrainConfig,
-    build_augmented_dataset,
     encode_pair,
     margin_loss,
     margin_loss_grad,
     load_selector,
+    read_augmented_dataset,
     save_selector,
     score_pair,
+    select_prototypes,
     select_top_n,
     train_selector,
 )
-from prototext.tabledata import Corpus, Sentence, Table
+from prototext.tabledata import Corpus, Example, Sentence, Table
 from prototext.vocab import Vocabulary
 
 
@@ -161,13 +163,17 @@ class TestMarginLossGrad:
         g = margin_loss_grad(model, t, ["y0"], [["n1"]])
         assert not g.embeddings.any()
         assert not g.projection.any()
-        assert g.bias == 0.0
 
     def test_bias_gradient_always_zero(self):
+        # b cancels inside every hinge, so no gradient depends on it and
+        # SelectorGradients carries none for it
         model, t = token_score_model({"y0": 0.0, "n1": 2.0})
         g = margin_loss_grad(model, t, ["y0"], [["n1"]])
-        assert g.bias == 0.0
+        shifted = margin_loss_grad(dataclasses.replace(model, bias=17.5), t, ["y0"], [["n1"]])
+        assert not hasattr(g, "bias")
         assert g.projection.any()
+        assert np.array_equal(g.projection, shifted.projection)
+        assert np.array_equal(g.embeddings, shifted.embeddings)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_finite_differences(self, seed):
@@ -312,33 +318,60 @@ class TestSelectTopN:
 class TestAugmentedDataset:
     def test_records_align_with_examples(self):
         corpus, examples = tiny_training_setup()
-        from prototext.tabledata import Example
-
         exs = [Example(i, t, ref) for i, (t, ref, _) in enumerate(examples)]
         index = build_index(corpus)
         config = SelectorTrainConfig(epochs=1, seed=1, dim=4)
-        triples = [
-            (t, ref, cands) for (t, ref, cands) in examples
-        ]
-        model, _ = train_selector(triples, corpus, config)
-        records = build_augmented_dataset(exs, index, model, corpus, m=10, n=3)
+        model, _ = train_selector(examples, corpus, config)
+        cands = {}
+        for ex in exs:
+            retrieved = retrieve(index, ex.table, 10, table_id=ex.id)
+            cands[ex.id] = filter_leakage(retrieved, corpus, ex.reference)
+        records = select_prototypes(exs, cands, corpus, 3, model)
         assert len(records) == len(exs)
+        assert any(rec.prototype_ids for rec in records)
         for rec, ex in zip(records, exs):
             assert rec.table_id == ex.id
+            assert rec.reference == ex.reference
             assert len(rec.prototype_ids) <= 3
-            assert all(corpus.get(sid).text in rec.prototypes for sid in rec.prototype_ids)
+            assert rec.prototype_ids == tuple(
+                select_top_n(model, ex.table, cands[ex.id], corpus, 3).ids()
+            )
+            assert rec.prototypes == tuple(corpus.get(sid).text for sid in rec.prototype_ids)
 
     def test_zero_candidates_give_empty_prototypes(self):
-        from prototext.tabledata import Example
-
         corpus = Corpus([Sentence.from_text(0, "completely unrelated words")])
         index = build_index(corpus)
         vocab = Vocabulary.build([["qq"]])
         model = model_with(vocab, np.zeros((len(vocab), 2)), np.zeros(2))
         ex = Example(0, table_of(("name", "zzz")), "zzz sentence")
-        records = build_augmented_dataset([ex], index, model, corpus, m=5, n=3)
-        assert records[0].prototype_ids == ()
-        assert records[0].prototypes == ()
+        other = Example(1, table_of(("name", "yyy")), "yyy sentence")
+        cands = {0: retrieve(index, ex.table, 5, table_id=0)}
+        assert len(cands[0]) == 0
+        records = select_prototypes([ex, other], cands, corpus, 3, model)
+        for rec in records:
+            assert rec.prototype_ids == ()
+            assert rec.prototypes == ()
+
+    def test_no_model_keeps_bm25_order_cut_to_n(self):
+        corpus, examples = tiny_training_setup(n_examples=2, n_cands=6)
+        exs = [Example(i, t, ref) for i, (t, ref, _) in enumerate(examples)]
+        cands = {i: c for i, (_, _, c) in enumerate(examples)}
+        records = select_prototypes(exs, cands, corpus, 4)
+        for rec in records:
+            assert rec.prototype_ids == tuple(cands[rec.table_id].ids()[:4])
+        assert [r.prototype_ids for r in select_prototypes(exs, cands, corpus, 0)] == [(), ()]
+        with pytest.raises(InvalidConfig):
+            select_prototypes(exs, cands, corpus, -1)
+
+
+class TestReadAugmentedDataset:
+    def test_prototype_count_mismatch_rejected(self, tmp_path):
+        ex = Example(0, table_of(("name", "x")), "x ref")
+        path = tmp_path / "augmented.jsonl"
+        record = {"table_id": 0, "prototype_ids": [1, 2], "prototypes": ["only one"]}
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="line 1"):
+            read_augmented_dataset(path, [ex])
 
 
 class TestSelectorPersistence:
