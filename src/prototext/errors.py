@@ -84,15 +84,15 @@ class StageError(PrototextError):
         super().__init__(f"stage '{stage}' failed: {cause}")
 
 
+# What decoding malformed content raises. OSError is absent on purpose:
+# a file that cannot be read is not a data error.
+MALFORMED = (ValueError, KeyError, TypeError, AttributeError, OverflowError, InvalidConfig)
+
+
 @contextmanager
 def malformed_file(path, what: str):
-    """Turn the failures of decoding a file's content into a ParseError.
-
-    Covers invalid JSON or text encoding and missing, ill-typed or
-    inconsistent fields. ``OSError`` is not caught: a file that cannot
-    be read is not a data error.
-    """
+    """Turn the failures of decoding a whole file's content into a ParseError."""
     try:
         yield
-    except (ValueError, KeyError, TypeError, AttributeError, InvalidConfig) as exc:
+    except MALFORMED as exc:
         raise ParseError(f"malformed {what}: {exc}", path=str(path)) from exc

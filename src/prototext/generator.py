@@ -48,7 +48,7 @@ import numpy as np
 from .errors import InvalidConfig, InputTooLong, ParseError, malformed_file
 from .optim import Adam
 from .selector import AugmentedRecord
-from .tabledata import Table, linearize_table
+from .tabledata import Table, linearize_table, read_jsonl, unique_table_id, write_jsonl
 from .tokenization import RESERVED_TOKENS, tokenize
 from .vocab import Vocabulary
 
@@ -493,35 +493,28 @@ def generate_outputs(
 
 def write_outputs(path: str | Path, outputs: Sequence[tuple[int, Sequence[str]]]) -> None:
     """One JSON record per table: ``{"output": str, "table_id": int}``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for table_id, tokens in outputs:
-            fh.write(
-                json.dumps({"output": " ".join(tokens), "table_id": table_id}, sort_keys=True)
-                + "\n"
-            )
+    write_jsonl(
+        path,
+        ({"output": " ".join(tokens), "table_id": table_id} for table_id, tokens in outputs),
+    )
 
 
 def read_outputs(path: str | Path) -> dict[int, str]:
     """Read an outputs file back as ``{table_id: output}``.
 
-    A line that is not a record with an integer ``table_id``, or a
-    ``table_id`` seen before, is a :class:`ParseError`.
+    A record without an integer ``table_id`` and a string ``output``,
+    or with a ``table_id`` seen before, is a :class:`ParseError`.
     """
-    outputs: dict[int, str] = {}
-    spath = str(path)
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                table_id = int(record["table_id"])
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ParseError(f"malformed output record ({exc})", line_no, spath) from None
-            if table_id in outputs:
-                raise ParseError(f"duplicate table_id {table_id}", line_no, spath)
-            outputs[table_id] = str(record.get("output", ""))
-    return outputs
+    seen: set[int] = set()
+
+    def parse(record: dict) -> tuple[int, str]:
+        table_id = unique_table_id(record, seen)
+        output = record["output"]
+        if not isinstance(output, str):
+            raise ParseError("'output' must be a string")
+        return table_id, output
+
+    return dict(read_jsonl(path, parse))
 
 
 def _record_ids(

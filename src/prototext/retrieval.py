@@ -9,15 +9,15 @@ returned.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
 from .errors import InvalidConfig, ParseError, UnknownDocument
-from .tabledata import Corpus, Table, linearize_table
+from .tabledata import Corpus, Table, linearize_table, read_jsonl, unique_table_id, write_jsonl
 from .tokenization import RESERVED_TOKENS, tokenize
 
 __all__ = [
@@ -167,84 +167,75 @@ def filter_leakage(candidates: CandidateSet, corpus: Corpus, reference: str) -> 
 
 def write_candidate_sets(path: str | Path, candidate_sets: Sequence[CandidateSet]) -> None:
     """One JSON record per table: ``{"table_id", "candidates": [[id, score]]}``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for cands in candidate_sets:
-            record = {
-                "table_id": cands.table_id,
-                "candidates": [[sid, score] for sid, score in cands.entries],
-            }
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    records = (
+        {"table_id": c.table_id, "candidates": [list(e) for e in c.entries]} for c in candidate_sets
+    )
+    write_jsonl(path, records)
 
 
 def read_candidate_sets(path: str | Path) -> list[CandidateSet]:
-    sets: list[CandidateSet] = []
-    spath = str(path)
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON ({exc.msg})", line_no, spath) from None
-            if "table_id" not in record or "candidates" not in record:
-                raise ParseError("candidate record missing fields", line_no, spath)
-            entries = tuple((int(sid), float(score)) for sid, score in record["candidates"])
-            sets.append(CandidateSet(table_id=int(record["table_id"]), entries=entries))
-    return sets
+    """Read a candidates file; a repeated ``table_id`` is a ParseError."""
+    seen: set[int] = set()
+
+    def parse(record: dict) -> CandidateSet:
+        table_id = unique_table_id(record, seen)
+        entries = tuple((int(sid), float(score)) for sid, score in record["candidates"])
+        return CandidateSet(table_id=table_id, entries=entries)
+
+    return list(read_jsonl(path, parse))
 
 
 def save_index(path: str | Path, index: InvertedIndex) -> None:
     """Persist an index as versioned JSONL; reload is bit-exact."""
-    with open(path, "w", encoding="utf-8") as fh:
-        header = {
-            "format": INDEX_FORMAT,
-            "version": INDEX_VERSION,
-            "doc_count": index.doc_count,
-            "avgdl": index.avgdl,
-        }
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        lengths = sorted(index.doc_lengths.items())
-        fh.write(json.dumps({"doc_lengths": lengths}) + "\n")
-        for term in sorted(index.postings):
-            entry = {"term": term, "postings": [list(p) for p in index.postings[term]]}
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
+    header = {
+        "format": INDEX_FORMAT,
+        "version": INDEX_VERSION,
+        "doc_count": index.doc_count,
+        "avgdl": index.avgdl,
+    }
+    lengths = {"doc_lengths": sorted(index.doc_lengths.items())}
+    terms = (
+        {"term": term, "postings": [list(p) for p in index.postings[term]]}
+        for term in sorted(index.postings)
+    )
+    write_jsonl(path, chain((header, lengths), terms))
 
 
 def load_index(path: str | Path) -> InvertedIndex:
-    spath = str(path)
-    with open(path, encoding="utf-8") as fh:
-        try:
-            header = json.loads(fh.readline())
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid index header ({exc.msg})", 1, spath) from None
-        if header.get("format") != INDEX_FORMAT or header.get("version") != INDEX_VERSION:
-            raise ParseError("not a recognized index file", 1, spath)
-        try:
-            doc_lengths = {int(sid): int(n) for sid, n in json.loads(fh.readline())["doc_lengths"]}
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ParseError(f"invalid doc_lengths line ({exc})", 2, spath) from None
-        postings: dict[str, tuple[tuple[int, int], ...]] = {}
-        for line_no, line in enumerate(fh, start=3):
-            line = line.strip()
-            if not line:
-                continue
-            entry = _load_posting_line(line, line_no, spath)
-            postings[entry["term"]] = tuple((int(d), int(tf)) for d, tf in entry["postings"])
-    return InvertedIndex(
-        postings=postings,
-        doc_lengths=doc_lengths,
-        doc_count=int(header["doc_count"]),
-        avgdl=float(header["avgdl"]),
-    )
+    """Read an index; one that contradicts itself is a ParseError at the line that shows it."""
+    header: dict = {}
+    doc_lengths: dict[int, int] = {}
+    doc_ids: dict[int, int] = {}
+    postings: dict[str, tuple[tuple[int, int], ...]] = {}
 
+    def parse_header(record: dict) -> None:
+        if record.get("format") != INDEX_FORMAT or record.get("version") != INDEX_VERSION:
+            raise ParseError("not a recognized index file")
+        header.update(doc_count=int(record["doc_count"]), avgdl=float(record["avgdl"]))
+        if header["doc_count"] > 0 and not header["avgdl"] > 0:
+            raise ParseError(f"avgdl {header['avgdl']} over {header['doc_count']} documents")
 
-def _load_posting_line(line: str, line_no: int, path: str) -> dict:
-    try:
-        entry = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid postings line ({exc.msg})", line_no, path) from None
-    if "term" not in entry or "postings" not in entry:
-        raise ParseError("postings line missing fields", line_no, path)
-    return entry
+    def parse_lengths(record: dict) -> None:
+        doc_lengths.update((int(sid), int(n)) for sid, n in record["doc_lengths"])
+        if len(doc_lengths) != header["doc_count"]:
+            raise ParseError(
+                f"doc_count {header['doc_count']} but {len(doc_lengths)} document lengths"
+            )
+        doc_ids.update((sid, sid) for sid in doc_lengths)
+
+    def parse_postings(record: dict) -> None:
+        pairs = record["postings"]
+        try:
+            # one lookup both converts a doc id to int and rejects an unindexed one
+            entries = tuple((doc_ids[d], int(tf)) for d, tf in pairs)
+        except KeyError as exc:
+            raise ParseError(f"posting for unindexed document {exc}") from None
+        postings[record["term"]] = entries
+
+    # Line 1 is the header, line 2 the lengths, every later line postings.
+    parsers = iter((parse_header, parse_lengths))
+    for _ in read_jsonl(path, lambda record: next(parsers, parse_postings)(record)):
+        pass
+    if next(parsers, None) is not None:
+        raise ParseError("index file ends before its document lengths", path=str(path))
+    return InvertedIndex(postings=postings, doc_lengths=doc_lengths, **header)

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import InvalidConfig, InsufficientNegatives, ParseError, malformed_file
 from .optim import Adam
 from .retrieval import CandidateSet
-from .tabledata import Corpus, Example, Table, linearize_table
+from .tabledata import Corpus, Example, Table, linearize_table, read_jsonl, write_jsonl
 from .tokenization import SEP, UNK, tokenize
 from .vocab import Vocabulary
 
@@ -365,57 +365,44 @@ def select_prototypes(
 
 
 def write_augmented_dataset(path: str | Path, records: Iterable[AugmentedRecord]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(
-                json.dumps(
-                    {
-                        "table_id": rec.table_id,
-                        "prototype_ids": list(rec.prototype_ids),
-                        "prototypes": list(rec.prototypes),
-                        "reference": rec.reference,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    write_jsonl(
+        path,
+        (
+            {
+                "table_id": rec.table_id,
+                "prototype_ids": list(rec.prototype_ids),
+                "prototypes": list(rec.prototypes),
+                "reference": rec.reference,
+            }
+            for rec in records
+        ),
+    )
 
 
 def read_augmented_dataset(path: str | Path, examples: Sequence[Example]) -> list[AugmentedRecord]:
-    """Join an augmented-dataset file back with its tables file."""
+    """Join an augmented-dataset file with its tables file; a missing reference is the table's."""
     by_id = {ex.id: ex for ex in examples}
-    records: list[AugmentedRecord] = []
-    spath = str(path)
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON ({exc.msg})", line_no, spath) from None
-            table_id = raw.get("table_id")
-            if table_id not in by_id:
-                raise ParseError(f"table_id {table_id} not present in tables file", line_no, spath)
-            prototype_ids = tuple(raw.get("prototype_ids", []))
-            prototypes = tuple(raw.get("prototypes", []))
-            if len(prototype_ids) != len(prototypes):
-                raise ParseError(
-                    f"{len(prototype_ids)} prototype_ids but {len(prototypes)} prototypes",
-                    line_no,
-                    spath,
-                )
-            records.append(
-                AugmentedRecord(
-                    table_id=table_id,
-                    table=by_id[table_id].table,
-                    prototype_ids=prototype_ids,
-                    prototypes=prototypes,
-                    reference=raw.get("reference", by_id[table_id].reference),
-                )
-            )
-    return records
+
+    def parse(record: dict) -> AugmentedRecord:
+        example = by_id.get(record["table_id"])
+        if example is None:
+            raise ParseError(f"table_id {record['table_id']} not present in tables file")
+        prototype_ids = tuple(map(int, record["prototype_ids"]))
+        prototypes = tuple(record["prototypes"])
+        if len(prototype_ids) != len(prototypes):
+            raise ParseError(f"{len(prototype_ids)} prototype_ids but {len(prototypes)} prototypes")
+        reference = record.get("reference", example.reference)
+        if not all(isinstance(text, str) for text in (reference, *prototypes)):
+            raise ParseError("'prototypes' and 'reference' must be strings")
+        return AugmentedRecord(
+            table_id=example.id,
+            table=example.table,
+            prototype_ids=prototype_ids,
+            prototypes=prototypes,
+            reference=reference,
+        )
+
+    return list(read_jsonl(path, parse))
 
 
 def save_selector(path: str | Path, model: SelectorModel) -> None:

@@ -22,19 +22,21 @@ produce byte-identical files.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidConfig, ParseError
+from .errors import InvalidConfig
 from .tabledata import (
     Corpus,
     Example,
     Sentence,
     Table,
+    read_jsonl,
+    unique_table_id,
     write_corpus,
+    write_jsonl,
     write_tables_file,
 )
 from .tokenization import tokenize
@@ -293,10 +295,9 @@ def write_benchmark(bench: SyntheticBenchmark, out_dir: str | Path) -> dict[str,
     write_corpus(paths["corpus"], bench.corpus)
     write_tables_file(paths["train_tables"], bench.train_examples)
     write_tables_file(paths["test_tables"], bench.test_examples)
-    with open(paths["labels"], "w", encoding="utf-8") as fh:
-        for tid in sorted(bench.relevance):
-            record = {"table_id": tid, "relevant_ids": sorted(bench.relevance[tid])}
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    relevance = sorted(bench.relevance.items())
+    labels = ({"table_id": t, "relevant_ids": sorted(ids)} for t, ids in relevance)
+    write_jsonl(paths["labels"], labels)
     return paths
 
 
@@ -306,16 +307,10 @@ def synth_benchmark(spec: SyntheticSpec, out_dir: str | Path) -> dict[str, str]:
 
 
 def read_labels(path: str | Path) -> dict[int, set[int]]:
-    labels: dict[int, set[int]] = {}
-    spath = str(path)
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON ({exc.msg})", line_no, spath) from None
-            labels[int(record["table_id"])] = {int(s) for s in record["relevant_ids"]}
-    return labels
+    """Read a labels file; a repeated ``table_id`` is a ParseError."""
+    seen: set[int] = set()
+
+    def parse(record: dict) -> tuple[int, set[int]]:
+        return unique_table_id(record, seen), set(map(int, record["relevant_ids"]))
+
+    return dict(read_jsonl(path, parse))

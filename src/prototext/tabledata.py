@@ -5,6 +5,9 @@ File formats (one JSON object per line, UTF-8):
 * tables file:  ``{"id": int, "pairs": [[attr, value], ...], "reference": str}``
 * corpus file:  ``{"id": int, "text": str}``
 
+:func:`read_jsonl` and :func:`write_jsonl` read and write every JSONL
+format of the package.
+
 All types are immutable after construction and safe to share across
 threads.
 """
@@ -14,10 +17,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
-from .errors import DuplicateId, InvalidTable, ParseError, UnknownDocument
+from .errors import MALFORMED, DuplicateId, InvalidTable, ParseError, UnknownDocument
 from .tokenization import ATTR_DELIM, PAIR_DELIM, tokenize
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -118,93 +123,109 @@ def linearize_table(table: Table) -> list[str]:
     return tokens
 
 
-def _loads_line(line: str, line_no: int, path: str) -> dict:
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON ({exc.msg})", line_no, path) from None
-    if not isinstance(record, dict):
-        raise ParseError("record is not a JSON object", line_no, path)
-    return record
+def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> Iterator[T]:
+    """Stream ``parse(record)`` over the JSON object lines of a file, skipping blank lines.
+
+    A line that is not UTF-8, JSON or an object, and one that ``parse``
+    rejects with a :data:`~prototext.errors.MALFORMED` error or a
+    :class:`ParseError` (raised without path or line), is a ParseError
+    with path and line. Other data errors and ``OSError`` pass through.
+    """
+    spath = str(path)
+    with open(path, "rb") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if line.isspace():
+                continue
+            try:
+                record = json.loads(line.decode("utf-8"))
+                if not isinstance(record, dict):
+                    raise ParseError("record is not a JSON object")
+                value = parse(record)
+            except MALFORMED as exc:
+                message = f"malformed record ({type(exc).__name__}: {exc})"
+                raise ParseError(message, line_no, spath) from None
+            except ParseError as exc:
+                raise ParseError(str(exc), line_no, spath) from None
+            yield value
 
 
-def _require_id(record: dict, line_no: int, path: str) -> int:
+def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
+    """Write one sorted-key JSON object per line; the one JSONL writer."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+def unique_table_id(record: dict, seen: set[int]) -> int:
+    """``record["table_id"]`` as an int; one already in ``seen`` is a ParseError."""
+    table_id = int(record["table_id"])
+    if table_id in seen:
+        raise ParseError(f"duplicate table_id {table_id}")
+    seen.add(table_id)
+    return table_id
+
+
+def _unique_id(record: dict, seen: set[int], path: str | Path) -> int:
     rid = record.get("id")
     if not isinstance(rid, int) or isinstance(rid, bool) or rid < 0:
-        raise ParseError("'id' must be a non-negative integer", line_no, path)
+        raise ParseError("'id' must be a non-negative integer")
+    if rid in seen:
+        raise DuplicateId(rid, path)
+    seen.add(rid)
     return rid
 
 
 def parse_tables_file(path: str | Path) -> list[Example]:
     """Read a tables file; ids are validated unique, order is preserved."""
-    examples: list[Example] = []
     seen: set[int] = set()
-    spath = str(path)
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            record = _loads_line(line, line_no, spath)
-            rid = _require_id(record, line_no, spath)
-            if rid in seen:
-                raise DuplicateId(rid, spath)
-            seen.add(rid)
-            pairs = record.get("pairs")
-            if not isinstance(pairs, list) or not pairs:
-                raise ParseError("'pairs' must be a non-empty array", line_no, spath)
-            for p in pairs:
-                if (
-                    not isinstance(p, list)
-                    or len(p) != 2
-                    or not all(isinstance(x, str) for x in p)
-                ):
-                    raise ParseError("each pair must be a [attribute, value] string pair", line_no, spath)
-            reference = record.get("reference")
-            if not isinstance(reference, str):
-                raise ParseError("'reference' must be a string", line_no, spath)
-            try:
-                table = Table.from_pairs([(a, v) for a, v in pairs])
-            except InvalidTable as exc:
-                raise ParseError(str(exc), line_no, spath) from None
-            examples.append(Example(rid, table, reference))
-    return examples
+
+    def parse(record: dict) -> Example:
+        rid = _unique_id(record, seen, path)
+        pairs = record.get("pairs")
+        if not isinstance(pairs, list) or not pairs:
+            raise ParseError("'pairs' must be a non-empty array")
+        for p in pairs:
+            if not isinstance(p, list) or len(p) != 2 or not all(isinstance(x, str) for x in p):
+                raise ParseError("each pair must be a [attribute, value] string pair")
+        reference = record.get("reference")
+        if not isinstance(reference, str):
+            raise ParseError("'reference' must be a string")
+        try:
+            table = Table.from_pairs(pairs)
+        except InvalidTable as exc:
+            raise ParseError(str(exc)) from None
+        return Example(rid, table, reference)
+
+    return list(read_jsonl(path, parse))
 
 
 def load_corpus(path: str | Path) -> Corpus:
     """Read a corpus file; tokens are precomputed once per sentence."""
-    sentences: list[Sentence] = []
     seen: set[int] = set()
-    spath = str(path)
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            record = _loads_line(line, line_no, spath)
-            rid = _require_id(record, line_no, spath)
-            if rid in seen:
-                raise DuplicateId(rid, spath)
-            seen.add(rid)
-            text = record.get("text")
-            if not isinstance(text, str):
-                raise ParseError("'text' must be a string", line_no, spath)
-            sentences.append(Sentence.from_text(rid, text))
-    return Corpus(sentences)
+
+    def parse(record: dict) -> Sentence:
+        rid = _unique_id(record, seen, path)
+        text = record.get("text")
+        if not isinstance(text, str):
+            raise ParseError("'text' must be a string")
+        return Sentence.from_text(rid, text)
+
+    return Corpus(read_jsonl(path, parse))
 
 
 def write_tables_file(path: str | Path, examples: Iterable[Example]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            record = {
+    write_jsonl(
+        path,
+        (
+            {
                 "id": ex.id,
                 "pairs": [[p.attribute, p.value] for p in ex.table.pairs],
                 "reference": ex.reference,
             }
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+            for ex in examples
+        ),
+    )
 
 
 def write_corpus(path: str | Path, sentences: Iterable[Sentence]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for s in sentences:
-            fh.write(json.dumps({"id": s.id, "text": s.text}, sort_keys=True) + "\n")
+    write_jsonl(path, ({"id": s.id, "text": s.text} for s in sentences))

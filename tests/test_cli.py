@@ -5,8 +5,16 @@ import numpy as np
 import pytest
 
 from prototext.cli import main
-from prototext.generator import GeneratorTrainConfig, init_generator, save_generator
-from prototext.selector import SelectorModel, save_selector
+from prototext.generator import GeneratorTrainConfig, init_generator, save_generator, write_outputs
+from prototext.retrieval import build_index, retrieve, save_index, write_candidate_sets
+from prototext.selector import (
+    SelectorModel,
+    save_selector,
+    select_prototypes,
+    write_augmented_dataset,
+)
+from prototext.tabledata import load_corpus, parse_tables_file
+from prototext.tokenization import tokenize
 from prototext.vocab import Vocabulary
 
 
@@ -21,7 +29,113 @@ def tiny_generator_file(tmp_path):
     return path
 
 
+@pytest.fixture(scope="module")
+def stage_files(tiny_bench, tmp_path_factory):
+    """Valid index, candidates, augmented and outputs files for the train split."""
+    out = tmp_path_factory.mktemp("stages")
+    corpus = load_corpus(tiny_bench["corpus"])
+    train = parse_tables_file(tiny_bench["train_tables"])
+    index = build_index(corpus)
+    cands = [retrieve(index, ex.table, 50, table_id=ex.id) for ex in train]
+    records = select_prototypes(train, {c.table_id: c for c in cands}, corpus, 3)
+    files = {kind: out / f"{kind}.jsonl" for kind in ("index", "candidates", "augmented", "outputs")}
+    save_index(files["index"], index)
+    write_candidate_sets(files["candidates"], cands)
+    write_augmented_dataset(files["augmented"], records)
+    write_outputs(files["outputs"], [(ex.id, tokenize(ex.reference)) for ex in train])
+    return {**files, "corpus": Path(tiny_bench["corpus"])}
+
+
+def _set(line, **fields):
+    """Overwrite fields of the record on one line; the error names that line."""
+
+    def edit(lines):
+        record = json.loads(lines[line - 1])
+        record.update(fields)
+        lines[line - 1] = json.dumps(record).encode()
+        return line
+
+    return edit
+
+
+def _replace(line, text):
+    def edit(lines):
+        lines[line - 1] = text
+        return line
+
+    return edit
+
+
+def _repeat_first_table_id(lines):
+    record = json.loads(lines[0])
+    record["candidates"] = record["candidates"][:1]
+    lines.append(json.dumps(record).encode())
+    return len(lines)
+
+
+def _unindexed_postings(lines):
+    for i in range(2, len(lines)):
+        record = json.loads(lines[i])
+        record["postings"].append([99999, 1])
+        lines[i] = json.dumps(record).encode()
+    return 3
+
+
+def _non_utf8_text(lines):
+    lines[1] = lines[1].replace(b'"text": "', b'"text": "\xff', 1)
+    return 2
+
+
+# Each breaks one line of a valid file and returns that line's number.
+MALFORMED_JSONL = [
+    pytest.param("candidates", _set(1, candidates=5), id="candidates-not-a-list"),
+    pytest.param("candidates", _set(1, table_id="x"), id="candidates-table-id-string"),
+    pytest.param("candidates", _set(1, table_id=float("inf")), id="candidates-table-id-infinite"),
+    pytest.param("candidates", _set(1, candidates=[[1]]), id="candidates-entry-not-a-pair"),
+    pytest.param("candidates", _repeat_first_table_id, id="candidates-repeated-table-id"),
+    pytest.param("augmented", _replace(1, b"[1, 2]"), id="augmented-not-an-object"),
+    pytest.param("augmented", _set(1, prototype_ids=5), id="augmented-ids-not-a-list"),
+    pytest.param(
+        "augmented", _set(1, prototype_ids=[0], prototypes=[1]), id="augmented-prototype-not-text"
+    ),
+    pytest.param("augmented", _set(1, table_id=[1]), id="augmented-table-id-list"),
+    pytest.param("index", _replace(1, b"[1]"), id="index-header-not-an-object"),
+    pytest.param("index", _set(1, doc_count="x"), id="index-doc-count-string"),
+    pytest.param("index", _set(1, avgdl=0.0), id="index-avgdl-zero"),
+    pytest.param("index", _set(2, doc_lengths=[[0, 3]]), id="index-doc-count-mismatch"),
+    pytest.param("index", _set(3, postings=5), id="index-postings-not-a-list"),
+    pytest.param("index", _unindexed_postings, id="index-posting-unindexed-doc"),
+    pytest.param("corpus", _non_utf8_text, id="corpus-not-utf8"),
+    pytest.param("outputs", _set(1, output=5), id="outputs-output-not-text"),
+]
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("kind, edit", MALFORMED_JSONL)
+    def test_malformed_jsonl_line_is_data_error(
+        self, tiny_bench, stage_files, tmp_path, capsys, kind, edit
+    ):
+        bad = tmp_path / f"bad-{kind}.jsonl"
+        lines = stage_files[kind].read_bytes().splitlines()
+        line = edit(lines)
+        bad.write_bytes(b"\n".join(lines) + b"\n")
+        out = str(tmp_path / "out")
+        argv = {
+            "corpus": ["index", "--corpus", str(bad), "--out", out],
+            "index": ["retrieve", "--index", str(bad), "--tables", tiny_bench["test_tables"],
+                      "--out", out],
+            "candidates": ["train-selector", "--corpus", tiny_bench["corpus"],
+                           "--tables", tiny_bench["train_tables"], "--candidates", str(bad),
+                           "--out", out],
+            "augmented": ["train-generator", "--dataset", str(bad),
+                          "--tables", tiny_bench["train_tables"], "--out", out],
+            "outputs": ["eval", "--hyp", str(bad), "--ref", tiny_bench["train_tables"],
+                        "--out", out],
+        }[kind]
+        assert run_cli(*argv) == 2
+        assert f"{bad}:line {line}" in capsys.readouterr().err
+        assert not Path(out).exists()
+
     def test_unknown_command_is_usage_error(self, capsys):
         assert run_cli("frobnicate") == 1
 

@@ -1,6 +1,8 @@
+import json
+
 import pytest
 
-from prototext.errors import InvalidConfig
+from prototext.errors import InvalidConfig, ParseError
 from prototext.synth import (
     SyntheticSpec,
     generate_benchmark,
@@ -46,6 +48,13 @@ class TestGeneratedShape:
             assert (tmp_path / p.split("/")[-1]).exists()
         labels = read_labels(paths["labels"])
         assert len(labels) == 12 + 5
+
+    def test_repeated_table_id_in_labels_rejected(self, tmp_path):
+        path = tmp_path / "labels.jsonl"
+        records = [{"table_id": 4, "relevant_ids": [1, 2]}, {"table_id": 4, "relevant_ids": [9]}]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        with pytest.raises(ParseError, match="line 2: duplicate table_id 4"):
+            read_labels(path)
 
     def test_byte_identical_under_same_seed(self, tmp_path):
         spec = SyntheticSpec(num_entities=12, corpus_size=60, vocab_size=160, seed=4)

@@ -1,10 +1,21 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prototext.errors import DuplicateId, InvalidTable, ParseError
+from prototext.errors import DataError, DuplicateId, InvalidTable, ParseError
+from prototext.generator import read_outputs, write_outputs
+from prototext.retrieval import (
+    CandidateSet,
+    build_index,
+    load_index,
+    read_candidate_sets,
+    save_index,
+    write_candidate_sets,
+)
+from prototext.selector import read_augmented_dataset, select_prototypes, write_augmented_dataset
+from prototext.synth import read_labels
 from prototext.tabledata import (
     AttributeValuePair,
     Corpus,
@@ -15,6 +26,7 @@ from prototext.tabledata import (
     load_corpus,
     parse_tables_file,
     write_corpus,
+    write_jsonl,
     write_tables_file,
 )
 from prototext.tokenization import tokenize
@@ -148,3 +160,83 @@ class TestCorpusFile:
         s = Sentence.from_text(1, "x")
         with pytest.raises(DuplicateId):
             Corpus([s, s])
+
+
+EXAMPLES = [
+    Example(0, Table.from_pairs([("name", "ada"), ("origin", "tampa")]), "ada is from tampa"),
+    Example(3, Table.from_pairs([("name", "bob")]), "bob exists"),
+]
+SENTENCES = [Sentence.from_text(i, text) for i, text in enumerate(["ada from tampa", "bob", "x y"])]
+READERS = {
+    "tables": parse_tables_file,
+    "corpus": load_corpus,
+    "candidates": read_candidate_sets,
+    "index": load_index,
+    "augmented": lambda p: read_augmented_dataset(p, EXAMPLES),
+    "outputs": read_outputs,
+    "labels": read_labels,
+}
+
+
+@pytest.fixture(scope="module")
+def jsonl_files(tmp_path_factory):
+    """A valid file of each JSONL kind in READERS."""
+    out = tmp_path_factory.mktemp("jsonl")
+    corpus = Corpus(SENTENCES)
+    cands = [CandidateSet(0, ((0, 2.5), (2, 0.5))), CandidateSet(3, ((1, 1.0),))]
+    writers = {
+        "tables": lambda p: write_tables_file(p, EXAMPLES),
+        "corpus": lambda p: write_corpus(p, SENTENCES),
+        "candidates": lambda p: write_candidate_sets(p, cands),
+        "index": lambda p: save_index(p, build_index(corpus)),
+        "augmented": lambda p: write_augmented_dataset(
+            p, select_prototypes(EXAMPLES, {c.table_id: c for c in cands}, corpus, 2)
+        ),
+        "outputs": lambda p: write_outputs(p, [(0, ["ada", "tampa"]), (3, ["bob"])]),
+        "labels": lambda p: write_jsonl(
+            p, [{"table_id": 0, "relevant_ids": [0]}, {"table_id": 3, "relevant_ids": [1]}]
+        ),
+    }
+    valid = {}
+    for kind, write in writers.items():
+        write(out / kind)
+        READERS[kind](out / kind)
+        valid[kind] = (out / kind).read_bytes()
+    return out, valid
+
+
+JSON_PIECES = [b'"', b"[", b"]", b"{", b"}", b",", b":", b"1", b"-", b"x", b"\xff", b"\n", b" ",
+               b"null", b"true", b"1e999", b"[1]", b'"a"']
+
+
+@st.composite
+def corruptions(draw):
+    kind = draw(st.sampled_from(sorted(READERS)))
+    op = draw(st.sampled_from(["truncate", "overwrite", "insert"]))
+    chunk = draw(st.one_of(
+        st.binary(min_size=1, max_size=4),
+        st.lists(st.sampled_from(JSON_PIECES), min_size=1, max_size=3).map(b"".join),
+    ))
+    return kind, op, draw(st.floats(0, 1)), chunk
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=corruptions())
+def test_corrupted_jsonl_parses_or_is_data_error(jsonl_files, case):
+    """Whatever bytes a JSONL file holds, its reader returns or raises a DataError."""
+    out, valid = jsonl_files
+    kind, op, where, chunk = case
+    data = bytearray(valid[kind])
+    at = int(where * len(data))
+    if op == "truncate":
+        del data[at:]
+    elif op == "overwrite":
+        data[at : at + len(chunk)] = chunk
+    else:
+        data[at:at] = chunk
+    path = out / f"corrupt-{kind}"
+    path.write_bytes(bytes(data))
+    try:
+        READERS[kind](path)
+    except DataError:
+        pass
