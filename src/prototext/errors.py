@@ -33,27 +33,27 @@ class InvalidTable(DataError):
 class ParseError(DataError):
     """A record in an input file could not be parsed.
 
-    Carries the 1-based line number when the failure is tied to a line.
+    Carries the path and 1-based line number when the failure is tied to
+    a line; :func:`~prototext.tabledata.read_jsonl` sets them.
     """
 
     def __init__(self, message: str, line_no: int | None = None, path: str | None = None):
-        self.line_no = line_no
-        self.path = path
-        where = ""
-        if path is not None:
-            where += f"{path}:"
-        if line_no is not None:
-            where += f"line {line_no}: "
-        super().__init__(where + message)
+        super().__init__(message)
+        self.message, self.line_no, self.path = message, line_no, path
+
+    def __str__(self) -> str:
+        where = "" if self.path is None else f"{self.path}:"
+        if self.line_no is not None:
+            where += f"line {self.line_no}: "
+        return where + self.message
 
 
-class DuplicateId(DataError):
-    """Two records in the same file share an id."""
+class DuplicateId(ParseError):
+    """Two records in the same file, or two sentences of a corpus, share an id."""
 
-    def __init__(self, dup_id: int, path: str | None = None):
+    def __init__(self, dup_id: int):
         self.dup_id = dup_id
-        where = f" in {path}" if path else ""
-        super().__init__(f"duplicate id {dup_id}{where}")
+        super().__init__(f"duplicate id {dup_id}")
 
 
 class UnknownDocument(DataError):

@@ -11,20 +11,23 @@ stage can also be driven standalone through the CLI. System variants:
 * ``RET_PS_CA``  additionally enables the content-aware loss.
 
 Runs are deterministic: given the same configuration and input files,
-every report and model file is byte-identical across reruns.
+every report and model file is byte-identical across reruns. The runs of
+one ablation or sweep share retrieval and the selector trained per seed.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import logging
 import statistics
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .errors import AllTies, InvalidConfig, PrototextError, StageError
+from .errors import AllTies, InvalidConfig, StageError
 from .evaluation import EvalReport, evaluate_pairs, precision_at_k, sign_test
 from .generator import (
     GeneratorTrainConfig,
@@ -35,6 +38,7 @@ from .generator import (
 )
 from .retrieval import (
     CandidateSet,
+    InvertedIndex,
     build_index,
     filter_leakage,
     retrieve,
@@ -121,8 +125,6 @@ class PipelineResult:
     report: EvalReport
     report_path: str
     artifact_paths: dict[str, str]
-    selector_epoch_losses: tuple[float, ...]
-    generator_epoch_losses: tuple[float, ...]
 
 
 def dump_json(path: str | Path, payload: dict) -> None:
@@ -132,34 +134,12 @@ def dump_json(path: str | Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _stage(name: str, fn, *args, **kwargs):
+@contextmanager
+def _stage(name: str):
     try:
-        return fn(*args, **kwargs)
-    except PrototextError as exc:
-        raise StageError(name, exc) from exc
+        yield
     except Exception as exc:  # noqa: BLE001 - report the stage, keep the cause
         raise StageError(name, exc) from exc
-
-
-def _filtered_candidates(index, corpus, examples, m):
-    out = []
-    for ex in examples:
-        cands = retrieve(index, ex.table, m, table_id=ex.id)
-        out.append(filter_leakage(cands, corpus, ex.reference))
-    return out
-
-
-def _by_table_id(candidate_sets: Sequence[CandidateSet]) -> dict[int, CandidateSet]:
-    return {c.table_id: c for c in candidate_sets}
-
-
-def _train_selector(
-    config: PipelineConfig, corpus: Corpus, examples: Sequence[Example], candidate_sets
-) -> tuple[SelectorModel, list[float]]:
-    """Train the selector on the training tables, seeded ``seed + 1``."""
-    triples = [(ex.table, ex.reference, c) for ex, c in zip(examples, candidate_sets)]
-    sel_config = dataclasses.replace(config.selector, seed=config.seed + 1)
-    return train_selector(triples, corpus, sel_config)
 
 
 def shared_vocabulary(corpus: Corpus, examples: Sequence[Example]) -> Vocabulary:
@@ -171,87 +151,109 @@ def shared_vocabulary(corpus: Corpus, examples: Sequence[Example]) -> Vocabulary
     return Vocabulary.build(streams)
 
 
-def run_pipeline(config: PipelineConfig) -> PipelineResult:
+@dataclass(frozen=True, eq=False)
+class _Inputs:
+    """What load, index and retrieve give every run over the same files and m."""
+
+    corpus: Corpus
+    train: list[Example]
+    test: list[Example]
+    vocab: Vocabulary
+    index: InvertedIndex
+    train_cands: dict[int, CandidateSet]
+    test_cands: dict[int, CandidateSet]
+
+
+def _load_and_retrieve(corpus_path: str, train_path: str, test_path: str, m: int) -> _Inputs:
+    with _stage("load-data"):
+        corpus = load_corpus(corpus_path)
+        train = parse_tables_file(train_path)
+        test = parse_tables_file(test_path)
+        vocab = shared_vocabulary(corpus, train)
+    with _stage("index"):
+        index = build_index(corpus)
+
+    def candidates(examples: list[Example]) -> dict[int, CandidateSet]:
+        return {
+            ex.id: filter_leakage(retrieve(index, ex.table, m, table_id=ex.id), corpus, ex.reference)
+            for ex in examples
+        }
+
+    with _stage("retrieve"):
+        train_cands, test_cands = candidates(train), candidates(test)
+    return _Inputs(corpus, train, test, vocab, index, train_cands, test_cands)
+
+
+def _train_selector(
+    inputs: _Inputs, seed: int, config: SelectorTrainConfig
+) -> tuple[SelectorModel, list[float]]:
+    """The selector trained on the training tables, seeded ``seed + 1``."""
+    triples = [(ex.table, ex.reference, inputs.train_cands[ex.id]) for ex in inputs.train]
+    with _stage("select"):
+        return train_selector(triples, inputs.corpus, dataclasses.replace(config, seed=seed + 1))
+
+
+class _Stages:
+    """The stages that runs share, each computed once per value of the
+    config fields it reads. Runs only read what these return."""
+
+    def __init__(self):
+        self._inputs = functools.cache(_load_and_retrieve)
+        self._selector = functools.cache(_train_selector)
+
+    def inputs(self, config: PipelineConfig) -> _Inputs:
+        paths = (config.corpus_path, config.train_tables_path, config.test_tables_path)
+        return self._inputs(*paths, config.m)
+
+    def selector(self, config: PipelineConfig) -> tuple[SelectorModel, list[float]]:
+        return self._selector(self.inputs(config), config.seed, config.selector)
+
+
+def run_pipeline(config: PipelineConfig, *, stages: _Stages | None = None) -> PipelineResult:
+    """One run. Runs given the same ``stages`` share load, index, retrieve and the selector."""
+    stages = stages or _Stages()
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths: dict[str, str] = {}
+    shared = stages.inputs(config)
+    paths = {"index": str(out / "index.jsonl")}
+    with _stage("index"):
+        save_index(paths["index"], shared.index)
+    with _stage("retrieve"):
+        for split, cands in (("train", shared.train_cands), ("test", shared.test_cands)):
+            paths[f"candidates_{split}"] = str(out / f"candidates_{split}.jsonl")
+            write_candidate_sets(paths[f"candidates_{split}"], list(cands.values()))
 
-    def load_inputs():
-        return (
-            load_corpus(config.corpus_path),
-            parse_tables_file(config.train_tables_path),
-            parse_tables_file(config.test_tables_path),
-        )
-
-    corpus, train_examples, test_examples = _stage("load-data", load_inputs)
-
-    def build_and_save_index():
-        index = build_index(corpus)
-        paths["index"] = str(out / "index.jsonl")
-        save_index(paths["index"], index)
-        return index
-
-    index = _stage("index", build_and_save_index)
-
-    def retrieval_stage():
-        train_c = _filtered_candidates(index, corpus, train_examples, config.m)
-        test_c = _filtered_candidates(index, corpus, test_examples, config.m)
-        paths["candidates_train"] = str(out / "candidates_train.jsonl")
-        paths["candidates_test"] = str(out / "candidates_test.jsonl")
-        write_candidate_sets(paths["candidates_train"], train_c)
-        write_candidate_sets(paths["candidates_test"], test_c)
-        return train_c, test_c
-
-    train_cands, test_cands = _stage("retrieve", retrieval_stage)
-
-    selector_losses: list[float] = []
-
-    def selection_stage():
-        model = None
-        if config.variant in ("RET_PS", "RET_PS_CA"):
-            model, losses = _train_selector(config, corpus, train_examples, train_cands)
-            selector_losses.extend(losses)
+    model, selector_losses = None, []
+    if config.variant in ("RET_PS", "RET_PS_CA"):
+        model, selector_losses = stages.selector(config)
+    with _stage("select"):
+        if model is not None:
             paths["selector_model"] = str(out / "selector.json")
             save_selector(paths["selector_model"], model)
         n = 0 if config.variant == "BASE" else config.n
-        train_records = select_prototypes(
-            train_examples, _by_table_id(train_cands), corpus, n, model
-        )
-        test_records = select_prototypes(test_examples, _by_table_id(test_cands), corpus, n, model)
+        train_records = select_prototypes(shared.train, shared.train_cands, shared.corpus, n, model)
+        test_records = select_prototypes(shared.test, shared.test_cands, shared.corpus, n, model)
         paths["augmented_train"] = str(out / "augmented_train.jsonl")
         paths["conditioning_test"] = str(out / "conditioning_test.jsonl")
         write_augmented_dataset(paths["augmented_train"], train_records)
         write_augmented_dataset(paths["conditioning_test"], test_records)
-        return train_records, test_records
 
-    train_records, test_records = _stage("select", selection_stage)
-
-    def generator_stage():
-        vocab = shared_vocabulary(corpus, train_examples)
+    with _stage("train-generator"):
         gen_config = dataclasses.replace(
-            config.generator,
-            seed=config.seed + 2,
-            ca_enabled=(config.variant == "RET_PS_CA"),
+            config.generator, seed=config.seed + 2, ca_enabled=(config.variant == "RET_PS_CA")
         )
-        model, losses = train_generator(train_records, gen_config, vocab=vocab)
+        gen_model, generator_losses = train_generator(train_records, gen_config, vocab=shared.vocab)
         paths["generator_model"] = str(out / "generator.json")
-        save_generator(paths["generator_model"], model)
-        return model, losses, gen_config
+        save_generator(paths["generator_model"], gen_model)
 
-    gen_model, generator_losses, gen_config = _stage("train-generator", generator_stage)
-
-    def decode_stage():
+    with _stage("generate"):
         outputs = generate_outputs(gen_model, test_records, gen_config.max_decode_len)
         paths["outputs"] = str(out / "outputs.jsonl")
         write_outputs(paths["outputs"], outputs)
-        return outputs
 
-    outputs = _stage("generate", decode_stage)
-
-    def evaluation_stage():
-        hyps = [tokens for _, tokens in outputs]
-        refs = [tokenize(ex.reference) for ex in test_examples]
-        report = evaluate_pairs(hyps, refs)
+    with _stage("evaluate"):
+        refs = [tokenize(ex.reference) for ex in shared.test]
+        report = evaluate_pairs([tokens for _, tokens in outputs], refs)
         paths["report"] = str(out / "report.json")
         payload = {
             "variant": config.variant,
@@ -262,26 +264,18 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             "bleu4": report.bleu4,
             "rouge4_f": report.rouge4_f,
             "per_example_rouge4": list(report.per_example_rouge4),
-            "selector_epoch_losses": selector_losses,
+            "selector_epoch_losses": list(selector_losses),
             "generator_epoch_losses": generator_losses,
         }
         dump_json(paths["report"], payload)
-        return report
-
-    report = _stage("evaluate", evaluation_stage)
     log.info(
         "pipeline %s seed %d: BLEU-4 %.4f ROUGE-4 %.4f",
-        config.variant,
-        config.seed,
-        report.bleu4,
-        report.rouge4_f,
+        config.variant, config.seed, report.bleu4, report.rouge4_f,
     )
     return PipelineResult(
         report=report,
         report_path=paths["report"],
         artifact_paths=paths,
-        selector_epoch_losses=tuple(selector_losses),
-        generator_epoch_losses=tuple(generator_losses),
     )
 
 
@@ -304,18 +298,15 @@ def run_ablation(
     seeds = list(seeds) if seeds else [config.seed]
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    stages = _Stages()
 
     runs: dict[str, list[PipelineResult]] = {}
     for variant in variants:
         runs[variant] = []
         for seed in seeds:
-            sub = dataclasses.replace(
-                config,
-                variant=variant,
-                seed=seed,
-                out_dir=str(out / f"{variant.lower()}-seed{seed}"),
-            )
-            runs[variant].append(run_pipeline(sub))
+            out_dir = str(out / f"{variant.lower()}-seed{seed}")
+            sub = dataclasses.replace(config, variant=variant, seed=seed, out_dir=out_dir)
+            runs[variant].append(run_pipeline(sub, stages=stages))
 
     rows = []
     for variant in variants:
@@ -347,12 +338,7 @@ def run_ablation(
             entry["note"] = "all per-example scores tied"
         comparisons.append(entry)
 
-    payload = {
-        "seeds": seeds,
-        "variants": list(variants),
-        "rows": rows,
-        "sign_tests": comparisons,
-    }
+    payload = {"seeds": seeds, "variants": list(variants), "rows": rows, "sign_tests": comparisons}
     dump_json(out / "ablation.json", payload)
     return payload
 
@@ -368,15 +354,12 @@ def sweep_n(config: PipelineConfig, n_values: Sequence[int]) -> dict:
             raise InvalidConfig(f"n={n} exceeds m={config.m}")
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    stages = _Stages()
     rows = []
     for n in n_values:
-        sub = dataclasses.replace(
-            config, variant="RET_PS_CA", n=n, out_dir=str(out / f"n{n}")
-        )
-        result = run_pipeline(sub)
-        rows.append(
-            {"n": n, "bleu4": result.report.bleu4, "rouge4_f": result.report.rouge4_f}
-        )
+        sub = dataclasses.replace(config, variant="RET_PS_CA", n=n, out_dir=str(out / f"n{n}"))
+        report = run_pipeline(sub, stages=stages).report
+        rows.append({"n": n, "bleu4": report.bleu4, "rouge4_f": report.rouge4_f})
     payload = {"seed": config.seed, "variant": "RET_PS_CA", "rows": rows}
     dump_json(out / "sweep.json", payload)
     return payload
@@ -391,20 +374,16 @@ def selector_precision_benchmark(config: PipelineConfig) -> dict:
     """
     if config.labels_path is None:
         raise InvalidConfig("selector benchmark needs labels_path")
-    corpus = load_corpus(config.corpus_path)
-    train_examples = parse_tables_file(config.train_tables_path)
-    test_examples = parse_tables_file(config.test_tables_path)
     labels = read_labels(config.labels_path)
-    index = build_index(corpus)
-    train_cands = _filtered_candidates(index, corpus, train_examples, config.m)
-    test_cands = _filtered_candidates(index, corpus, test_examples, config.m)
-    model, losses = _train_selector(config, corpus, train_examples, train_cands)
+    stages = _Stages()
+    shared = stages.inputs(config)
+    model, losses = stages.selector(config)
 
     bm25_scores = []
     selector_scores = []
-    for examples, cands in ((train_examples, train_cands), (test_examples, test_cands)):
-        records = select_prototypes(examples, _by_table_id(cands), corpus, config.n, model)
-        for rec, c in zip(records, cands):
+    for examples, cands in ((shared.train, shared.train_cands), (shared.test, shared.test_cands)):
+        records = select_prototypes(examples, cands, shared.corpus, config.n, model)
+        for rec, c in zip(records, cands.values()):
             relevant = labels.get(rec.table_id, set())
             bm25_scores.append(precision_at_k(c.ids(), relevant, config.n))
             selector_scores.append(precision_at_k(rec.prototype_ids, relevant, config.n))

@@ -217,6 +217,8 @@ def load_index(path: str | Path) -> InvertedIndex:
 
     def parse_lengths(record: dict) -> None:
         doc_lengths.update((int(sid), int(n)) for sid, n in record["doc_lengths"])
+        if min(doc_lengths.values(), default=0) < 0:
+            raise ParseError(f"negative document length {min(doc_lengths.values())}")
         if len(doc_lengths) != header["doc_count"]:
             raise ParseError(
                 f"doc_count {header['doc_count']} but {len(doc_lengths)} document lengths"
@@ -224,13 +226,18 @@ def load_index(path: str | Path) -> InvertedIndex:
         doc_ids.update((sid, sid) for sid in doc_lengths)
 
     def parse_postings(record: dict) -> None:
-        pairs = record["postings"]
-        try:
+        entries: list[tuple[int, int]] = []
+        for d, tf in record["postings"]:
             # one lookup both converts a doc id to int and rejects an unindexed one
-            entries = tuple((doc_ids[d], int(tf)) for d, tf in pairs)
-        except KeyError as exc:
-            raise ParseError(f"posting for unindexed document {exc}") from None
-        postings[record["term"]] = entries
+            sid, tf = doc_ids.get(d), int(tf)
+            if sid is None:
+                raise ParseError(f"posting for unindexed document {d!r}")
+            if entries and sid <= entries[-1][0]:
+                raise ParseError(f"posting doc ids not strictly increasing at document {sid}")
+            if tf < 1:
+                raise ParseError(f"term frequency {tf} for document {sid}")
+            entries.append((sid, tf))
+        postings[record["term"]] = tuple(entries)
 
     # Line 1 is the header, line 2 the lengths, every later line postings.
     parsers = iter((parse_header, parse_lengths))

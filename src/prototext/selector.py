@@ -34,7 +34,9 @@ import numpy as np
 from .errors import InvalidConfig, InsufficientNegatives, ParseError, malformed_file
 from .optim import Adam
 from .retrieval import CandidateSet
-from .tabledata import Corpus, Example, Table, linearize_table, read_jsonl, write_jsonl
+from .tabledata import (
+    Corpus, Example, Table, linearize_table, read_jsonl, unique_table_id, write_jsonl
+)
 from .tokenization import SEP, UNK, tokenize
 from .vocab import Vocabulary
 
@@ -380,11 +382,13 @@ def write_augmented_dataset(path: str | Path, records: Iterable[AugmentedRecord]
 
 
 def read_augmented_dataset(path: str | Path, examples: Sequence[Example]) -> list[AugmentedRecord]:
-    """Join an augmented-dataset file with its tables file; a missing reference is the table's."""
+    """Join an augmented-dataset file with its tables file; a missing reference is the table's,
+    a repeated ``table_id`` a ParseError."""
     by_id = {ex.id: ex for ex in examples}
+    seen: set[int] = set()
 
     def parse(record: dict) -> AugmentedRecord:
-        example = by_id.get(record["table_id"])
+        example = by_id.get(unique_table_id(record, seen))
         if example is None:
             raise ParseError(f"table_id {record['table_id']} not present in tables file")
         prototype_ids = tuple(map(int, record["prototype_ids"]))

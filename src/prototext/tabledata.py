@@ -81,12 +81,19 @@ class Corpus:
     """An id-addressable pool of sentences, kept in file order."""
 
     def __init__(self, sentences: Iterable[Sentence]):
-        self.sentences: tuple[Sentence, ...] = tuple(sentences)
         self._by_id: dict[int, Sentence] = {}
-        for s in self.sentences:
+        for s in sentences:
             if s.id in self._by_id:
                 raise DuplicateId(s.id)
             self._by_id[s.id] = s
+        self.sentences: tuple[Sentence, ...] = tuple(self._by_id.values())
+
+    @classmethod
+    def _from_unique(cls, by_id: dict[int, Sentence]) -> "Corpus":
+        """The corpus of ``by_id``'s sentences in insertion order, ids already checked."""
+        corpus = cls.__new__(cls)
+        corpus._by_id, corpus.sentences = by_id, tuple(by_id.values())
+        return corpus
 
     def __len__(self) -> int:
         return len(self.sentences)
@@ -145,7 +152,8 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> Iterator[T]:
                 message = f"malformed record ({type(exc).__name__}: {exc})"
                 raise ParseError(message, line_no, spath) from None
             except ParseError as exc:
-                raise ParseError(str(exc), line_no, spath) from None
+                exc.line_no, exc.path = line_no, spath
+                raise
             yield value
 
 
@@ -165,12 +173,12 @@ def unique_table_id(record: dict, seen: set[int]) -> int:
     return table_id
 
 
-def _unique_id(record: dict, seen: set[int], path: str | Path) -> int:
+def _unique_id(record: dict, seen: set[int]) -> int:
     rid = record.get("id")
     if not isinstance(rid, int) or isinstance(rid, bool) or rid < 0:
         raise ParseError("'id' must be a non-negative integer")
     if rid in seen:
-        raise DuplicateId(rid, path)
+        raise DuplicateId(rid)
     seen.add(rid)
     return rid
 
@@ -180,7 +188,7 @@ def parse_tables_file(path: str | Path) -> list[Example]:
     seen: set[int] = set()
 
     def parse(record: dict) -> Example:
-        rid = _unique_id(record, seen, path)
+        rid = _unique_id(record, seen)
         pairs = record.get("pairs")
         if not isinstance(pairs, list) or not pairs:
             raise ParseError("'pairs' must be a non-empty array")
@@ -204,13 +212,13 @@ def load_corpus(path: str | Path) -> Corpus:
     seen: set[int] = set()
 
     def parse(record: dict) -> Sentence:
-        rid = _unique_id(record, seen, path)
+        rid = _unique_id(record, seen)
         text = record.get("text")
         if not isinstance(text, str):
             raise ParseError("'text' must be a string")
         return Sentence.from_text(rid, text)
 
-    return Corpus(read_jsonl(path, parse))
+    return Corpus._from_unique({s.id: s for s in read_jsonl(path, parse)})
 
 
 def write_tables_file(path: str | Path, examples: Iterable[Example]) -> None:

@@ -81,6 +81,35 @@ def _unindexed_postings(lines):
     return 3
 
 
+def _repeat_first_line(lines):
+    lines.append(lines[0])
+    return len(lines)
+
+
+def _reversed_postings(lines):
+    for i in range(2, len(lines)):
+        record = json.loads(lines[i])
+        if len(record["postings"]) > 1:
+            record["postings"].reverse()
+            lines[i] = json.dumps(record).encode()
+            return i + 1
+    raise AssertionError("no term has two postings")
+
+
+def _negative_doc_length(lines):
+    record = json.loads(lines[1])
+    record["doc_lengths"][0][1] = -1
+    lines[1] = json.dumps(record).encode()
+    return 2
+
+
+def _zero_term_frequency(lines):
+    record = json.loads(lines[2])
+    record["postings"][0][1] = 0
+    lines[2] = json.dumps(record).encode()
+    return 3
+
+
 def _non_utf8_text(lines):
     lines[1] = lines[1].replace(b'"text": "', b'"text": "\xff', 1)
     return 2
@@ -99,13 +128,18 @@ MALFORMED_JSONL = [
         "augmented", _set(1, prototype_ids=[0], prototypes=[1]), id="augmented-prototype-not-text"
     ),
     pytest.param("augmented", _set(1, table_id=[1]), id="augmented-table-id-list"),
+    pytest.param("augmented", _repeat_first_line, id="augmented-repeated-table-id"),
     pytest.param("index", _replace(1, b"[1]"), id="index-header-not-an-object"),
     pytest.param("index", _set(1, doc_count="x"), id="index-doc-count-string"),
     pytest.param("index", _set(1, avgdl=0.0), id="index-avgdl-zero"),
     pytest.param("index", _set(2, doc_lengths=[[0, 3]]), id="index-doc-count-mismatch"),
     pytest.param("index", _set(3, postings=5), id="index-postings-not-a-list"),
     pytest.param("index", _unindexed_postings, id="index-posting-unindexed-doc"),
+    pytest.param("index", _reversed_postings, id="index-postings-reversed"),
+    pytest.param("index", _negative_doc_length, id="index-negative-doc-length"),
+    pytest.param("index", _zero_term_frequency, id="index-zero-term-frequency"),
     pytest.param("corpus", _non_utf8_text, id="corpus-not-utf8"),
+    pytest.param("corpus", _repeat_first_line, id="corpus-repeated-id"),
     pytest.param("outputs", _set(1, output=5), id="outputs-output-not-text"),
 ]
 

@@ -1,11 +1,14 @@
 import dataclasses
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from prototext import pipeline
 from prototext.errors import InvalidConfig, StageError
 from prototext.pipeline import (
+    VARIANTS,
     config_from_dict,
     load_config,
     run_ablation,
@@ -155,6 +158,41 @@ class TestAblation:
     def test_unknown_variant_rejected(self, tiny_config):
         with pytest.raises(InvalidConfig):
             run_ablation(tiny_config(), variants=("BASE", "NOPE"))
+
+
+class TestSharedStages:
+    def test_ablation_runs_match_standalone_runs(self, tiny_config, tmp_path):
+        config = tiny_config(out_dir=str(tmp_path / "ablate"))
+        run_ablation(config, VARIANTS, [1, 2])
+        for variant in VARIANTS:
+            for seed in (1, 2):
+                shared = tmp_path / "ablate" / f"{variant.lower()}-seed{seed}"
+                alone = tmp_path / "alone" / shared.name
+                run_pipeline(
+                    dataclasses.replace(config, variant=variant, seed=seed, out_dir=str(alone))
+                )
+                names = sorted(p.name for p in alone.iterdir())
+                assert sorted(p.name for p in shared.iterdir()) == names
+                for name in names:
+                    assert (shared / name).read_bytes() == (alone / name).read_bytes(), (
+                        shared.name,
+                        name,
+                    )
+
+    def test_index_once_and_selector_once_per_seed(self, tiny_config, tmp_path, monkeypatch):
+        calls = Counter()
+        for name in ("build_index", "train_selector"):
+
+            def counted(*args, _name=name, _original=getattr(pipeline, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(pipeline, name, counted)
+        run_ablation(tiny_config(out_dir=str(tmp_path / "ablate")), VARIANTS, [1, 2])
+        assert calls == {"build_index": 1, "train_selector": 2}
+        calls.clear()
+        sweep_n(tiny_config(out_dir=str(tmp_path / "sweep")), [1, 2, 3])
+        assert calls == {"build_index": 1, "train_selector": 1}
 
 
 class TestSweepN:
