@@ -216,13 +216,20 @@ def load_index(path: str | Path) -> InvertedIndex:
             raise ParseError(f"avgdl {header['avgdl']} over {header['doc_count']} documents")
 
     def parse_lengths(record: dict) -> None:
-        doc_lengths.update((int(sid), int(n)) for sid, n in record["doc_lengths"])
+        pairs = record["doc_lengths"]
+        doc_lengths.update((int(sid), int(n)) for sid, n in pairs)
+        if len(doc_lengths) != len(pairs):
+            raise ParseError(f"{len(pairs) - len(doc_lengths)} repeated doc ids in document lengths")
         if min(doc_lengths.values(), default=0) < 0:
             raise ParseError(f"negative document length {min(doc_lengths.values())}")
         if len(doc_lengths) != header["doc_count"]:
             raise ParseError(
                 f"doc_count {header['doc_count']} but {len(doc_lengths)} document lengths"
             )
+        # exactly as build_index computes it; a JSON float round-trips exactly
+        avgdl = sum(doc_lengths.values()) / len(doc_lengths) if doc_lengths else 0.0
+        if header["avgdl"] != avgdl:
+            raise ParseError(f"avgdl {header['avgdl']} but the document lengths give {avgdl}")
         doc_ids.update((sid, sid) for sid in doc_lengths)
 
     def parse_postings(record: dict) -> None:

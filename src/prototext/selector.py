@@ -15,7 +15,11 @@ with gradients computed analytically (the hinge subgradient at exactly
 zero slack is taken to be 0). Training is deterministic for a fixed
 seed: embeddings start uniform in (-0.1, 0.1), projection and bias at
 zero, updates use Adam, and the k negatives are resampled every epoch
-from a per-epoch seeded generator.
+from a per-epoch seeded generator. The bias cancels inside every hinge
+term, so it has no gradient and stays at zero. A step's embedding
+gradient is nonzero only on the rows of the tokens in its active hinge
+terms; it is computed and handed to Adam on those rows alone, which
+gives the same bits as the dense gradient.
 
 Scoring and selection never mutate the model, so a trained model can be
 shared across threads; training runs single-threaded on its own arrays.
@@ -23,9 +27,11 @@ shared across threads; training runs single-threaded on its own arrays.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -133,11 +139,18 @@ class AugmentedRecord:
 
 
 def _pair_ids(vocab: Vocabulary, table_ids: Sequence[int], sentence: Sequence[str]) -> list[int]:
-    return list(table_ids) + [vocab.sep_id] + vocab.ids(sentence)
+    return [*table_ids, vocab.sep_id, *vocab.ids(sentence)]
+
+
+@functools.lru_cache(maxsize=4096)
+def _linearized(table: Table) -> tuple[str, ...]:
+    # scoring and training linearize the same few tables over and over;
+    # a tuple, so that no caller can change what the next one gets
+    return tuple(linearize_table(table))
 
 
 def _table_ids(model_vocab: Vocabulary, table: Table) -> list[int]:
-    return model_vocab.ids(linearize_table(table))
+    return model_vocab.ids(_linearized(table))
 
 
 def _pooled(emb: np.ndarray, ids: Sequence[int]) -> np.ndarray:
@@ -146,6 +159,24 @@ def _pooled(emb: np.ndarray, ids: Sequence[int]) -> np.ndarray:
     # what ndarray.mean computes, without its per-call bookkeeping, and
     # take is the same gather as fancy indexing at less cost per call
     return np.add.reduce(emb.take(sorted(ids), axis=0), axis=0) / len(ids)
+
+
+def _pooled_rows(emb: np.ndarray, id_lists: Sequence[Sequence[int]]) -> np.ndarray:
+    """``_pooled`` of each id list, one row per list, from a single gather.
+
+    A slice of the gather is summed exactly as a gather of that list
+    alone would be, so each row has the bits of ``_pooled``. Meant for
+    the few lists of one hinge evaluation: the gather holds all their
+    rows at once.
+    """
+    ordered = [sorted(ids) for ids in id_lists]
+    rows = emb.take(list(chain.from_iterable(ordered)), axis=0)
+    sums = np.empty((len(ordered), emb.shape[1]))
+    end = 0
+    for i, ids in enumerate(ordered):
+        start, end = end, end + len(ids)
+        np.add.reduce(rows[start:end], axis=0, out=sums[i])
+    return sums / np.array([len(ids) for ids in ordered])[:, None]
 
 
 def encode_pair(model: SelectorModel, table: Table, sentence: Sequence[str]) -> np.ndarray:
@@ -158,12 +189,14 @@ def encode_pair(model: SelectorModel, table: Table, sentence: Sequence[str]) -> 
     return _pooled(model.embeddings, ids)
 
 
+def _score(w: np.ndarray, b: float, h: np.ndarray) -> float:
+    # the same BLAS dot and the same double add as float(w @ h + b), with
+    # less overhead per call
+    return float(w.dot(h)) + b
+
+
 def score_pair(model: SelectorModel, table: Table, sentence: Sequence[str]) -> float:
-    return float(model.projection @ encode_pair(model, table, sentence) + model.bias)
-
-
-def _score_ids(emb: np.ndarray, w: np.ndarray, b: float, ids: Sequence[int]) -> float:
-    return float(w @ _pooled(emb, ids) + b)
+    return _score(model.projection, model.bias, encode_pair(model, table, sentence))
 
 
 def _hinge_terms(
@@ -172,10 +205,13 @@ def _hinge_terms(
     b: float,
     ids_y: Sequence[int],
     ids_negatives: Sequence[Sequence[int]],
-) -> tuple[float, list[float]]:
-    f_y = _score_ids(emb, w, b, ids_y)
-    slacks = [1.0 - f_y + _score_ids(emb, w, b, ids_j) for ids_j in ids_negatives]
-    return f_y, slacks
+) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """Pooled reference, pooled negatives (one row each) and the slack of each negative."""
+    pooled = _pooled_rows(emb, [ids_y, *ids_negatives])
+    h_y, h_negs = pooled[0], pooled[1:]
+    f_y = _score(w, b, h_y)
+    slacks = [1.0 - f_y + _score(w, b, h_j) for h_j in h_negs]
+    return h_y, h_negs, slacks
 
 
 def margin_loss(
@@ -190,7 +226,7 @@ def margin_loss(
     t_ids = _table_ids(model.vocab, table)
     ids_y = _pair_ids(model.vocab, t_ids, reference)
     ids_negs = [_pair_ids(model.vocab, t_ids, neg) for neg in negatives]
-    _, slacks = _hinge_terms(model.embeddings, model.projection, model.bias, ids_y, ids_negs)
+    _, _, slacks = _hinge_terms(model.embeddings, model.projection, model.bias, ids_y, ids_negs)
     return sum(max(0.0, s) for s in slacks)
 
 
@@ -200,29 +236,30 @@ def _loss_and_grads(
     b: float,
     ids_y: Sequence[int],
     ids_negs: Sequence[Sequence[int]],
-) -> tuple[float, np.ndarray, np.ndarray]:
+) -> tuple[float, tuple[np.ndarray, np.ndarray], np.ndarray]:
     """Hinge loss plus analytic gradients w.r.t. embeddings and projection.
 
     The bias gradient is identically zero because b cancels inside every
     slack term. The embedding gradient for vocabulary row v is
     ``c_v * w`` where c_v accumulates occurrence/length weights over the
-    active hinge sequences.
+    active hinge sequences; it is returned as ``(rows, values)``, the
+    rows with ``c_v != 0`` in increasing order and their gradient rows.
+    Every other row of the gradient is zero.
     """
-    _, slacks = _hinge_terms(emb, w, b, ids_y, ids_negs)
+    h_y, h_negs, slacks = _hinge_terms(emb, w, b, ids_y, ids_negs)
     loss = 0.0
     d_w = np.zeros_like(w)
     coeff = np.zeros(emb.shape[0])
-    h_y = _pooled(emb, ids_y)
     inv_len_y = 1.0 / len(ids_y)
-    for ids_j, slack in zip(ids_negs, slacks):
+    for ids_j, h_j, slack in zip(ids_negs, h_negs, slacks):
         if slack <= 0.0:
             continue
         loss += slack
-        d_w += _pooled(emb, ids_j) - h_y
+        d_w += h_j - h_y
         np.add.at(coeff, ids_j, 1.0 / len(ids_j))
         np.add.at(coeff, ids_y, -inv_len_y)
-    d_emb = np.outer(coeff, w)
-    return loss, d_emb, d_w
+    rows = np.flatnonzero(coeff)
+    return loss, (rows, np.outer(coeff[rows], w)), d_w
 
 
 def margin_loss_grad(
@@ -237,9 +274,11 @@ def margin_loss_grad(
     t_ids = _table_ids(model.vocab, table)
     ids_y = _pair_ids(model.vocab, t_ids, reference)
     ids_negs = [_pair_ids(model.vocab, t_ids, neg) for neg in negatives]
-    _, d_emb, d_w = _loss_and_grads(
+    _, (rows, values), d_w = _loss_and_grads(
         model.embeddings, model.projection, model.bias, ids_y, ids_negs
     )
+    d_emb = np.zeros_like(model.embeddings)
+    d_emb[rows] = values
     return SelectorGradients(embeddings=d_emb, projection=d_w)
 
 
@@ -266,15 +305,14 @@ def train_selector(
 
     vocab = Vocabulary.build(
         [s.tokens for s in corpus]
-        + [linearize_table(table) for table, _, _ in examples]
+        + [_linearized(table) for table, _, _ in examples]
         + [tokenize(ref) for _, ref, _ in examples]
     )
     rng = np.random.default_rng(config.seed)
     emb = rng.uniform(-0.1, 0.1, size=(len(vocab), config.dim))
     w = np.zeros(config.dim)
-    b = np.zeros(1)
 
-    table_ids = [vocab.ids(linearize_table(table)) for table, _, _ in examples]
+    table_ids = [_table_ids(vocab, table) for table, _, _ in examples]
     ref_ids = [
         _pair_ids(vocab, t_ids, tokenize(ref))
         for t_ids, (_, ref, _) in zip(table_ids, examples)
@@ -286,7 +324,8 @@ def train_selector(
             sent_ids[sid] = vocab.ids(corpus.get(sid).tokens)
         return list(t_ids) + [vocab.sep_id] + sent_ids[sid]
 
-    opt = Adam({"emb": emb, "w": w, "b": b}, lr=config.learning_rate)
+    # the bias has no gradient (SelectorGradients), so Adam would keep it at 0.0
+    opt = Adam({"emb": emb, "w": w}, lr=config.learning_rate)
     epoch_losses: list[float] = []
     for epoch in range(config.epochs):
         ep_rng = np.random.default_rng([config.seed, epoch])
@@ -296,12 +335,12 @@ def train_selector(
             ids_negs = [
                 candidate_ids(table_ids[i], cands.entries[int(p)][0]) for p in picks
             ]
-            loss, d_emb, d_w = _loss_and_grads(emb, w, float(b[0]), ref_ids[i], ids_negs)
-            opt.step({"emb": d_emb, "w": d_w, "b": np.zeros(1)})
+            loss, (rows, d_emb), d_w = _loss_and_grads(emb, w, 0.0, ref_ids[i], ids_negs)
+            opt.step({"emb": d_emb, "w": d_w}, rows={"emb": rows})
             total += loss
         epoch_losses.append(total / len(examples) if examples else 0.0)
         log.info("selector epoch %d mean loss %.6f", epoch, epoch_losses[-1])
-    return SelectorModel(vocab=vocab, embeddings=emb, projection=w, bias=float(b[0])), epoch_losses
+    return SelectorModel(vocab=vocab, embeddings=emb, projection=w, bias=0.0), epoch_losses
 
 
 def select_top_n(
@@ -322,8 +361,8 @@ def select_top_n(
     t_ids = _table_ids(model.vocab, table)
     scored = []
     for sid, _ in candidates.entries:
-        ids = _pair_ids(model.vocab, t_ids, corpus.get(sid).tokens)
-        scored.append((sid, _score_ids(model.embeddings, model.projection, model.bias, ids)))
+        h = _pooled(model.embeddings, _pair_ids(model.vocab, t_ids, corpus.get(sid).tokens))
+        scored.append((sid, _score(model.projection, model.bias, h)))
     scored.sort(key=lambda e: (-e[1], e[0]))
     return PrototypeSet(table_id=candidates.table_id, entries=tuple(scored[:n]), n=n)
 

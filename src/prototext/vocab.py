@@ -46,7 +46,12 @@ class Vocabulary:
         return self.index[UNK]
 
     def ids(self, tokens: Iterable[str]) -> list[int]:
-        return [self.id(t) for t in tokens]
+        """Indices of tokens, each falling back to ``<unk>`` when absent."""
+        unk = self.index.get(UNK)
+        if unk is None:  # no fallback: id raises KeyError at the first unknown token
+            return [self.id(t) for t in tokens]
+        get = self.index.get
+        return [get(t, unk) for t in tokens]
 
     @property
     def unk_id(self) -> int:

@@ -103,6 +103,22 @@ def _negative_doc_length(lines):
     return 2
 
 
+def _repeated_doc_length(lines):
+    # the same length again, so the lengths still agree with doc_count and avgdl
+    record = json.loads(lines[1])
+    record["doc_lengths"].append(record["doc_lengths"][0])
+    lines[1] = json.dumps(record).encode()
+    return 2
+
+
+def _wrong_avgdl(lines):
+    # the header is well-formed on its own; the lengths line contradicts it
+    record = json.loads(lines[0])
+    record["avgdl"] = 99.0
+    lines[0] = json.dumps(record).encode()
+    return 2
+
+
 def _zero_term_frequency(lines):
     record = json.loads(lines[2])
     record["postings"][0][1] = 0
@@ -138,6 +154,8 @@ MALFORMED_JSONL = [
     pytest.param("index", _reversed_postings, id="index-postings-reversed"),
     pytest.param("index", _negative_doc_length, id="index-negative-doc-length"),
     pytest.param("index", _zero_term_frequency, id="index-zero-term-frequency"),
+    pytest.param("index", _repeated_doc_length, id="index-repeated-doc-length"),
+    pytest.param("index", _wrong_avgdl, id="index-avgdl-mismatch"),
     pytest.param("corpus", _non_utf8_text, id="corpus-not-utf8"),
     pytest.param("corpus", _repeat_first_line, id="corpus-repeated-id"),
     pytest.param("outputs", _set(1, output=5), id="outputs-output-not-text"),

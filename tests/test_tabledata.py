@@ -1,11 +1,19 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prototext.errors import DataError, DuplicateId, InvalidTable, ParseError
-from prototext.generator import read_outputs, write_outputs
+from prototext.generator import (
+    GeneratorTrainConfig,
+    init_generator,
+    load_generator,
+    read_outputs,
+    save_generator,
+    write_outputs,
+)
 from prototext.retrieval import (
     CandidateSet,
     build_index,
@@ -14,7 +22,14 @@ from prototext.retrieval import (
     save_index,
     write_candidate_sets,
 )
-from prototext.selector import read_augmented_dataset, select_prototypes, write_augmented_dataset
+from prototext.selector import (
+    SelectorModel,
+    load_selector,
+    read_augmented_dataset,
+    save_selector,
+    select_prototypes,
+    write_augmented_dataset,
+)
 from prototext.synth import read_labels
 from prototext.tabledata import (
     AttributeValuePair,
@@ -30,6 +45,7 @@ from prototext.tabledata import (
     write_tables_file,
 )
 from prototext.tokenization import tokenize
+from prototext.vocab import Vocabulary
 
 
 def table(*pairs):
@@ -210,8 +226,8 @@ JSON_PIECES = [b'"', b"[", b"]", b"{", b"}", b",", b":", b"1", b"-", b"x", b"\xf
 
 
 @st.composite
-def corruptions(draw):
-    kind = draw(st.sampled_from(sorted(READERS)))
+def corruptions(draw, kinds):
+    kind = draw(st.sampled_from(sorted(kinds)))
     op = draw(st.sampled_from(["truncate", "overwrite", "insert"]))
     chunk = draw(st.one_of(
         st.binary(min_size=1, max_size=4),
@@ -220,11 +236,8 @@ def corruptions(draw):
     return kind, op, draw(st.floats(0, 1)), chunk
 
 
-@settings(max_examples=200, deadline=None)
-@given(case=corruptions())
-def test_corrupted_jsonl_parses_or_is_data_error(jsonl_files, case):
-    """Whatever bytes a JSONL file holds, its reader returns or raises a DataError."""
-    out, valid = jsonl_files
+def read_corrupted(out, valid, readers, case):
+    """Write the corrupted file of ``case`` and read it; a DataError is a pass."""
     kind, op, where, chunk = case
     data = bytearray(valid[kind])
     at = int(where * len(data))
@@ -237,6 +250,38 @@ def test_corrupted_jsonl_parses_or_is_data_error(jsonl_files, case):
     path = out / f"corrupt-{kind}"
     path.write_bytes(bytes(data))
     try:
-        READERS[kind](path)
+        readers[kind](path)
     except DataError:
         pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=corruptions(READERS))
+def test_corrupted_jsonl_parses_or_is_data_error(jsonl_files, case):
+    """Whatever bytes a JSONL file holds, its reader returns or raises a DataError."""
+    read_corrupted(*jsonl_files, READERS, case)
+
+
+MODEL_LOADERS = {"selector": load_selector, "generator": load_generator}
+
+
+@pytest.fixture(scope="module")
+def model_files(tmp_path_factory):
+    """A tiny valid selector.json and generator.json."""
+    out = tmp_path_factory.mktemp("models")
+    vocab = Vocabulary.build([["ada", "bob"]])
+    emb = np.arange(2.0 * len(vocab)).reshape(-1, 2) / 7
+    save_selector(out / "selector", SelectorModel(vocab, emb, np.array([0.5, -1.25]), 0.0))
+    save_generator(out / "generator", init_generator(vocab, GeneratorTrainConfig(dim=2, max_context=3)))
+    valid = {}
+    for kind, load in MODEL_LOADERS.items():
+        load(out / kind)
+        valid[kind] = (out / kind).read_bytes()
+    return out, valid
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=corruptions(MODEL_LOADERS))
+def test_corrupted_model_file_loads_or_is_data_error(model_files, case):
+    """Whatever bytes a model file holds, its loader returns or raises a DataError."""
+    read_corrupted(*model_files, MODEL_LOADERS, case)
