@@ -10,6 +10,7 @@ error, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
 from pathlib import Path
@@ -38,15 +39,14 @@ from .pipeline import (
     load_config,
     read_config_file,
     run_ablation,
-    shared_vocabulary,
+    section_config,
     sweep_n,
 )
 from .retrieval import (
     build_index,
-    filter_leakage,
     load_index,
     read_candidate_sets,
-    retrieve,
+    retrieve_candidates,
     save_index,
     write_candidate_sets,
 )
@@ -56,7 +56,9 @@ from .selector import (
     read_augmented_dataset,
     save_selector,
     select_prototypes,
+    shared_vocabulary,
     train_selector,
+    training_triples,
     write_augmented_dataset,
 )
 from .synth import SyntheticSpec, synth_benchmark
@@ -81,47 +83,20 @@ def _nonneg_int(value: str) -> int:
     return parsed
 
 
-def _common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON config file; explicit flags override it")
-    sub.add_argument("--seed", type=_nonneg_int, help="global random seed")
-    sub.add_argument("--out-dir", help="directory for run artifacts")
+# The flags some commands share; each command declares only those it reads.
+_SHARED_FLAGS = {
+    "--config": dict(help="JSON config file; explicit flags override it"),
+    "--seed": dict(type=_nonneg_int, help="global random seed"),
+    "--out-dir": dict(help="output directory"),
+}
 
 
-def _stage_config(args, cls, section: str, flags: dict[str, str]):
-    """Build a stage's config from the --config section, then the flags.
-
-    ``flags`` maps config field names to argument names; flags that were
-    given override the file.
-    """
-    values = read_config_file(args.config).get(section, {}) if args.config else {}
-    if not isinstance(values, dict):
-        raise InvalidConfig(f"config section {section!r} must be an object")
-    for name, attr in flags.items():
-        if getattr(args, attr, None) is not None:
-            values[name] = getattr(args, attr)
-    if args.seed is not None:
-        values["seed"] = args.seed
-    try:
-        return cls(**values)
-    except TypeError as exc:
-        raise InvalidConfig(f"bad config section {section!r}: {exc}") from None
-
-
-def _selector_config(args) -> SelectorTrainConfig:
-    flags = {"k": "k", "learning_rate": "lr", "epochs": "epochs", "dim": "dim"}
-    return _stage_config(args, SelectorTrainConfig, "selector", flags)
-
-
-def _generator_config(args) -> GeneratorTrainConfig:
-    flags = {
-        "learning_rate": "lr",
-        "epochs": "epochs",
-        "dim": "dim",
-        "max_context": "max_context",
-        "max_decode_len": "max_decode_len",
-        "ca_enabled": "ca_loss",
-    }
-    return _stage_config(args, GeneratorTrainConfig, "generator", flags)
+def _stage_config(args, cls, section: str):
+    """A stage's config: the --config section, then each flag that was given.
+    A flag's dest is the name of the config field it sets."""
+    raw = read_config_file(args.config) if args.config else {}
+    flags = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(cls)}
+    return section_config(cls, section, raw, **flags)
 
 
 def _cmd_synth(args) -> None:
@@ -150,27 +125,17 @@ def _cmd_index(args) -> None:
 def _cmd_retrieve(args) -> None:
     index = load_index(args.index)
     corpus = load_corpus(args.corpus) if args.corpus else None
-    examples = parse_tables_file(args.tables)
-    sets = []
-    for ex in examples:
-        cands = retrieve(index, ex.table, args.m, table_id=ex.id)
-        if corpus is not None:
-            cands = filter_leakage(cands, corpus, ex.reference)
-        sets.append(cands)
-    write_candidate_sets(args.out, sets)
+    sets = retrieve_candidates(index, parse_tables_file(args.tables), args.m, corpus)
+    write_candidate_sets(args.out, list(sets.values()))
     print(f"retrieved candidates for {len(sets)} tables -> {args.out}")
 
 
 def _cmd_train_selector(args) -> None:
     corpus = load_corpus(args.corpus)
-    examples = parse_tables_file(args.tables)
     cand_sets = {c.table_id: c for c in read_candidate_sets(args.candidates)}
-    triples = []
-    for ex in examples:
-        if ex.id not in cand_sets:
-            raise InvalidInput(f"no candidates for table {ex.id} in {args.candidates}")
-        triples.append((ex.table, ex.reference, cand_sets[ex.id]))
-    model, losses = train_selector(triples, corpus, _selector_config(args))
+    triples = training_triples(parse_tables_file(args.tables), cand_sets)
+    config = _stage_config(args, SelectorTrainConfig, "selector")
+    model, losses = train_selector(triples, corpus, config)
     save_selector(args.out, model)
     print(f"trained selector ({len(losses)} epochs) -> {args.out}")
 
@@ -191,7 +156,8 @@ def _cmd_train_generator(args) -> None:
     vocab = None
     if args.corpus:
         vocab = shared_vocabulary(load_corpus(args.corpus), examples)
-    model, losses = train_generator(records, _generator_config(args), vocab=vocab)
+    config = _stage_config(args, GeneratorTrainConfig, "generator")
+    model, losses = train_generator(records, config, vocab=vocab)
     save_generator(args.out, model)
     print(f"trained generator ({len(losses)} epochs) -> {args.out}")
 
@@ -212,13 +178,18 @@ def _cmd_generate(args) -> None:
     print(f"generated {len(records)} outputs -> {args.out}")
 
 
+def _output_tokens(path: str, refs, what: str) -> list[list[str]]:
+    """The tokens of an outputs file's output for each reference table."""
+    outputs = read_outputs(path)
+    missing = [ex.id for ex in refs if ex.id not in outputs]
+    if missing:
+        raise InvalidInput(f"{what} file lacks outputs for tables {missing[:5]}")
+    return [tokenize(outputs[ex.id]) for ex in refs]
+
+
 def _cmd_eval(args) -> None:
     refs = parse_tables_file(args.ref)
-    hyp = read_outputs(args.hyp)
-    missing = [ex.id for ex in refs if ex.id not in hyp]
-    if missing:
-        raise InvalidInput(f"hypothesis file lacks outputs for tables {missing[:5]}")
-    hyp_tokens = [tokenize(hyp[ex.id]) for ex in refs]
+    hyp_tokens = _output_tokens(args.hyp, refs, "hypothesis")
     ref_tokens = [tokenize(ex.reference) for ex in refs]
     report = evaluate_pairs(hyp_tokens, ref_tokens)
     payload = {
@@ -227,12 +198,7 @@ def _cmd_eval(args) -> None:
         "n": report.pair_count,
     }
     if args.compare:
-        other = read_outputs(args.compare)
-        missing = [ex.id for ex in refs if ex.id not in other]
-        if missing:
-            raise InvalidInput(f"comparison file lacks outputs for tables {missing[:5]}")
-        other_tokens = [tokenize(other[ex.id]) for ex in refs]
-        other_report = evaluate_pairs(other_tokens, ref_tokens)
+        other_report = evaluate_pairs(_output_tokens(args.compare, refs, "comparison"), ref_tokens)
         block: dict = {
             "hyp_bleu4": report.bleu4,
             "compare_bleu4": other_report.bleu4,
@@ -281,13 +247,14 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="prototext", description=__doc__)
     subs = parser.add_subparsers(dest="command", metavar="command")
 
-    def sub(name, handler, help_text):
+    def sub(name, handler, help_text, *shared_flags):
         p = subs.add_parser(name, help=help_text)
-        _common_flags(p)
+        for flag in shared_flags:
+            p.add_argument(flag, **_SHARED_FLAGS[flag])
         p.set_defaults(handler=handler)
         return p
 
-    p = sub("synth", _cmd_synth, "generate the synthetic benchmark files")
+    p = sub("synth", _cmd_synth, "generate the synthetic benchmark files", "--seed", "--out-dir")
     p.add_argument("--entities", type=int, default=50)
     p.add_argument("--attributes", type=int, default=4)
     p.add_argument("--corpus-size", type=int, default=500)
@@ -305,13 +272,14 @@ def build_parser() -> _Parser:
     p.add_argument("--corpus", help="corpus file; enables the reference-leakage filter")
     p.add_argument("--out", required=True)
 
-    p = sub("train-selector", _cmd_train_selector, "train the prototype selector")
+    p = sub("train-selector", _cmd_train_selector, "train the prototype selector",
+            "--config", "--seed")
     p.add_argument("--corpus", required=True)
     p.add_argument("--tables", required=True)
     p.add_argument("--candidates", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--k", type=int)
-    p.add_argument("--lr", type=float)
+    p.add_argument("--lr", type=float, dest="learning_rate")
     p.add_argument("--epochs", type=int)
     p.add_argument("--dim", type=int)
 
@@ -323,17 +291,18 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--out", required=True)
 
-    p = sub("train-generator", _cmd_train_generator, "train the conditional generator")
+    p = sub("train-generator", _cmd_train_generator, "train the conditional generator",
+            "--config", "--seed")
     p.add_argument("--dataset", required=True, help="augmented dataset JSONL")
     p.add_argument("--tables", required=True)
     p.add_argument("--corpus", help="optional corpus for the shared vocabulary")
     p.add_argument("--out", required=True)
-    p.add_argument("--lr", type=float)
+    p.add_argument("--lr", type=float, dest="learning_rate")
     p.add_argument("--epochs", type=int)
     p.add_argument("--dim", type=int)
     p.add_argument("--max-context", type=int)
     p.add_argument("--max-decode-len", type=int)
-    p.add_argument("--ca-loss", action=argparse.BooleanOptionalAction, default=None)
+    p.add_argument("--ca-loss", action=argparse.BooleanOptionalAction, dest="ca_enabled")
 
     p = sub("generate", _cmd_generate, "decode outputs for a tables file")
     p.add_argument("--model", required=True)
@@ -348,11 +317,12 @@ def build_parser() -> _Parser:
     p.add_argument("--compare", help="second hypothesis file for a sign test")
     p.add_argument("--out", required=True)
 
-    p = sub("ablate", _cmd_ablate, "run the system-variant ladder")
+    pipeline_flags = ("--config", "--seed", "--out-dir")
+    p = sub("ablate", _cmd_ablate, "run the system-variant ladder", *pipeline_flags)
     p.add_argument("--variants", help="comma-separated subset of " + ",".join(VARIANTS))
     p.add_argument("--seeds", help="comma-separated seeds (default: config seed)")
 
-    p = sub("sweep-n", _cmd_sweep_n, "sweep the prototype count")
+    p = sub("sweep-n", _cmd_sweep_n, "sweep the prototype count", *pipeline_flags)
     p.add_argument("--n-values", required=True, help="comma-separated n values")
 
     return parser

@@ -7,8 +7,6 @@ data problems, and everything else.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 
 class PrototextError(Exception):
     """Base class for all errors raised by this package."""
@@ -51,9 +49,9 @@ class ParseError(DataError):
 class DuplicateId(ParseError):
     """Two records in the same file, or two sentences of a corpus, share an id."""
 
-    def __init__(self, dup_id: int):
+    def __init__(self, dup_id: int, key: str = "id"):
         self.dup_id = dup_id
-        super().__init__(f"duplicate id {dup_id}")
+        super().__init__(f"duplicate {key} {dup_id}")
 
 
 class UnknownDocument(DataError):
@@ -87,12 +85,3 @@ class StageError(PrototextError):
 # What decoding malformed content raises. OSError is absent on purpose:
 # a file that cannot be read is not a data error.
 MALFORMED = (ValueError, KeyError, TypeError, AttributeError, OverflowError, InvalidConfig)
-
-
-@contextmanager
-def malformed_file(path, what: str):
-    """Turn the failures of decoding a whole file's content into a ParseError."""
-    try:
-        yield
-    except MALFORMED as exc:
-        raise ParseError(f"malformed {what}: {exc}", path=str(path)) from exc

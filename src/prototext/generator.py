@@ -36,7 +36,6 @@ read_outputs own the ``{"output", "table_id"}`` JSONL outputs format.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -45,17 +44,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidConfig, InputTooLong, ParseError, malformed_file
+from .errors import InvalidConfig, InputTooLong, ParseError
 from .optim import Adam
 from .selector import AugmentedRecord
-from .tabledata import Table, linearize_table, read_jsonl, unique_table_id, write_jsonl
+from .tabledata import (
+    Table, linearize_table, read_jsonl, read_model_file, unique_id, write_jsonl, write_model_file
+)
 from .tokenization import RESERVED_TOKENS, tokenize
 from .vocab import Vocabulary
 
 log = logging.getLogger(__name__)
-
-GENERATOR_FORMAT = "prototext-generator"
-GENERATOR_VERSION = 1
 
 PARAM_KEYS = (
     "tok_emb",
@@ -508,7 +506,7 @@ def read_outputs(path: str | Path) -> dict[int, str]:
     seen: set[int] = set()
 
     def parse(record: dict) -> tuple[int, str]:
-        table_id = unique_table_id(record, seen)
+        table_id = unique_id(record, "table_id", seen)
         output = record["output"]
         if not isinstance(output, str):
             raise ParseError("'output' must be a string")
@@ -585,23 +583,15 @@ def train_generator(
 
 def save_generator(path: str | Path, model: GeneratorModel) -> None:
     payload = {
-        "format": GENERATOR_FORMAT,
-        "version": GENERATOR_VERSION,
         "max_context": model.max_context,
         "tokens": list(model.vocab.tokens),
         "params": {key: model.params[key].tolist() for key in PARAM_KEYS},
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, allow_nan=False))
-        fh.write("\n")
+    write_model_file(path, "generator", payload)
 
 
 def load_generator(path: str | Path) -> GeneratorModel:
-    with malformed_file(path, "generator model file"):
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if payload.get("format") != GENERATOR_FORMAT or payload.get("version") != GENERATOR_VERSION:
-            raise ParseError("not a recognized generator model file", path=str(path))
+    def build(payload: dict) -> GeneratorModel:
         vocab = Vocabulary.from_tokens(payload["tokens"])
         missing = [t for t in RESERVED_TOKENS if t not in vocab]
         if missing:
@@ -615,3 +605,5 @@ def load_generator(path: str | Path) -> GeneratorModel:
             max_context=int(payload["max_context"]),
             params=params,
         )
+
+    return read_model_file(path, "generator", build)

@@ -6,6 +6,11 @@ from typing import Mapping
 
 import numpy as np
 
+# The standard moment decay rates and denominator guard; no caller sets them.
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class Adam:
     """Standard Adam with bias correction; updates parameters in place.
@@ -19,19 +24,9 @@ class Adam:
     every other row.
     """
 
-    def __init__(
-        self,
-        params: dict[str, np.ndarray],
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: dict[str, np.ndarray], lr: float):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m = {k: np.zeros_like(v) for k, v in params.items()}
         self._v = {k: np.zeros_like(v) for k, v in params.items()}
@@ -45,27 +40,27 @@ class Adam:
         group named in ``rows`` only the distinct rows ``rows[name]``, in
         that order."""
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - BETA1 ** self.t
+        bc2 = 1.0 - BETA2 ** self.t
         for name, p in self.params.items():
             g = grads[name]
             m = self._m[name]
             v = self._v[name]
             r = rows.get(name) if rows else None
-            m *= self.beta1
-            v *= self.beta2
+            m *= BETA1
+            v *= BETA2
             if r is None:
-                m += (1.0 - self.beta1) * g
-                v += (1.0 - self.beta2) * np.square(g)
+                m += (1.0 - BETA1) * g
+                v += (1.0 - BETA2) * np.square(g)
             else:
-                m[r] += (1.0 - self.beta1) * g
-                v[r] += (1.0 - self.beta2) * np.square(g)
+                m[r] += (1.0 - BETA1) * g
+                v[r] += (1.0 - BETA2) * np.square(g)
             # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), in that order,
             # on two temporaries
             step = np.divide(m, bc1)
             step *= self.lr
             denom = np.divide(v, bc2)
             np.sqrt(denom, out=denom)
-            denom += self.eps
+            denom += EPS
             step /= denom
             p -= step

@@ -40,8 +40,7 @@ from .retrieval import (
     CandidateSet,
     InvertedIndex,
     build_index,
-    filter_leakage,
-    retrieve,
+    retrieve_candidates,
     save_index,
     write_candidate_sets,
 )
@@ -50,11 +49,13 @@ from .selector import (
     SelectorTrainConfig,
     save_selector,
     select_prototypes,
+    shared_vocabulary,
     train_selector,
+    training_triples,
     write_augmented_dataset,
 )
 from .synth import read_labels
-from .tabledata import Corpus, Example, linearize_table, load_corpus, parse_tables_file
+from .tabledata import Corpus, Example, load_corpus, parse_tables_file
 from .tokenization import tokenize
 from .vocab import Vocabulary
 
@@ -86,19 +87,36 @@ class PipelineConfig:
             raise InvalidConfig("seed must be a non-negative integer")
 
 
+def section_config(cls, section: str, raw: dict, **overrides):
+    """``raw[section]`` as a SelectorTrainConfig or GeneratorTrainConfig ``cls``, each
+    override that is not None on top. A section that is not an object, an unknown field
+    and a value not of its field's type (an int does for a float) are InvalidConfig."""
+    values = raw.get(section, {})
+    if not isinstance(values, dict):
+        raise InvalidConfig(f"config section {section!r} must be an object")
+    values = {**values, **{k: v for k, v in overrides.items() if v is not None}}
+    for f in dataclasses.fields(cls):
+        kind = type(f.default)
+        allowed = (int, float) if kind is float else (kind,)
+        if f.name in values and type(values[f.name]) not in allowed:
+            raise InvalidConfig(f"config field {section}.{f.name} must be a {kind.__name__}")
+    try:
+        return cls(**values)
+    except TypeError as exc:
+        raise InvalidConfig(f"bad config section {section!r}: {exc}") from None
+
+
 def config_from_dict(raw: dict, **overrides) -> PipelineConfig:
     """Build a config from a JSON-shaped dict; unknown keys are errors."""
-    data = dict(raw)
+    data = {k: v for k, v in raw.items() if k not in ("selector", "generator")}
     data.update({k: v for k, v in overrides.items() if v is not None})
-    sel = data.pop("selector", {})
-    gen = data.pop("generator", {})
     known = {f.name for f in dataclasses.fields(PipelineConfig)}
     unknown = set(data) - known
     if unknown:
         raise InvalidConfig(f"unknown config fields: {sorted(unknown)}")
+    selector = section_config(SelectorTrainConfig, "selector", raw)
+    generator = section_config(GeneratorTrainConfig, "generator", raw)
     try:
-        selector = SelectorTrainConfig(**sel)
-        generator = GeneratorTrainConfig(**gen)
         return PipelineConfig(selector=selector, generator=generator, **data)
     except TypeError as exc:
         raise InvalidConfig(f"bad config structure: {exc}") from None
@@ -142,15 +160,6 @@ def _stage(name: str):
         raise StageError(name, exc) from exc
 
 
-def shared_vocabulary(corpus: Corpus, examples: Sequence[Example]) -> Vocabulary:
-    """One vocabulary for the whole pipeline: corpus plus training tables
-    and references, so every model indexes tokens identically."""
-    streams = [s.tokens for s in corpus]
-    streams += [linearize_table(ex.table) for ex in examples]
-    streams += [tokenize(ex.reference) for ex in examples]
-    return Vocabulary.build(streams)
-
-
 @dataclass(frozen=True, eq=False)
 class _Inputs:
     """What load, index and retrieve give every run over the same files and m."""
@@ -172,15 +181,9 @@ def _load_and_retrieve(corpus_path: str, train_path: str, test_path: str, m: int
         vocab = shared_vocabulary(corpus, train)
     with _stage("index"):
         index = build_index(corpus)
-
-    def candidates(examples: list[Example]) -> dict[int, CandidateSet]:
-        return {
-            ex.id: filter_leakage(retrieve(index, ex.table, m, table_id=ex.id), corpus, ex.reference)
-            for ex in examples
-        }
-
     with _stage("retrieve"):
-        train_cands, test_cands = candidates(train), candidates(test)
+        train_cands = retrieve_candidates(index, train, m, corpus)
+        test_cands = retrieve_candidates(index, test, m, corpus)
     return _Inputs(corpus, train, test, vocab, index, train_cands, test_cands)
 
 
@@ -188,8 +191,8 @@ def _train_selector(
     inputs: _Inputs, seed: int, config: SelectorTrainConfig
 ) -> tuple[SelectorModel, list[float]]:
     """The selector trained on the training tables, seeded ``seed + 1``."""
-    triples = [(ex.table, ex.reference, inputs.train_cands[ex.id]) for ex in inputs.train]
     with _stage("select"):
+        triples = training_triples(inputs.train, inputs.train_cands)
         return train_selector(triples, inputs.corpus, dataclasses.replace(config, seed=seed + 1))
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import InvalidConfig, ParseError, UnknownDocument
-from .tabledata import Corpus, Table, linearize_table, read_jsonl, unique_table_id, write_jsonl
+from .tabledata import Corpus, Example, Table, linearize_table, read_jsonl, unique_id, write_jsonl
 from .tokenization import RESERVED_TOKENS, tokenize
 
 __all__ = [
@@ -29,6 +29,7 @@ __all__ = [
     "bm25_score",
     "retrieve",
     "filter_leakage",
+    "retrieve_candidates",
     "save_index",
     "load_index",
 ]
@@ -165,6 +166,18 @@ def filter_leakage(candidates: CandidateSet, corpus: Corpus, reference: str) -> 
     return CandidateSet(table_id=candidates.table_id, entries=kept)
 
 
+def retrieve_candidates(
+    index: InvertedIndex, examples: Sequence[Example], m: int, corpus: Corpus | None = None
+) -> dict[int, CandidateSet]:
+    """Each example's top-m candidates by table id, in example order; with a corpus,
+    leakage-filtered against the example's reference."""
+    sets = {}
+    for ex in examples:
+        cands = retrieve(index, ex.table, m, table_id=ex.id)
+        sets[ex.id] = cands if corpus is None else filter_leakage(cands, corpus, ex.reference)
+    return sets
+
+
 def write_candidate_sets(path: str | Path, candidate_sets: Sequence[CandidateSet]) -> None:
     """One JSON record per table: ``{"table_id", "candidates": [[id, score]]}``."""
     records = (
@@ -178,7 +191,7 @@ def read_candidate_sets(path: str | Path) -> list[CandidateSet]:
     seen: set[int] = set()
 
     def parse(record: dict) -> CandidateSet:
-        table_id = unique_table_id(record, seen)
+        table_id = unique_id(record, "table_id", seen)
         entries = tuple((int(sid), float(score)) for sid, score in record["candidates"])
         return CandidateSet(table_id=table_id, entries=entries)
 
@@ -212,8 +225,6 @@ def load_index(path: str | Path) -> InvertedIndex:
         if record.get("format") != INDEX_FORMAT or record.get("version") != INDEX_VERSION:
             raise ParseError("not a recognized index file")
         header.update(doc_count=int(record["doc_count"]), avgdl=float(record["avgdl"]))
-        if header["doc_count"] > 0 and not header["avgdl"] > 0:
-            raise ParseError(f"avgdl {header['avgdl']} over {header['doc_count']} documents")
 
     def parse_lengths(record: dict) -> None:
         pairs = record["doc_lengths"]
@@ -241,8 +252,11 @@ def load_index(path: str | Path) -> InvertedIndex:
                 raise ParseError(f"posting for unindexed document {d!r}")
             if entries and sid <= entries[-1][0]:
                 raise ParseError(f"posting doc ids not strictly increasing at document {sid}")
-            if tf < 1:
-                raise ParseError(f"term frequency {tf} for document {sid}")
+            # a term frequency within the length also keeps BM25 from dividing by
+            # an avgdl of 0, the mean of lengths that are all 0
+            dl = doc_lengths[sid]
+            if not 1 <= tf <= dl:
+                raise ParseError(f"term frequency {tf} for document {sid} of length {dl}")
             entries.append((sid, tf))
         postings[record["term"]] = tuple(entries)
 

@@ -28,7 +28,6 @@ shared across threads; training runs single-threaded on its own arrays.
 from __future__ import annotations
 
 import functools
-import json
 import logging
 from dataclasses import dataclass
 from itertools import chain
@@ -37,19 +36,17 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InvalidConfig, InsufficientNegatives, ParseError, malformed_file
+from .errors import InvalidConfig, InvalidInput, InsufficientNegatives, ParseError
 from .optim import Adam
 from .retrieval import CandidateSet
 from .tabledata import (
-    Corpus, Example, Table, linearize_table, read_jsonl, unique_table_id, write_jsonl
+    Corpus, Example, Table, linearize_table, read_jsonl, read_model_file, unique_id, write_jsonl,
+    write_model_file,
 )
 from .tokenization import SEP, UNK, tokenize
 from .vocab import Vocabulary
 
 log = logging.getLogger(__name__)
-
-SELECTOR_FORMAT = "prototext-selector"
-SELECTOR_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -214,6 +211,17 @@ def _hinge_terms(
     return h_y, h_negs, slacks
 
 
+def _margin_ids(
+    model: SelectorModel, table: Table, reference: Sequence[str], negatives: Sequence[Sequence[str]]
+) -> tuple[list[int], list[list[int]]]:
+    """The pair ids of the reference and of each negative; no negative is InvalidConfig."""
+    if len(negatives) == 0:
+        raise InvalidConfig("margin loss needs at least one negative")
+    t_ids = _table_ids(model.vocab, table)
+    ids_negs = [_pair_ids(model.vocab, t_ids, neg) for neg in negatives]
+    return _pair_ids(model.vocab, t_ids, reference), ids_negs
+
+
 def margin_loss(
     model: SelectorModel,
     table: Table,
@@ -221,11 +229,7 @@ def margin_loss(
     negatives: Sequence[Sequence[str]],
 ) -> float:
     """Summed hinge loss of the reference against each negative."""
-    if len(negatives) == 0:
-        raise InvalidConfig("margin loss needs at least one negative")
-    t_ids = _table_ids(model.vocab, table)
-    ids_y = _pair_ids(model.vocab, t_ids, reference)
-    ids_negs = [_pair_ids(model.vocab, t_ids, neg) for neg in negatives]
+    ids_y, ids_negs = _margin_ids(model, table, reference, negatives)
     _, _, slacks = _hinge_terms(model.embeddings, model.projection, model.bias, ids_y, ids_negs)
     return sum(max(0.0, s) for s in slacks)
 
@@ -269,11 +273,7 @@ def margin_loss_grad(
     negatives: Sequence[Sequence[str]],
 ) -> SelectorGradients:
     """Exact gradients of :func:`margin_loss` for every parameter group."""
-    if len(negatives) == 0:
-        raise InvalidConfig("margin loss needs at least one negative")
-    t_ids = _table_ids(model.vocab, table)
-    ids_y = _pair_ids(model.vocab, t_ids, reference)
-    ids_negs = [_pair_ids(model.vocab, t_ids, neg) for neg in negatives]
+    ids_y, ids_negs = _margin_ids(model, table, reference, negatives)
     _, (rows, values), d_w = _loss_and_grads(
         model.embeddings, model.projection, model.bias, ids_y, ids_negs
     )
@@ -282,7 +282,28 @@ def margin_loss_grad(
     return SelectorGradients(embeddings=d_emb, projection=d_w)
 
 
+def shared_vocabulary(corpus: Corpus, examples: Sequence[Example]) -> Vocabulary:
+    """The vocabulary of the selector and of a generator trained with a corpus: the
+    reserved tokens, then the sorted tokens of the corpus, linearized tables and references."""
+    streams = [s.tokens for s in corpus]
+    streams += [_linearized(ex.table) for ex in examples]
+    streams += [tokenize(ex.reference) for ex in examples]
+    return Vocabulary.build(streams)
+
+
 TrainExample = tuple[Table, str, CandidateSet]
+
+
+def training_triples(
+    examples: Sequence[Example], cands: Mapping[int, CandidateSet]
+) -> list[TrainExample]:
+    """Each example's (table, reference, candidates); one without candidates is InvalidInput."""
+    triples = []
+    for ex in examples:
+        if ex.id not in cands:
+            raise InvalidInput(f"no candidates for table {ex.id}")
+        triples.append((ex.table, ex.reference, cands[ex.id]))
+    return triples
 
 
 def train_selector(
@@ -303,11 +324,7 @@ def train_selector(
                 f"example {cands.table_id} has {len(cands)} candidates, needs k={config.k}"
             )
 
-    vocab = Vocabulary.build(
-        [s.tokens for s in corpus]
-        + [_linearized(table) for table, _, _ in examples]
-        + [tokenize(ref) for _, ref, _ in examples]
-    )
+    vocab = shared_vocabulary(corpus, [Example(c.table_id, t, ref) for t, ref, c in examples])
     rng = np.random.default_rng(config.seed)
     emb = rng.uniform(-0.1, 0.1, size=(len(vocab), config.dim))
     w = np.zeros(config.dim)
@@ -427,7 +444,7 @@ def read_augmented_dataset(path: str | Path, examples: Sequence[Example]) -> lis
     seen: set[int] = set()
 
     def parse(record: dict) -> AugmentedRecord:
-        example = by_id.get(unique_table_id(record, seen))
+        example = by_id.get(unique_id(record, "table_id", seen))
         if example is None:
             raise ParseError(f"table_id {record['table_id']} not present in tables file")
         prototype_ids = tuple(map(int, record["prototype_ids"]))
@@ -451,27 +468,21 @@ def read_augmented_dataset(path: str | Path, examples: Sequence[Example]) -> lis
 def save_selector(path: str | Path, model: SelectorModel) -> None:
     """Write the model as versioned JSON; float64 values survive bit-exactly."""
     payload = {
-        "format": SELECTOR_FORMAT,
-        "version": SELECTOR_VERSION,
         "tokens": list(model.vocab.tokens),
         "embeddings": model.embeddings.tolist(),
         "projection": model.projection.tolist(),
         "bias": model.bias,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, allow_nan=False))
-        fh.write("\n")
+    write_model_file(path, "selector", payload)
 
 
 def load_selector(path: str | Path) -> SelectorModel:
-    with malformed_file(path, "selector model file"):
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if payload.get("format") != SELECTOR_FORMAT or payload.get("version") != SELECTOR_VERSION:
-            raise ParseError("not a recognized selector model file", path=str(path))
+    def build(payload: dict) -> SelectorModel:
         return SelectorModel(
             vocab=Vocabulary.from_tokens(payload["tokens"]),
             embeddings=np.array(payload["embeddings"], dtype=np.float64),
             projection=np.array(payload["projection"], dtype=np.float64),
             bias=float(payload["bias"]),
         )
+
+    return read_model_file(path, "selector", build)

@@ -34,7 +34,7 @@ from .tabledata import (
     Sentence,
     Table,
     read_jsonl,
-    unique_table_id,
+    unique_id,
     write_corpus,
     write_jsonl,
     write_tables_file,
@@ -311,6 +311,6 @@ def read_labels(path: str | Path) -> dict[int, set[int]]:
     seen: set[int] = set()
 
     def parse(record: dict) -> tuple[int, set[int]]:
-        return unique_table_id(record, seen), set(map(int, record["relevant_ids"]))
+        return unique_id(record, "table_id", seen), set(map(int, record["relevant_ids"]))
 
     return dict(read_jsonl(path, parse))

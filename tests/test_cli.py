@@ -119,9 +119,25 @@ def _wrong_avgdl(lines):
     return 2
 
 
+def _header_avgdl(value):
+    # the header is well-formed on its own; the lengths line contradicts it
+    def edit(lines):
+        _set(1, avgdl=value)(lines)
+        return 2
+
+    return edit
+
+
 def _zero_term_frequency(lines):
     record = json.loads(lines[2])
     record["postings"][0][1] = 0
+    lines[2] = json.dumps(record).encode()
+    return 3
+
+
+def _term_frequency_above_length(lines):
+    record = json.loads(lines[2])
+    record["postings"][0][1] = 10**6
     lines[2] = json.dumps(record).encode()
     return 3
 
@@ -136,6 +152,7 @@ MALFORMED_JSONL = [
     pytest.param("candidates", _set(1, candidates=5), id="candidates-not-a-list"),
     pytest.param("candidates", _set(1, table_id="x"), id="candidates-table-id-string"),
     pytest.param("candidates", _set(1, table_id=float("inf")), id="candidates-table-id-infinite"),
+    pytest.param("candidates", _set(1, table_id=0.5), id="candidates-table-id-float"),
     pytest.param("candidates", _set(1, candidates=[[1]]), id="candidates-entry-not-a-pair"),
     pytest.param("candidates", _repeat_first_table_id, id="candidates-repeated-table-id"),
     pytest.param("augmented", _replace(1, b"[1, 2]"), id="augmented-not-an-object"),
@@ -147,18 +164,22 @@ MALFORMED_JSONL = [
     pytest.param("augmented", _repeat_first_line, id="augmented-repeated-table-id"),
     pytest.param("index", _replace(1, b"[1]"), id="index-header-not-an-object"),
     pytest.param("index", _set(1, doc_count="x"), id="index-doc-count-string"),
-    pytest.param("index", _set(1, avgdl=0.0), id="index-avgdl-zero"),
+    pytest.param("index", _header_avgdl(0.0), id="index-avgdl-zero"),
     pytest.param("index", _set(2, doc_lengths=[[0, 3]]), id="index-doc-count-mismatch"),
     pytest.param("index", _set(3, postings=5), id="index-postings-not-a-list"),
     pytest.param("index", _unindexed_postings, id="index-posting-unindexed-doc"),
     pytest.param("index", _reversed_postings, id="index-postings-reversed"),
     pytest.param("index", _negative_doc_length, id="index-negative-doc-length"),
     pytest.param("index", _zero_term_frequency, id="index-zero-term-frequency"),
+    pytest.param(
+        "index", _term_frequency_above_length, id="index-term-frequency-above-length"
+    ),
     pytest.param("index", _repeated_doc_length, id="index-repeated-doc-length"),
     pytest.param("index", _wrong_avgdl, id="index-avgdl-mismatch"),
     pytest.param("corpus", _non_utf8_text, id="corpus-not-utf8"),
     pytest.param("corpus", _repeat_first_line, id="corpus-repeated-id"),
     pytest.param("outputs", _set(1, output=5), id="outputs-output-not-text"),
+    pytest.param("outputs", _set(2, table_id=True), id="outputs-table-id-true"),
 ]
 
 
@@ -259,6 +280,52 @@ class TestExitCodes:
         assert code == 1
         assert "--max-len" in capsys.readouterr().err
         assert not out.exists()
+
+
+# Every command with one argv that would parse; the handlers never run.
+STAGE_ARGV = {
+    "synth": ["--out-dir", "d"],
+    "index": ["--corpus", "c", "--out", "o"],
+    "retrieve": ["--index", "i", "--tables", "t", "--out", "o"],
+    "train-selector": ["--corpus", "c", "--tables", "t", "--candidates", "k", "--out", "o"],
+    "select": ["--model", "m", "--corpus", "c", "--tables", "t", "--candidates", "k", "--out", "o"],
+    "train-generator": ["--dataset", "a", "--tables", "t", "--out", "o"],
+    "generate": ["--model", "m", "--tables", "t", "--out", "o"],
+    "eval": ["--hyp", "h", "--ref", "r", "--out", "o"],
+}
+FLAG_VALUES = {"--config": "config.json", "--seed": "9", "--out-dir": "elsewhere"}
+UNREAD_FLAGS = [
+    *((command, flag) for command in ("index", "retrieve", "select", "generate", "eval")
+      for flag in FLAG_VALUES),
+    ("synth", "--config"),
+    ("train-selector", "--out-dir"),
+    ("train-generator", "--out-dir"),
+]
+
+
+@pytest.mark.parametrize("command, flag", UNREAD_FLAGS)
+def test_flag_a_command_does_not_read_is_usage_error(tmp_path, monkeypatch, capsys, command, flag):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(command, *STAGE_ARGV[command], flag, FLAG_VALUES[flag]) == 1
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_train_selector_without_candidates_for_a_table_is_data_error(
+    tiny_bench, stage_files, tmp_path, capsys
+):
+    lines = stage_files["candidates"].read_bytes().splitlines()
+    missing = json.loads(lines.pop(4))["table_id"]
+    cands = tmp_path / "cands.jsonl"
+    cands.write_bytes(b"\n".join(lines) + b"\n")
+    out = tmp_path / "selector.json"
+    code = run_cli(
+        "train-selector", "--corpus", tiny_bench["corpus"], "--tables", tiny_bench["train_tables"],
+        "--candidates", str(cands), "--out", str(out),
+    )
+    assert code == 2
+    assert f"no candidates for table {missing}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _truncate(text):

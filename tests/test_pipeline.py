@@ -16,8 +16,16 @@ from prototext.pipeline import (
     selector_precision_benchmark,
     sweep_n,
 )
-from prototext.selector import read_augmented_dataset
-from prototext.tabledata import parse_tables_file
+from prototext.generator import GeneratorTrainConfig
+from prototext.retrieval import build_index, retrieve_candidates
+from prototext.selector import (
+    SelectorTrainConfig,
+    read_augmented_dataset,
+    shared_vocabulary,
+    train_selector,
+    training_triples,
+)
+from prototext.tabledata import load_corpus, parse_tables_file
 
 
 def read_jsonl(path):
@@ -50,6 +58,25 @@ class TestConfig:
     def test_unknown_field_rejected(self):
         with pytest.raises(InvalidConfig):
             config_from_dict({"corpus_path": "x", "zzz": 1})
+
+    @pytest.mark.parametrize(
+        "section, fields",
+        [
+            ("selector", {"epochs": 2.5}),
+            ("selector", {"k": True}),
+            ("selector", {"learning_rate": "0.1"}),
+            ("generator", {"ca_enabled": 1}),
+            ("generator", {"max_context": None}),
+        ],
+    )
+    def test_ill_typed_section_field_rejected(self, section, fields):
+        with pytest.raises(InvalidConfig, match=f"{section}.{next(iter(fields))}"):
+            config_from_dict({"corpus_path": "x", section: fields})
+
+    def test_int_learning_rate_accepted(self):
+        raw = {"generator": {"learning_rate": 1}}
+        config = pipeline.section_config(GeneratorTrainConfig, "generator", raw)
+        assert config == GeneratorTrainConfig(learning_rate=1)
 
     def test_load_config_with_overrides(self, tiny_bench, tmp_path):
         cfg_path = tmp_path / "config.json"
@@ -193,6 +220,16 @@ class TestSharedStages:
         calls.clear()
         sweep_n(tiny_config(out_dir=str(tmp_path / "sweep")), [1, 2, 3])
         assert calls == {"build_index": 1, "train_selector": 1}
+
+
+class TestSharedVocabulary:
+    def test_selector_vocabulary_is_the_shared_vocabulary(self, tiny_bench):
+        corpus = load_corpus(tiny_bench["corpus"])
+        train = parse_tables_file(tiny_bench["train_tables"])
+        cands = retrieve_candidates(build_index(corpus), train, 100, corpus)
+        config = SelectorTrainConfig(epochs=0)
+        model, _ = train_selector(training_triples(train, cands), corpus, config)
+        assert model.vocab == shared_vocabulary(corpus, train)
 
 
 class TestSweepN:

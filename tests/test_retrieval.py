@@ -12,10 +12,11 @@ from prototext.retrieval import (
     filter_leakage,
     load_index,
     retrieve,
+    retrieve_candidates,
     save_index,
     table_query,
 )
-from prototext.tabledata import Corpus, Sentence, Table
+from prototext.tabledata import Corpus, Example, Sentence, Table
 
 
 def corpus_of(*texts, ids=None):
@@ -183,6 +184,21 @@ class TestFilterLeakage:
         assert once.ids() == [2]
 
 
+def test_retrieve_candidates_filters_only_with_a_corpus():
+    corpus = corpus_of("alpha beta", "alpha gamma", "beta delta")
+    index = build_index(corpus)
+    examples = [
+        Example(7, table_of(("alpha", "beta")), "Alpha  beta"),
+        Example(3, table_of(("delta", "x")), "y"),
+    ]
+    raw = retrieve_candidates(index, examples, 10)
+    assert list(raw) == [7, 3]
+    assert raw == {ex.id: retrieve(index, ex.table, 10, table_id=ex.id) for ex in examples}
+    filtered = retrieve_candidates(index, examples, 10, corpus)
+    assert filtered == {ex.id: filter_leakage(raw[ex.id], corpus, ex.reference) for ex in examples}
+    assert 1 in raw[7].ids() and 1 not in filtered[7].ids()
+
+
 class TestIndexPersistence:
     def test_scores_survive_roundtrip_bitexact(self, tmp_path):
         corpus = corpus_of("a b c", "a a d", "b d e f", "g")
@@ -201,3 +217,11 @@ class TestIndexPersistence:
         save_index(p1, index)
         save_index(p2, index)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_corpus_without_tokens_roundtrips(self, tmp_path):
+        # every sentence tokenizes to nothing, so avgdl is 0.0 over two documents
+        index = build_index(corpus_of("", "..."))
+        assert (index.doc_count, index.avgdl) == (2, 0.0)
+        path = tmp_path / "index.jsonl"
+        save_index(path, index)
+        assert load_index(path) == index
