@@ -38,6 +38,7 @@ from .pipeline import (
     dump_json,
     load_config,
     read_config_file,
+    reject_fields,
     run_ablation,
     section_config,
     sweep_n,
@@ -73,30 +74,25 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _nonneg_int(value: str) -> int:
-    try:
-        parsed = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {value!r}")
-    if parsed < 0:
-        raise argparse.ArgumentTypeError("must be non-negative")
-    return parsed
-
-
 # The flags some commands share; each command declares only those it reads.
 _SHARED_FLAGS = {
     "--config": dict(help="JSON config file; explicit flags override it"),
-    "--seed": dict(type=_nonneg_int, help="global random seed"),
+    "--seed": dict(type=int, help="global random seed"),
     "--out-dir": dict(help="output directory"),
 }
 
 
 def _stage_config(args, cls, section: str):
     """A stage's config: the --config section, then each flag that was given.
-    A flag's dest is the name of the config field it sets."""
+    A flag's dest is the name of the config field it sets, and a command reads
+    only the fields it has a flag for, so the section may set no other."""
     raw = read_config_file(args.config) if args.config else {}
-    flags = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(cls)}
-    return section_config(cls, section, raw, **flags)
+    names = [f.name for f in dataclasses.fields(cls)]
+    flags = {name: getattr(args, name) for name in names if hasattr(args, name)}
+    config = section_config(cls, section, raw, **flags)
+    unread = [f"{section}.{name}" for name in names if name not in flags]
+    reject_fields(raw, unread, f"{args.command} does not read it")
+    return config
 
 
 def _cmd_synth(args) -> None:
@@ -124,7 +120,7 @@ def _cmd_index(args) -> None:
 
 def _cmd_retrieve(args) -> None:
     index = load_index(args.index)
-    corpus = load_corpus(args.corpus) if args.corpus else None
+    corpus = load_corpus(args.corpus)
     sets = retrieve_candidates(index, parse_tables_file(args.tables), args.m, corpus)
     write_candidate_sets(args.out, list(sets.values()))
     print(f"retrieved candidates for {len(sets)} tables -> {args.out}")
@@ -153,11 +149,9 @@ def _cmd_select(args) -> None:
 def _cmd_train_generator(args) -> None:
     examples = parse_tables_file(args.tables)
     records = read_augmented_dataset(args.dataset, examples)
-    vocab = None
-    if args.corpus:
-        vocab = shared_vocabulary(load_corpus(args.corpus), examples)
+    vocab = shared_vocabulary(load_corpus(args.corpus), examples)
     config = _stage_config(args, GeneratorTrainConfig, "generator")
-    model, losses = train_generator(records, config, vocab=vocab)
+    model, losses = train_generator(records, config, vocab)
     save_generator(args.out, model)
     print(f"trained generator ({len(losses)} epochs) -> {args.out}")
 
@@ -269,7 +263,7 @@ def build_parser() -> _Parser:
     p.add_argument("--index", required=True)
     p.add_argument("--tables", required=True)
     p.add_argument("--m", type=int, default=100)
-    p.add_argument("--corpus", help="corpus file; enables the reference-leakage filter")
+    p.add_argument("--corpus", required=True, help="corpus file, for the reference-leakage filter")
     p.add_argument("--out", required=True)
 
     p = sub("train-selector", _cmd_train_selector, "train the prototype selector",
@@ -295,13 +289,12 @@ def build_parser() -> _Parser:
             "--config", "--seed")
     p.add_argument("--dataset", required=True, help="augmented dataset JSONL")
     p.add_argument("--tables", required=True)
-    p.add_argument("--corpus", help="optional corpus for the shared vocabulary")
+    p.add_argument("--corpus", required=True, help="corpus file, for the shared vocabulary")
     p.add_argument("--out", required=True)
     p.add_argument("--lr", type=float, dest="learning_rate")
     p.add_argument("--epochs", type=int)
     p.add_argument("--dim", type=int)
     p.add_argument("--max-context", type=int)
-    p.add_argument("--max-decode-len", type=int)
     p.add_argument("--ca-loss", action=argparse.BooleanOptionalAction, dest="ca_enabled")
 
     p = sub("generate", _cmd_generate, "decode outputs for a tables file")

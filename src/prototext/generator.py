@@ -506,7 +506,7 @@ def read_outputs(path: str | Path) -> dict[int, str]:
     seen: set[int] = set()
 
     def parse(record: dict) -> tuple[int, str]:
-        table_id = unique_id(record, "table_id", seen)
+        table_id = unique_id(record.get("table_id"), "table_id", seen)
         output = record["output"]
         if not isinstance(output, str):
             raise ParseError("'output' must be a string")
@@ -529,11 +529,9 @@ def _record_ids(
 
 
 def train_generator(
-    dataset: Sequence[AugmentedRecord],
-    config: GeneratorTrainConfig,
-    vocab: Vocabulary | None = None,
+    dataset: Sequence[AugmentedRecord], config: GeneratorTrainConfig, vocab: Vocabulary
 ) -> tuple[GeneratorModel, list[float]]:
-    """Train on an augmented dataset; deterministic for a fixed seed.
+    """Train on an augmented dataset over ``vocab``; deterministic for a fixed seed.
 
     Records that do not fit the context window even after prototype
     truncation are skipped with a warning. Returns the model and mean
@@ -541,14 +539,6 @@ def train_generator(
     """
     if len(dataset) == 0:
         raise InvalidConfig("generator training needs a non-empty dataset")
-    if vocab is None:
-        streams: list[list[str]] = []
-        for rec in dataset:
-            streams.append(linearize_table(rec.table))
-            streams.append(tokenize(rec.reference))
-            for p in rec.prototypes:
-                streams.append(tokenize(p))
-        vocab = Vocabulary.build(streams)
 
     model = init_generator(vocab, config)
     prepared = []

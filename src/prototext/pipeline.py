@@ -106,16 +106,23 @@ def section_config(cls, section: str, raw: dict, **overrides):
         raise InvalidConfig(f"bad config section {section!r}: {exc}") from None
 
 
+def reject_fields(raw: dict, names: Sequence[str], reason: str) -> None:
+    """Each ``section.field`` or top-level field of ``names`` that ``raw`` sets is InvalidConfig;
+    the sections of ``raw`` must be objects, as :func:`section_config` checks."""
+    for name in names:
+        section, _, key = name.rpartition(".")
+        if key in (raw.get(section, {}) if section else raw):
+            raise InvalidConfig(f"config field {name} cannot be set: {reason}")
+
+
 def config_from_dict(raw: dict, **overrides) -> PipelineConfig:
-    """Build a config from a JSON-shaped dict; unknown keys are errors."""
+    """Build a config from a JSON-shaped dict; unknown keys and fields each run sets are errors."""
     data = {k: v for k, v in raw.items() if k not in ("selector", "generator")}
     data.update({k: v for k, v in overrides.items() if v is not None})
-    known = {f.name for f in dataclasses.fields(PipelineConfig)}
-    unknown = set(data) - known
-    if unknown:
-        raise InvalidConfig(f"unknown config fields: {sorted(unknown)}")
     selector = section_config(SelectorTrainConfig, "selector", raw)
     generator = section_config(GeneratorTrainConfig, "generator", raw)
+    run_set = ("variant", "selector.seed", "generator.seed", "generator.ca_enabled")
+    reject_fields(raw, run_set, "each run of ablate or sweep-n sets it")
     try:
         return PipelineConfig(selector=selector, generator=generator, **data)
     except TypeError as exc:
@@ -245,7 +252,7 @@ def run_pipeline(config: PipelineConfig, *, stages: _Stages | None = None) -> Pi
         gen_config = dataclasses.replace(
             config.generator, seed=config.seed + 2, ca_enabled=(config.variant == "RET_PS_CA")
         )
-        gen_model, generator_losses = train_generator(train_records, gen_config, vocab=shared.vocab)
+        gen_model, generator_losses = train_generator(train_records, gen_config, shared.vocab)
         paths["generator_model"] = str(out / "generator.json")
         save_generator(paths["generator_model"], gen_model)
 

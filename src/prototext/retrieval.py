@@ -17,7 +17,9 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import InvalidConfig, ParseError, UnknownDocument
-from .tabledata import Corpus, Example, Table, linearize_table, read_jsonl, unique_id, write_jsonl
+from .tabledata import (
+    Corpus, Example, Table, json_int, linearize_table, read_jsonl, unique_id, write_jsonl
+)
 from .tokenization import RESERVED_TOKENS, tokenize
 
 __all__ = [
@@ -167,15 +169,14 @@ def filter_leakage(candidates: CandidateSet, corpus: Corpus, reference: str) -> 
 
 
 def retrieve_candidates(
-    index: InvertedIndex, examples: Sequence[Example], m: int, corpus: Corpus | None = None
+    index: InvertedIndex, examples: Sequence[Example], m: int, corpus: Corpus
 ) -> dict[int, CandidateSet]:
-    """Each example's top-m candidates by table id, in example order; with a corpus,
-    leakage-filtered against the example's reference."""
-    sets = {}
-    for ex in examples:
-        cands = retrieve(index, ex.table, m, table_id=ex.id)
-        sets[ex.id] = cands if corpus is None else filter_leakage(cands, corpus, ex.reference)
-    return sets
+    """Each example's top-m candidates by table id, in example order, leakage-filtered
+    against the example's reference."""
+    return {
+        ex.id: filter_leakage(retrieve(index, ex.table, m, table_id=ex.id), corpus, ex.reference)
+        for ex in examples
+    }
 
 
 def write_candidate_sets(path: str | Path, candidate_sets: Sequence[CandidateSet]) -> None:
@@ -187,13 +188,19 @@ def write_candidate_sets(path: str | Path, candidate_sets: Sequence[CandidateSet
 
 
 def read_candidate_sets(path: str | Path) -> list[CandidateSet]:
-    """Read a candidates file; a repeated ``table_id`` is a ParseError."""
+    """Read a candidates file; a repeated ``table_id``, or a sentence id repeated
+    within one set, is a ParseError."""
     seen: set[int] = set()
 
     def parse(record: dict) -> CandidateSet:
-        table_id = unique_id(record, "table_id", seen)
-        entries = tuple((int(sid), float(score)) for sid, score in record["candidates"])
-        return CandidateSet(table_id=table_id, entries=entries)
+        table_id = unique_id(record.get("table_id"), "table_id", seen)
+        sids: set[int] = set()
+        entries = []
+        for sid, score in record["candidates"]:
+            if type(score) not in (int, float) or not math.isfinite(score):
+                raise ParseError(f"candidate score must be a finite number, got {score!r}")
+            entries.append((unique_id(sid, "sentence id", sids), float(score)))
+        return CandidateSet(table_id=table_id, entries=tuple(entries))
 
     return list(read_jsonl(path, parse))
 
@@ -224,15 +231,13 @@ def load_index(path: str | Path) -> InvertedIndex:
     def parse_header(record: dict) -> None:
         if record.get("format") != INDEX_FORMAT or record.get("version") != INDEX_VERSION:
             raise ParseError("not a recognized index file")
-        header.update(doc_count=int(record["doc_count"]), avgdl=float(record["avgdl"]))
+        doc_count = json_int(record["doc_count"], "doc_count")
+        header.update(doc_count=doc_count, avgdl=float(record["avgdl"]))
 
     def parse_lengths(record: dict) -> None:
-        pairs = record["doc_lengths"]
-        doc_lengths.update((int(sid), int(n)) for sid, n in pairs)
-        if len(doc_lengths) != len(pairs):
-            raise ParseError(f"{len(pairs) - len(doc_lengths)} repeated doc ids in document lengths")
-        if min(doc_lengths.values(), default=0) < 0:
-            raise ParseError(f"negative document length {min(doc_lengths.values())}")
+        seen: set[int] = set()
+        for sid, n in record["doc_lengths"]:
+            doc_lengths[unique_id(sid, "doc id", seen)] = json_int(n, "document length")
         if len(doc_lengths) != header["doc_count"]:
             raise ParseError(
                 f"doc_count {header['doc_count']} but {len(doc_lengths)} document lengths"
@@ -246,10 +251,10 @@ def load_index(path: str | Path) -> InvertedIndex:
     def parse_postings(record: dict) -> None:
         entries: list[tuple[int, int]] = []
         for d, tf in record["postings"]:
-            # one lookup both converts a doc id to int and rejects an unindexed one
-            sid, tf = doc_ids.get(d), int(tf)
+            # the indexed id object, so the postings of a document share one int
+            sid, tf = doc_ids.get(json_int(d, "posting doc id")), json_int(tf, "term frequency")
             if sid is None:
-                raise ParseError(f"posting for unindexed document {d!r}")
+                raise ParseError(f"posting for unindexed document {d}")
             if entries and sid <= entries[-1][0]:
                 raise ParseError(f"posting doc ids not strictly increasing at document {sid}")
             # a term frequency within the length also keeps BM25 from dividing by

@@ -106,7 +106,6 @@ class PrototypeSet:
 
     table_id: int
     entries: tuple[tuple[int, float], ...]
-    n: int
 
     def ids(self) -> list[int]:
         return [sid for sid, _ in self.entries]
@@ -381,7 +380,7 @@ def select_top_n(
         h = _pooled(model.embeddings, _pair_ids(model.vocab, t_ids, corpus.get(sid).tokens))
         scored.append((sid, _score(model.projection, model.bias, h)))
     scored.sort(key=lambda e: (-e[1], e[0]))
-    return PrototypeSet(table_id=candidates.table_id, entries=tuple(scored[:n]), n=n)
+    return PrototypeSet(table_id=candidates.table_id, entries=tuple(scored[:n]))
 
 
 def select_prototypes(
@@ -439,15 +438,16 @@ def write_augmented_dataset(path: str | Path, records: Iterable[AugmentedRecord]
 
 def read_augmented_dataset(path: str | Path, examples: Sequence[Example]) -> list[AugmentedRecord]:
     """Join an augmented-dataset file with its tables file; a missing reference is the table's,
-    a repeated ``table_id`` a ParseError."""
+    a repeated ``table_id``, or an id repeated within one ``prototype_ids``, a ParseError."""
     by_id = {ex.id: ex for ex in examples}
     seen: set[int] = set()
 
     def parse(record: dict) -> AugmentedRecord:
-        example = by_id.get(unique_id(record, "table_id", seen))
+        example = by_id.get(unique_id(record.get("table_id"), "table_id", seen))
         if example is None:
             raise ParseError(f"table_id {record['table_id']} not present in tables file")
-        prototype_ids = tuple(map(int, record["prototype_ids"]))
+        pids: set[int] = set()
+        prototype_ids = tuple(unique_id(i, "prototype id", pids) for i in record["prototype_ids"])
         prototypes = tuple(record["prototypes"])
         if len(prototype_ids) != len(prototypes):
             raise ParseError(f"{len(prototype_ids)} prototype_ids but {len(prototypes)} prototypes")

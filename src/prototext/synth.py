@@ -307,10 +307,14 @@ def synth_benchmark(spec: SyntheticSpec, out_dir: str | Path) -> dict[str, str]:
 
 
 def read_labels(path: str | Path) -> dict[int, set[int]]:
-    """Read a labels file; a repeated ``table_id`` is a ParseError."""
+    """Read a labels file; a repeated ``table_id``, or an id repeated within one
+    ``relevant_ids``, is a ParseError."""
     seen: set[int] = set()
 
     def parse(record: dict) -> tuple[int, set[int]]:
-        return unique_id(record, "table_id", seen), set(map(int, record["relevant_ids"]))
+        relevant: set[int] = set()
+        for sid in record["relevant_ids"]:
+            unique_id(sid, "relevant id", relevant)
+        return unique_id(record.get("table_id"), "table_id", seen), relevant
 
     return dict(read_jsonl(path, parse))

@@ -104,9 +104,6 @@ class Corpus:
     def __iter__(self) -> Iterator[Sentence]:
         return iter(self.sentences)
 
-    def __contains__(self, sid: int) -> bool:
-        return sid in self._by_id
-
     def get(self, sid: int) -> Sentence:
         try:
             return self._by_id[sid]
@@ -189,17 +186,20 @@ def read_model_file(path: str | Path, kind: str, build: Callable[[dict], T]) -> 
         raise ParseError(f"malformed {kind} model file: {exc}", path=str(path)) from exc
 
 
-def unique_id(record: dict, key: str, seen: set[int]) -> int:
-    """``record[key]``, the one rule for every id field of a JSONL file: a
-    non-negative int that is not a bool; one already in ``seen`` is a
-    :class:`DuplicateId`."""
-    rid = record.get(key)
-    if not isinstance(rid, int) or isinstance(rid, bool) or rid < 0:
-        raise ParseError(f"{key!r} must be a non-negative integer")
-    if rid in seen:
-        raise DuplicateId(rid, key)
-    seen.add(rid)
-    return rid
+def json_int(value, name: str) -> int:
+    """``value``, by the one rule for every integer of a JSONL file: a non-negative
+    int that is not a bool; anything else is a ParseError naming ``name``."""
+    if type(value) is not int or value < 0:  # a JSON true or false is a bool, not an int
+        raise ParseError(f"{name} must be a non-negative integer, got {value!r}")
+    return value
+
+
+def unique_id(value, name: str, seen: set[int]) -> int:
+    """:func:`json_int` of ``value``, added to ``seen``; one already there is a DuplicateId."""
+    if json_int(value, name) in seen:
+        raise DuplicateId(value, name)
+    seen.add(value)
+    return value
 
 
 def parse_tables_file(path: str | Path) -> list[Example]:
@@ -207,7 +207,7 @@ def parse_tables_file(path: str | Path) -> list[Example]:
     seen: set[int] = set()
 
     def parse(record: dict) -> Example:
-        rid = unique_id(record, "id", seen)
+        rid = unique_id(record.get("id"), "id", seen)
         pairs = record.get("pairs")
         if not isinstance(pairs, list) or not pairs:
             raise ParseError("'pairs' must be a non-empty array")
@@ -231,7 +231,7 @@ def load_corpus(path: str | Path) -> Corpus:
     seen: set[int] = set()
 
     def parse(record: dict) -> Sentence:
-        rid = unique_id(record, "id", seen)
+        rid = unique_id(record.get("id"), "id", seen)
         text = record.get("text")
         if not isinstance(text, str):
             raise ParseError("'text' must be a string")

@@ -1,10 +1,12 @@
+import argparse
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from prototext.cli import main
+from prototext.cli import build_parser, main
 from prototext.generator import GeneratorTrainConfig, init_generator, save_generator, write_outputs
 from prototext.retrieval import build_index, retrieve, save_index, write_candidate_sets
 from prototext.selector import (
@@ -142,6 +144,27 @@ def _term_frequency_above_length(lines):
     return 3
 
 
+def _edit_at(line, path, value):
+    """Replace the item at ``path`` (keys and indices) in the record on one line
+    with ``value`` of it."""
+
+    def edit(lines):
+        record = json.loads(lines[line - 1])
+        *outer, last = path
+        target = record
+        for key in outer:
+            target = target[key]
+        target[last] = value(target[last])
+        lines[line - 1] = json.dumps(record).encode()
+        return line
+
+    return edit
+
+
+def _repeat_first(items):
+    return items[:1] * 2 + items[2:]
+
+
 def _non_utf8_text(lines):
     lines[1] = lines[1].replace(b'"text": "', b'"text": "\xff', 1)
     return 2
@@ -155,6 +178,22 @@ MALFORMED_JSONL = [
     pytest.param("candidates", _set(1, table_id=0.5), id="candidates-table-id-float"),
     pytest.param("candidates", _set(1, candidates=[[1]]), id="candidates-entry-not-a-pair"),
     pytest.param("candidates", _repeat_first_table_id, id="candidates-repeated-table-id"),
+    pytest.param(
+        "candidates", _edit_at(1, ("candidates", 0, 0), lambda sid: sid + 0.7),
+        id="candidates-sentence-id-float",
+    ),
+    pytest.param(
+        "candidates", _edit_at(1, ("candidates", 0, 0), lambda sid: True),
+        id="candidates-sentence-id-true",
+    ),
+    pytest.param(
+        "candidates", _edit_at(1, ("candidates",), _repeat_first),
+        id="candidates-repeated-sentence-id",
+    ),
+    pytest.param(
+        "candidates", _edit_at(1, ("candidates", 0, 1), lambda score: float("nan")),
+        id="candidates-score-nan",
+    ),
     pytest.param("augmented", _replace(1, b"[1, 2]"), id="augmented-not-an-object"),
     pytest.param("augmented", _set(1, prototype_ids=5), id="augmented-ids-not-a-list"),
     pytest.param(
@@ -162,6 +201,14 @@ MALFORMED_JSONL = [
     ),
     pytest.param("augmented", _set(1, table_id=[1]), id="augmented-table-id-list"),
     pytest.param("augmented", _repeat_first_line, id="augmented-repeated-table-id"),
+    pytest.param(
+        "augmented", _edit_at(1, ("prototype_ids", 0), lambda sid: sid + 0.5),
+        id="augmented-prototype-id-float",
+    ),
+    pytest.param(
+        "augmented", _edit_at(1, ("prototype_ids",), _repeat_first),
+        id="augmented-repeated-prototype-id",
+    ),
     pytest.param("index", _replace(1, b"[1]"), id="index-header-not-an-object"),
     pytest.param("index", _set(1, doc_count="x"), id="index-doc-count-string"),
     pytest.param("index", _header_avgdl(0.0), id="index-avgdl-zero"),
@@ -176,6 +223,15 @@ MALFORMED_JSONL = [
     ),
     pytest.param("index", _repeated_doc_length, id="index-repeated-doc-length"),
     pytest.param("index", _wrong_avgdl, id="index-avgdl-mismatch"),
+    pytest.param(
+        "index", _edit_at(2, ("doc_lengths", 0, 1), lambda n: n + 0.5),
+        id="index-doc-length-float",
+    ),
+    pytest.param("index", _edit_at(3, ("postings", 0, 0), float), id="index-posting-doc-id-float"),
+    pytest.param(
+        "index", _edit_at(3, ("postings", 0, 1), lambda tf: tf + 0.5),
+        id="index-term-frequency-float",
+    ),
     pytest.param("corpus", _non_utf8_text, id="corpus-not-utf8"),
     pytest.param("corpus", _repeat_first_line, id="corpus-repeated-id"),
     pytest.param("outputs", _set(1, output=5), id="outputs-output-not-text"),
@@ -196,12 +252,13 @@ class TestExitCodes:
         argv = {
             "corpus": ["index", "--corpus", str(bad), "--out", out],
             "index": ["retrieve", "--index", str(bad), "--tables", tiny_bench["test_tables"],
-                      "--out", out],
+                      "--corpus", tiny_bench["corpus"], "--out", out],
             "candidates": ["train-selector", "--corpus", tiny_bench["corpus"],
                            "--tables", tiny_bench["train_tables"], "--candidates", str(bad),
                            "--out", out],
             "augmented": ["train-generator", "--dataset", str(bad),
-                          "--tables", tiny_bench["train_tables"], "--out", out],
+                          "--tables", tiny_bench["train_tables"], "--corpus", tiny_bench["corpus"],
+                          "--out", out],
             "outputs": ["eval", "--hyp", str(bad), "--ref", tiny_bench["train_tables"],
                         "--out", out],
         }[kind]
@@ -240,7 +297,7 @@ class TestExitCodes:
         assert run_cli("index", "--corpus", tiny_bench["corpus"], "--out", str(index)) == 0
         assert run_cli(
             "retrieve", "--index", str(index), "--tables", tiny_bench["train_tables"],
-            "--out", str(cands),
+            "--corpus", tiny_bench["corpus"], "--out", str(cands),
         ) == 0
         cfg = tmp_path / "bad.json"
         cfg.write_text(content, encoding="utf-8")
@@ -254,6 +311,42 @@ class TestExitCodes:
         assert "internal error" not in capsys.readouterr().err
         assert not out.exists()
 
+    def test_config_field_a_run_sets_is_config_error(self, tiny_bench, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        paths = {
+            "corpus_path": tiny_bench["corpus"],
+            "train_tables_path": tiny_bench["train_tables"],
+            "test_tables_path": tiny_bench["test_tables"],
+            "out_dir": str(tmp_path / "out"),
+        }
+        cfg.write_text(json.dumps({**paths, "variant": "BASE"}), encoding="utf-8")
+        assert run_cli("ablate", "--config", str(cfg)) == 1
+        assert "config field variant" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "section, field",
+        [
+            ({"ca_enabled": 1}, "generator.ca_enabled"),
+            ({"max_decode_len": 3}, "generator.max_decode_len"),
+        ],
+        ids=["ca_enabled-not-a-bool", "max_decode_len-unread"],
+    )
+    def test_bad_train_generator_config_is_config_error(
+        self, tiny_bench, stage_files, tmp_path, capsys, section, field
+    ):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"generator": section}), encoding="utf-8")
+        out = tmp_path / "generator.json"
+        code = run_cli(
+            "train-generator", "--config", str(cfg), "--dataset", str(stage_files["augmented"]),
+            "--tables", tiny_bench["train_tables"], "--corpus", tiny_bench["corpus"],
+            "--out", str(out),
+        )
+        assert code == 1
+        assert f"config field {field}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_corrupt_index_lengths_line_is_data_error(self, tiny_bench, tmp_path, capsys):
         index = tmp_path / "index.jsonl"
         assert run_cli("index", "--corpus", tiny_bench["corpus"], "--out", str(index)) == 0
@@ -262,7 +355,7 @@ class TestExitCodes:
         index.write_text("".join(lines), encoding="utf-8")
         code = run_cli(
             "retrieve", "--index", str(index), "--tables", tiny_bench["test_tables"],
-            "--out", str(tmp_path / "cands.jsonl"),
+            "--corpus", tiny_bench["corpus"], "--out", str(tmp_path / "cands.jsonl"),
         )
         assert code == 2
         assert f"{index}:line 2" in capsys.readouterr().err
@@ -286,20 +379,23 @@ class TestExitCodes:
 STAGE_ARGV = {
     "synth": ["--out-dir", "d"],
     "index": ["--corpus", "c", "--out", "o"],
-    "retrieve": ["--index", "i", "--tables", "t", "--out", "o"],
+    "retrieve": ["--index", "i", "--tables", "t", "--corpus", "c", "--out", "o"],
     "train-selector": ["--corpus", "c", "--tables", "t", "--candidates", "k", "--out", "o"],
     "select": ["--model", "m", "--corpus", "c", "--tables", "t", "--candidates", "k", "--out", "o"],
-    "train-generator": ["--dataset", "a", "--tables", "t", "--out", "o"],
+    "train-generator": ["--dataset", "a", "--tables", "t", "--corpus", "c", "--out", "o"],
     "generate": ["--model", "m", "--tables", "t", "--out", "o"],
     "eval": ["--hyp", "h", "--ref", "r", "--out", "o"],
 }
-FLAG_VALUES = {"--config": "config.json", "--seed": "9", "--out-dir": "elsewhere"}
+FLAG_VALUES = {
+    "--config": "config.json", "--seed": "9", "--out-dir": "elsewhere", "--max-decode-len": "3"
+}
 UNREAD_FLAGS = [
     *((command, flag) for command in ("index", "retrieve", "select", "generate", "eval")
-      for flag in FLAG_VALUES),
+      for flag in ("--config", "--seed", "--out-dir")),
     ("synth", "--config"),
     ("train-selector", "--out-dir"),
     ("train-generator", "--out-dir"),
+    ("train-generator", "--max-decode-len"),
 ]
 
 
@@ -309,6 +405,46 @@ def test_flag_a_command_does_not_read_is_usage_error(tmp_path, monkeypatch, caps
     assert run_cli(command, *STAGE_ARGV[command], flag, FLAG_VALUES[flag]) == 1
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["retrieve", "train-generator"])
+def test_stage_without_corpus_is_usage_error(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    argv = STAGE_ARGV[command]
+    at = argv.index("--corpus")
+    assert run_cli(command, *argv[:at], *argv[at + 2:]) == 1
+    assert "required: --corpus" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _readme_flag_table():
+    """``{command: (required flags, optional flags)}`` from README's flag table."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = readme.split("Each command takes only the flags it reads:")[1].split("\n\n")[1]
+    table = {}
+    for row in rows.splitlines()[2:]:
+        command, required, optional = row.split("|")[1:-1]
+        flags = (set(re.findall(r"--[a-z-]+", cell)) for cell in (required, optional))
+        table[command.strip(" `")] = tuple(flags)
+    return table
+
+
+# Required flags that the command's handler checks, not argparse.
+HANDLER_REQUIRED = {"synth": {"--out-dir"}, "ablate": {"--config"}, "sweep-n": {"--config"}}
+
+
+def test_readme_flag_table_matches_parser():
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    table = _readme_flag_table()
+    assert set(table) == set(subparsers.choices)
+    for command, parser in subparsers.choices.items():
+        actions = [a for a in parser._actions if "--help" not in a.option_strings]
+        flags = {flag for a in actions for flag in a.option_strings}
+        required = {a.option_strings[0] for a in actions if a.required}
+        required |= HANDLER_REQUIRED.get(command, set())
+        assert table[command] == (required, flags - required), command
 
 
 def test_train_selector_without_candidates_for_a_table_is_data_error(

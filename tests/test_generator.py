@@ -27,8 +27,8 @@ from prototext.generator import (
     save_generator,
     train_generator,
 )
-from prototext.selector import AugmentedRecord
-from prototext.tabledata import Table
+from prototext.selector import AugmentedRecord, shared_vocabulary
+from prototext.tabledata import Corpus, Example, Sentence, Table
 from prototext.tokenization import SEP
 from prototext.vocab import Vocabulary
 
@@ -270,19 +270,30 @@ def make_records(vocab_words, n=4):
     return records
 
 
+def vocab_of(records):
+    """The shared vocabulary of the records' tables and references, with their
+    prototypes as the corpus."""
+    corpus = Corpus(
+        Sentence.from_text(sid, text)
+        for rec in records
+        for sid, text in zip(rec.prototype_ids, rec.prototypes)
+    )
+    return shared_vocabulary(corpus, [Example(r.table_id, r.table, r.reference) for r in records])
+
+
 class TestTrainGenerator:
     def test_zero_epochs_returns_initialized_model(self):
         records = make_records(["ada", "bob", "cid", "dee"])
         config = small_config(epochs=0, max_context=64)
-        model, losses = train_generator(records, config)
+        model, losses = train_generator(records, config, vocab_of(records))
         assert losses == []
         assert not model.params["w_out"].any()
 
     def test_deterministic_under_seed(self):
         records = make_records(["ada", "bob", "cid", "dee"])
         config = small_config(epochs=2, max_context=64, seed=9)
-        m1, l1 = train_generator(records, config)
-        m2, l2 = train_generator(records, config)
+        m1, l1 = train_generator(records, config, vocab_of(records))
+        m2, l2 = train_generator(records, config, vocab_of(records))
         assert l1 == l2
         for key in m1.params:
             assert np.array_equal(m1.params[key], m2.params[key])
@@ -290,12 +301,12 @@ class TestTrainGenerator:
     def test_loss_decreases(self):
         records = make_records(["ada", "bob", "cid", "dee"])
         config = small_config(epochs=15, max_context=64, seed=2, dim=16)
-        _, losses = train_generator(records, config)
+        _, losses = train_generator(records, config, vocab_of(records))
         assert losses[-1] < losses[0]
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(InvalidConfig):
-            train_generator([], small_config())
+            train_generator([], small_config(), Vocabulary.build([]))
 
     def test_overlong_record_skipped_with_warning(self, caplog):
         records = make_records(["ada", "bob"], n=2)
@@ -311,7 +322,7 @@ class TestTrainGenerator:
         )
         config = small_config(epochs=1, max_context=32)
         with caplog.at_level(logging.WARNING):
-            model, losses = train_generator(records, config)
+            model, losses = train_generator(records, config, vocab_of(records))
         assert "99" in caplog.text
         assert len(losses) == 1
 

@@ -73,6 +73,20 @@ class TestConfig:
         with pytest.raises(InvalidConfig, match=f"{section}.{next(iter(fields))}"):
             config_from_dict({"corpus_path": "x", section: fields})
 
+    @pytest.mark.parametrize(
+        "raw, field",
+        [
+            ({"variant": "BASE"}, "variant"),
+            ({"selector": {"seed": 77}}, "selector.seed"),
+            ({"generator": {"seed": 88}}, "generator.seed"),
+            ({"generator": {"ca_enabled": False}}, "generator.ca_enabled"),
+        ],
+        ids=["variant", "selector.seed", "generator.seed", "generator.ca_enabled"],
+    )
+    def test_field_a_run_sets_rejected(self, raw, field):
+        with pytest.raises(InvalidConfig, match=f"config field {field} cannot be set"):
+            config_from_dict({"corpus_path": "x", **raw})
+
     def test_int_learning_rate_accepted(self):
         raw = {"generator": {"learning_rate": 1}}
         config = pipeline.section_config(GeneratorTrainConfig, "generator", raw)

@@ -184,19 +184,18 @@ class TestFilterLeakage:
         assert once.ids() == [2]
 
 
-def test_retrieve_candidates_filters_only_with_a_corpus():
+def test_retrieve_candidates_is_filtered_retrieval_per_table():
     corpus = corpus_of("alpha beta", "alpha gamma", "beta delta")
     index = build_index(corpus)
     examples = [
         Example(7, table_of(("alpha", "beta")), "Alpha  beta"),
         Example(3, table_of(("delta", "x")), "y"),
     ]
-    raw = retrieve_candidates(index, examples, 10)
-    assert list(raw) == [7, 3]
-    assert raw == {ex.id: retrieve(index, ex.table, 10, table_id=ex.id) for ex in examples}
-    filtered = retrieve_candidates(index, examples, 10, corpus)
-    assert filtered == {ex.id: filter_leakage(raw[ex.id], corpus, ex.reference) for ex in examples}
-    assert 1 in raw[7].ids() and 1 not in filtered[7].ids()
+    sets = retrieve_candidates(index, examples, 10, corpus)
+    assert list(sets) == [7, 3]
+    raw = {ex.id: retrieve(index, ex.table, 10, table_id=ex.id) for ex in examples}
+    assert sets == {ex.id: filter_leakage(raw[ex.id], corpus, ex.reference) for ex in examples}
+    assert 1 in raw[7].ids() and 1 not in sets[7].ids()
 
 
 class TestIndexPersistence:

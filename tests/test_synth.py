@@ -56,6 +56,25 @@ class TestGeneratedShape:
         with pytest.raises(ParseError, match="line 2: duplicate table_id 4"):
             read_labels(path)
 
+    @pytest.mark.parametrize(
+        "relevant_ids, message",
+        [
+            ([1, 2.5], "relevant id must be a non-negative integer"),
+            ([True], "relevant id must be a non-negative integer"),
+            ([3, 3], "duplicate relevant id 3"),
+        ],
+        ids=["float", "true", "repeated"],
+    )
+    def test_bad_relevant_id_in_labels_rejected(self, tmp_path, relevant_ids, message):
+        path = tmp_path / "labels.jsonl"
+        records = [
+            {"table_id": 4, "relevant_ids": [1, 2]},
+            {"table_id": 5, "relevant_ids": relevant_ids},
+        ]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        with pytest.raises(ParseError, match=f"line 2: {message}"):
+            read_labels(path)
+
     def test_byte_identical_under_same_seed(self, tmp_path):
         spec = SyntheticSpec(num_entities=12, corpus_size=60, vocab_size=160, seed=4)
         p1 = synth_benchmark(spec, tmp_path / "a")
