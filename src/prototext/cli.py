@@ -38,10 +38,9 @@ from .pipeline import (
     dump_json,
     load_config,
     read_config_file,
-    reject_fields,
     run_ablation,
-    section_config,
     sweep_n,
+    typed_config,
 )
 from .retrieval import (
     build_index,
@@ -82,31 +81,29 @@ _SHARED_FLAGS = {
 }
 
 
-def _stage_config(args, cls, section: str):
-    """A stage's config: the --config section, then each flag that was given.
-    A flag's dest is the name of the config field it sets, and a command reads
-    only the fields it has a flag for, so the section may set no other."""
-    raw = read_config_file(args.config) if args.config else {}
+def int_list(text: str) -> list[int]:
+    """Comma-separated integers; argparse makes the ValueError of a bad item a usage error."""
+    return [int(item) for item in text.split(",")]
+
+
+def _given(args, cls) -> dict:
+    """The flags given for fields of ``cls``; a flag's dest is the field it sets."""
     names = [f.name for f in dataclasses.fields(cls)]
-    flags = {name: getattr(args, name) for name in names if hasattr(args, name)}
-    config = section_config(cls, section, raw, **flags)
-    unread = [f"{section}.{name}" for name in names if name not in flags]
-    reject_fields(raw, unread, f"{args.command} does not read it")
-    return config
+    return {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
+
+
+def _stage_config(args, cls, section: str):
+    """A stage's config: the --config file's ``section``, then each flag that was given.
+    A command reads only the fields it has a flag for, so the section may set no other."""
+    raw = read_config_file(args.config) if args.config else {}
+    unread = [f"{section}.{f.name}" for f in dataclasses.fields(cls) if not hasattr(args, f.name)]
+    return typed_config(cls, raw, section, unread, **_given(args, cls))
 
 
 def _cmd_synth(args) -> None:
     if not args.out_dir:
         raise UsageError("synth requires --out-dir")
-    spec = SyntheticSpec(
-        num_entities=args.entities,
-        attributes_per_entity=args.attributes,
-        corpus_size=args.corpus_size,
-        distractor_ratio=args.distractor_ratio,
-        vocab_size=args.vocab_size,
-        seed=args.seed if args.seed is not None else 13,
-    )
-    paths = synth_benchmark(spec, args.out_dir)
+    paths = synth_benchmark(SyntheticSpec(**_given(args, SyntheticSpec)), args.out_dir)
     for kind, path in paths.items():
         print(f"{kind}: {path}")
 
@@ -218,8 +215,7 @@ def _pipeline_config(args) -> PipelineConfig:
 def _cmd_ablate(args) -> None:
     config = _pipeline_config(args)
     variants = args.variants.split(",") if args.variants else list(VARIANTS)
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else None
-    payload = run_ablation(config, variants, seeds)
+    payload = run_ablation(config, variants, args.seeds)
     for row in payload["rows"]:
         print(
             f"{row['variant']:10s} median BLEU-4 {row['median_bleu4']:.4f} "
@@ -230,8 +226,7 @@ def _cmd_ablate(args) -> None:
 
 def _cmd_sweep_n(args) -> None:
     config = _pipeline_config(args)
-    n_values = [int(s) for s in args.n_values.split(",")]
-    payload = sweep_n(config, n_values)
+    payload = sweep_n(config, args.n_values)
     for row in payload["rows"]:
         print(f"n={row['n']:3d} BLEU-4 {row['bleu4']:.4f} ROUGE-4 {row['rouge4_f']:.4f}")
     print(f"report -> {Path(config.out_dir) / 'sweep.json'}")
@@ -249,11 +244,11 @@ def build_parser() -> _Parser:
         return p
 
     p = sub("synth", _cmd_synth, "generate the synthetic benchmark files", "--seed", "--out-dir")
-    p.add_argument("--entities", type=int, default=50)
-    p.add_argument("--attributes", type=int, default=4)
-    p.add_argument("--corpus-size", type=int, default=500)
-    p.add_argument("--distractor-ratio", type=float, default=0.5)
-    p.add_argument("--vocab-size", type=int, default=500)
+    p.add_argument("--entities", type=int, dest="num_entities")
+    p.add_argument("--attributes", type=int, dest="attributes_per_entity")
+    p.add_argument("--corpus-size", type=int)
+    p.add_argument("--distractor-ratio", type=float)
+    p.add_argument("--vocab-size", type=int)
 
     p = sub("index", _cmd_index, "build an inverted index from a corpus file")
     p.add_argument("--corpus", required=True)
@@ -262,7 +257,7 @@ def build_parser() -> _Parser:
     p = sub("retrieve", _cmd_retrieve, "retrieve top-m candidates for each table")
     p.add_argument("--index", required=True)
     p.add_argument("--tables", required=True)
-    p.add_argument("--m", type=int, default=100)
+    p.add_argument("--m", type=int, default=PipelineConfig.m)
     p.add_argument("--corpus", required=True, help="corpus file, for the reference-leakage filter")
     p.add_argument("--out", required=True)
 
@@ -282,7 +277,7 @@ def build_parser() -> _Parser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--tables", required=True)
     p.add_argument("--candidates", required=True)
-    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--n", type=int, default=PipelineConfig.n)
     p.add_argument("--out", required=True)
 
     p = sub("train-generator", _cmd_train_generator, "train the conditional generator",
@@ -301,7 +296,7 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--tables", required=True)
     p.add_argument("--dataset", help="conditioning records; omit for table-only input")
-    p.add_argument("--max-len", type=int, default=64)
+    p.add_argument("--max-len", type=int, default=GeneratorTrainConfig.max_decode_len)
     p.add_argument("--out", required=True)
 
     p = sub("eval", _cmd_eval, "score hypotheses against references")
@@ -313,10 +308,10 @@ def build_parser() -> _Parser:
     pipeline_flags = ("--config", "--seed", "--out-dir")
     p = sub("ablate", _cmd_ablate, "run the system-variant ladder", *pipeline_flags)
     p.add_argument("--variants", help="comma-separated subset of " + ",".join(VARIANTS))
-    p.add_argument("--seeds", help="comma-separated seeds (default: config seed)")
+    p.add_argument("--seeds", type=int_list, help="comma-separated seeds (default: config seed)")
 
     p = sub("sweep-n", _cmd_sweep_n, "sweep the prototype count", *pipeline_flags)
-    p.add_argument("--n-values", required=True, help="comma-separated n values")
+    p.add_argument("--n-values", type=int_list, required=True, help="comma-separated n values")
 
     return parser
 

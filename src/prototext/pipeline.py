@@ -25,7 +25,7 @@ import statistics
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_args, get_type_hints
 
 from .errors import AllTies, InvalidConfig, StageError
 from .evaluation import EvalReport, evaluate_pairs, precision_at_k, sign_test
@@ -87,46 +87,49 @@ class PipelineConfig:
             raise InvalidConfig("seed must be a non-negative integer")
 
 
-def section_config(cls, section: str, raw: dict, **overrides):
-    """``raw[section]`` as a SelectorTrainConfig or GeneratorTrainConfig ``cls``, each
-    override that is not None on top. A section that is not an object, an unknown field
-    and a value not of its field's type (an int does for a float) are InvalidConfig."""
-    values = raw.get(section, {})
-    if not isinstance(values, dict):
-        raise InvalidConfig(f"config section {section!r} must be an object")
-    values = {**values, **{k: v for k, v in overrides.items() if v is not None}}
-    for f in dataclasses.fields(cls):
-        kind = type(f.default)
-        allowed = (int, float) if kind is float else (kind,)
-        if f.name in values and type(values[f.name]) not in allowed:
-            raise InvalidConfig(f"config field {section}.{f.name} must be a {kind.__name__}")
+# The fields each run of ablate or sweep-n sets itself, or that no command reads.
+RUN_SET = ("variant", "labels_path", "selector.seed", "generator.seed", "generator.ca_enabled")
+
+
+def typed_config(cls, raw: dict, where: str = "", unread: Sequence[str] = (), **overrides):
+    """The config dataclass ``cls`` read from ``raw``, a config file's JSON object: all of
+    it, or with ``where`` its section ``where``, which must be its only key. A field whose
+    type is a dataclass is a section, read the same way. Each override that is not None
+    goes on top. Every key met is InvalidConfig naming its dotted field if ``cls`` lacks
+    it, if ``unread`` names it, or if its value is not exactly of the field's type, save
+    that an int does for a float and None does for an optional field."""
+    if where:
+        stray = [key for key in raw if key != where]
+        if stray:
+            raise InvalidConfig(f"config field {stray[0]} cannot be set: only section {where} is")
+        raw = raw.get(where, {})
+        if not isinstance(raw, dict):
+            raise InvalidConfig(f"config section {where} must be an object")
+    hints = get_type_hints(cls)
+    values = {}
+    for key, value in raw.items():
+        name = f"{where}.{key}" if where else key
+        if key not in hints:
+            raise InvalidConfig(f"unknown config field {name}")
+        if name in unread:
+            raise InvalidConfig(f"config field {name} cannot be set: the command sets or ignores it")
+        kind = hints[key]
+        if dataclasses.is_dataclass(kind):
+            value = typed_config(kind, {name: value}, name, unread)
+        elif type(value) not in (get_args(kind) or ((float, int) if kind is float else (kind,))):
+            kind_name = getattr(kind, "__name__", kind)
+            raise InvalidConfig(f"config field {name} must be {kind_name}, not {type(value).__name__}")
+        values[key] = value
+    values.update((key, value) for key, value in overrides.items() if value is not None)
     try:
         return cls(**values)
     except TypeError as exc:
-        raise InvalidConfig(f"bad config section {section!r}: {exc}") from None
-
-
-def reject_fields(raw: dict, names: Sequence[str], reason: str) -> None:
-    """Each ``section.field`` or top-level field of ``names`` that ``raw`` sets is InvalidConfig;
-    the sections of ``raw`` must be objects, as :func:`section_config` checks."""
-    for name in names:
-        section, _, key = name.rpartition(".")
-        if key in (raw.get(section, {}) if section else raw):
-            raise InvalidConfig(f"config field {name} cannot be set: {reason}")
+        raise InvalidConfig(f"bad config {where or 'file'}: {exc}") from None
 
 
 def config_from_dict(raw: dict, **overrides) -> PipelineConfig:
-    """Build a config from a JSON-shaped dict; unknown keys and fields each run sets are errors."""
-    data = {k: v for k, v in raw.items() if k not in ("selector", "generator")}
-    data.update({k: v for k, v in overrides.items() if v is not None})
-    selector = section_config(SelectorTrainConfig, "selector", raw)
-    generator = section_config(GeneratorTrainConfig, "generator", raw)
-    run_set = ("variant", "selector.seed", "generator.seed", "generator.ca_enabled")
-    reject_fields(raw, run_set, "each run of ablate or sweep-n sets it")
-    try:
-        return PipelineConfig(selector=selector, generator=generator, **data)
-    except TypeError as exc:
-        raise InvalidConfig(f"bad config structure: {exc}") from None
+    """An ablate or sweep-n config from a config file's object; no field of RUN_SET may be set."""
+    return typed_config(PipelineConfig, raw, "", RUN_SET, **overrides)
 
 
 def read_config_file(path: str | Path) -> dict:
@@ -300,12 +303,14 @@ def run_ablation(
     Adjacent variant pairs get a sign test over per-example ROUGE-4
     values pooled across seeds (paired by seed and example).
     """
-    if len(variants) < 2:
-        raise InvalidConfig("ablation needs at least two variants")
+    if len(variants) < 2 or len(set(variants)) < len(variants):
+        raise InvalidConfig(f"ablation needs two or more distinct variants, got {list(variants)}")
     for v in variants:
         if v not in VARIANTS:
             raise InvalidConfig(f"unknown variant {v!r}")
     seeds = list(seeds) if seeds else [config.seed]
+    if len(set(seeds)) < len(seeds):
+        raise InvalidConfig(f"seeds repeat: {seeds}")
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stages = _Stages()
@@ -355,8 +360,8 @@ def run_ablation(
 
 def sweep_n(config: PipelineConfig, n_values: Sequence[int]) -> dict:
     """Prototype-count sweep for the full variant under a shared seed."""
-    if not n_values:
-        raise InvalidConfig("sweep needs at least one n value")
+    if not n_values or len(set(n_values)) < len(n_values):
+        raise InvalidConfig(f"sweep needs one or more distinct n values, got {list(n_values)}")
     for n in n_values:
         if n < 1:
             raise InvalidConfig("n must be >= 1 (the BASE variant covers n = 0)")

@@ -8,6 +8,7 @@ import pytest
 
 from prototext.cli import build_parser, main
 from prototext.generator import GeneratorTrainConfig, init_generator, save_generator, write_outputs
+from prototext.pipeline import RUN_SET
 from prototext.retrieval import build_index, retrieve, save_index, write_candidate_sets
 from prototext.selector import (
     SelectorModel,
@@ -239,6 +240,20 @@ MALFORMED_JSONL = [
 ]
 
 
+def write_pipeline_config(tiny_bench, **fields):
+    """An ablate/sweep-n config.json in the working directory, writing runs to ``out``."""
+    cfg = {
+        "corpus_path": tiny_bench["corpus"],
+        "train_tables_path": tiny_bench["train_tables"],
+        "test_tables_path": tiny_bench["test_tables"],
+        "out_dir": "out",
+        "selector": {"epochs": 1},
+        "generator": {"epochs": 1},
+        **fields,
+    }
+    Path("config.json").write_text(json.dumps(cfg), encoding="utf-8")
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("kind, edit", MALFORMED_JSONL)
     def test_malformed_jsonl_line_is_data_error(
@@ -323,6 +338,81 @@ class TestExitCodes:
         assert run_cli("ablate", "--config", str(cfg)) == 1
         assert "config field variant" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n", 2.5), ("m", 50.0), ("seed", True), ("corpus_path", 5), ("out_dir", ["x"]),
+         ("labels_path", "labels.jsonl")],
+    )
+    @pytest.mark.parametrize("command", [["ablate"], ["sweep-n", "--n-values", "1"]])
+    def test_ill_typed_or_unread_pipeline_field_is_config_error(
+        self, tiny_bench, tmp_path, monkeypatch, capsys, command, field, value
+    ):
+        monkeypatch.chdir(tmp_path)
+        write_pipeline_config(tiny_bench, **{field: value})
+        assert run_cli(*command, "--config", "config.json") == 1
+        assert f"config field {field} " in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize(
+        "command, raw, field",
+        [
+            ("train-selector", {"seed": 5, "m": 7, "zzz": 1, "generator": {"epochs": 99},
+                                "selector": {"epochs": 2, "k": 1}}, "seed"),
+            ("train-selector", {"selector": {"epochs": 2}, "m": 7}, "m"),
+            ("train-selector", {"generator": {"epochs": 2}}, "generator"),
+            ("train-generator", {"generator": {"epochs": 2}, "seed": 5}, "seed"),
+            ("train-generator", {"selector": {"epochs": 2}}, "selector"),
+        ],
+        ids=["selector-probe", "selector-top-level", "selector-other-section",
+             "generator-top-level", "generator-other-section"],
+    )
+    def test_stage_config_outside_its_section_is_config_error(
+        self, tiny_bench, stage_files, tmp_path, capsys, command, raw, field
+    ):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(raw), encoding="utf-8")
+        out = tmp_path / "model.json"
+        inputs = {
+            "train-selector": ["--candidates", str(stage_files["candidates"])],
+            "train-generator": ["--dataset", str(stage_files["augmented"])],
+        }[command]
+        code = run_cli(
+            command, "--config", str(cfg), *inputs, "--tables", tiny_bench["train_tables"],
+            "--corpus", tiny_bench["corpus"], "--out", str(out),
+        )
+        assert code == 1
+        assert f"config field {field} cannot be set" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ablate", "--seeds", "1,x"],
+            ["ablate", "--seeds", "1,,2"],
+            ["sweep-n", "--n-values", "1,x"],
+            ["sweep-n", "--n-values", "1,,2"],
+        ],
+    )
+    def test_list_flag_with_a_non_integer_is_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv, "--config", "config.json") == 1
+        assert "invalid int_list value" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["ablate", "--seeds", "1,1"], "seeds repeat"),
+         (["sweep-n", "--n-values", "2,1,2"], "distinct n values")],
+    )
+    def test_repeated_list_item_is_config_error(
+        self, tiny_bench, tmp_path, monkeypatch, capsys, argv, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        write_pipeline_config(tiny_bench)
+        assert run_cli(*argv, "--config", "config.json") == 1
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     @pytest.mark.parametrize(
         "section, field",
@@ -445,6 +535,12 @@ def test_readme_flag_table_matches_parser():
         required = {a.option_strings[0] for a in actions if a.required}
         required |= HANDLER_REQUIRED.get(command, set())
         assert table[command] == (required, flags - required), command
+
+
+def test_readme_run_set_matches_pipeline():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"may not set (.*?) \(`pipeline\.RUN_SET`\)", readme, re.S).group(1)
+    assert tuple(re.findall(r"`([a-z_.]+)`", listed)) == RUN_SET
 
 
 def test_train_selector_without_candidates_for_a_table_is_data_error(
@@ -690,7 +786,6 @@ class TestPipelineCommands:
             "corpus_path": tiny_bench["corpus"],
             "train_tables_path": tiny_bench["train_tables"],
             "test_tables_path": tiny_bench["test_tables"],
-            "labels_path": tiny_bench["labels"],
             "out_dir": str(tmp_path / "out"),
             "seed": 2,
             "selector": {"epochs": 3},

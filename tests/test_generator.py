@@ -196,8 +196,8 @@ def total_loss(model, cond, y, prototypes, ca_enabled):
     """The training loss of one record, through loss_and_grads."""
     y_ids = model.vocab.ids(y)
     neg = negative_token_ids(model.vocab, y, prototypes)
-    loss, _ = loss_and_grads(model, cond.ids, y_ids, neg, ca_enabled)
-    return loss
+    lm, ca, _ = loss_and_grads(model, cond.ids, y_ids, neg if ca_enabled else (), True, True)
+    return lm + ca
 
 
 class TestTotalLoss:

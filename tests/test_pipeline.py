@@ -1,7 +1,9 @@
 import dataclasses
 import json
+import re
 from collections import Counter
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import pytest
 
@@ -9,6 +11,7 @@ from prototext import pipeline
 from prototext.errors import InvalidConfig, StageError
 from prototext.pipeline import (
     VARIANTS,
+    PipelineConfig,
     config_from_dict,
     load_config,
     run_ablation,
@@ -26,6 +29,24 @@ from prototext.selector import (
     training_triples,
 )
 from prototext.tabledata import load_corpus, parse_tables_file
+
+
+# JSON values of the wrong type for each field type; None only where it is not optional.
+WRONG_VALUES = {int: [True, 2.5, None], float: [True, "0.1", None], str: [5, ["x"], None],
+                bool: [1, None]}
+
+
+def wrong_typed_fields():
+    for cls, section in ((PipelineConfig, ""), (SelectorTrainConfig, "selector"),
+                         (GeneratorTrainConfig, "generator")):
+        for key, kind in get_type_hints(cls).items():
+            if dataclasses.is_dataclass(kind):
+                continue
+            name = f"{section}.{key}" if section else key
+            types = get_args(kind) or (kind,)
+            for value in WRONG_VALUES[types[0]]:
+                if type(value) not in types:
+                    yield pytest.param(name, value, id=f"{name}={value!r}")
 
 
 def read_jsonl(path):
@@ -87,9 +108,22 @@ class TestConfig:
         with pytest.raises(InvalidConfig, match=f"config field {field} cannot be set"):
             config_from_dict({"corpus_path": "x", **raw})
 
+    @pytest.mark.parametrize("name, value", list(wrong_typed_fields()))
+    def test_wrong_typed_field_rejected(self, name, value):
+        section, _, key = name.rpartition(".")
+        raw = {"corpus_path": "c", "train_tables_path": "t", "test_tables_path": "s",
+               "out_dir": "o"}
+        raw.update({section: {key: value}} if section else {key: value})
+        with pytest.raises(InvalidConfig, match=rf"config field {re.escape(name)} must be"):
+            pipeline.typed_config(PipelineConfig, raw)
+
+    def test_labels_path_rejected(self):
+        with pytest.raises(InvalidConfig, match="config field labels_path cannot be set"):
+            config_from_dict({"corpus_path": "x", "labels_path": "labels.jsonl"})
+
     def test_int_learning_rate_accepted(self):
         raw = {"generator": {"learning_rate": 1}}
-        config = pipeline.section_config(GeneratorTrainConfig, "generator", raw)
+        config = pipeline.typed_config(GeneratorTrainConfig, raw, "generator")
         assert config == GeneratorTrainConfig(learning_rate=1)
 
     def test_load_config_with_overrides(self, tiny_bench, tmp_path):
@@ -192,6 +226,11 @@ class TestAblation:
         assert payload["sign_tests"][0]["pair"] == ["BASE", "RET"]
         assert (tmp_path / "ablate" / "ablation.json").exists()
 
+    def test_repeated_seed_rejected(self, tiny_config):
+        with pytest.raises(InvalidConfig, match="seeds repeat"):
+            run_ablation(tiny_config(), VARIANTS, [1, 2, 1])
+        assert not Path(tiny_config().out_dir).exists()
+
     def test_needs_two_variants(self, tiny_config):
         with pytest.raises(InvalidConfig):
             run_ablation(tiny_config(), variants=("BASE",))
@@ -252,6 +291,11 @@ class TestSweepN:
         payload = sweep_n(config, [1, 2])
         assert [row["n"] for row in payload["rows"]] == [1, 2]
         assert (tmp_path / "sweep" / "sweep.json").exists()
+
+    def test_repeated_n_rejected(self, tiny_config):
+        with pytest.raises(InvalidConfig, match="distinct n values"):
+            sweep_n(tiny_config(), [2, 2])
+        assert not Path(tiny_config().out_dir).exists()
 
     def test_n_zero_rejected(self, tiny_config):
         with pytest.raises(InvalidConfig):
