@@ -48,7 +48,8 @@ from .errors import InvalidConfig, InputTooLong, ParseError
 from .optim import Adam
 from .selector import AugmentedRecord
 from .tabledata import (
-    Table, linearize_table, read_jsonl, read_model_file, unique_id, write_jsonl, write_model_file
+    Table, json_int, json_numbers, read_jsonl, read_model_file, unique_id, write_jsonl,
+    write_model_file,
 )
 from .tokenization import RESERVED_TOKENS, tokenize
 from .vocab import Vocabulary
@@ -170,7 +171,7 @@ def build_conditioning(
     The table segment is never truncated; if <bos> plus the linearized
     table alone exceed the budget the input is rejected.
     """
-    table_ids = vocab.ids(linearize_table(table))
+    table_ids = vocab.ids(table.tokens)
     ids = [vocab.bos_id] + table_ids
     if len(ids) > max_len:
         raise InputTooLong(
@@ -570,15 +571,10 @@ def load_generator(path: str | Path) -> GeneratorModel:
         vocab = Vocabulary.from_tokens(payload["tokens"])
         missing = [t for t in RESERVED_TOKENS if t not in vocab]
         if missing:
-            raise ParseError(f"generator vocabulary lacks {missing}", path=str(path))
-        params = {
-            key: np.array(values, dtype=np.float64)
-            for key, values in payload["params"].items()
-        }
+            raise ParseError(f"generator vocabulary lacks {missing}")
+        params = {key: json_numbers(values, key, 2) for key, values in payload["params"].items()}
         return GeneratorModel(
-            vocab=vocab,
-            max_context=int(payload["max_context"]),
-            params=params,
+            vocab=vocab, max_context=json_int(payload["max_context"], "max_context"), params=params
         )
 
     return read_model_file(path, "generator", build)

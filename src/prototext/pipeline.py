@@ -85,9 +85,15 @@ class PipelineConfig:
             raise InvalidConfig(f"need m >= n >= 0, got m={self.m}, n={self.n}")
         if self.seed < 0:
             raise InvalidConfig("seed must be a non-negative integer")
+        for name in RUN_SET:
+            section, _, key = name.partition(".")
+            part = getattr(self, section)
+            if key and getattr(part, key) != getattr(type(part), key):
+                raise InvalidConfig(f"field {name} cannot be set: run_pipeline sets it")
 
 
-# The fields each run of ablate or sweep-n sets itself, or that no command reads.
+# The fields each run of ablate or sweep-n sets itself, or that no command reads;
+# a PipelineConfig also holds each section field here at its class default.
 RUN_SET = ("variant", "labels_path", "selector.seed", "generator.seed", "generator.ca_enabled")
 
 

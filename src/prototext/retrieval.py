@@ -17,9 +17,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import InvalidConfig, ParseError, UnknownDocument
-from .tabledata import (
-    Corpus, Example, Table, json_int, linearize_table, read_jsonl, unique_id, write_jsonl
-)
+from .tabledata import Corpus, Example, Table, json_int, read_jsonl, unique_id, write_jsonl
 from .tokenization import RESERVED_TOKENS, tokenize
 
 __all__ = [
@@ -128,7 +126,7 @@ def bm25_score(index: InvertedIndex, query: Sequence[str], doc_id: int) -> float
 
 def table_query(table: Table) -> list[str]:
     """Unique linearization tokens of a table, reserved tokens removed."""
-    return [t for t in dict.fromkeys(linearize_table(table)) if t not in RESERVED_TOKENS]
+    return [t for t in dict.fromkeys(table.tokens) if t not in RESERVED_TOKENS]
 
 
 def retrieve(index: InvertedIndex, table: Table, m: int, *, table_id: int = 0) -> CandidateSet:

@@ -3,9 +3,12 @@
 The selector scores a (table, sentence) pair by mean-pooling learned
 token embeddings over the concatenated sequence
 
-    [linearize(table); <sep>; sentence]
+    [table.tokens; <sep>; sentence]
 
-and applying a linear projection: ``f = w . mean(E[tokens]) + b``. It is
+and applying a linear projection: ``f = w . mean(E[tokens]) + b``. Every
+pair, in scoring, selection and training alike, goes through one id
+builder (``_pair_ids``) and one pooling function (``_pooled_rows``), so
+a pair's score has the same bits whichever path computed it. It is
 trained with a margin-ranking objective: for each example the reference
 must outscore each of k sampled negative candidates by a margin of 1,
 
@@ -27,7 +30,6 @@ shared across threads; training runs single-threaded on its own arrays.
 
 from __future__ import annotations
 
-import functools
 import logging
 from dataclasses import dataclass
 from itertools import chain
@@ -40,7 +42,7 @@ from .errors import InvalidConfig, InvalidInput, InsufficientNegatives, ParseErr
 from .optim import Adam
 from .retrieval import CandidateSet
 from .tabledata import (
-    Corpus, Example, Table, linearize_table, read_jsonl, read_model_file, unique_id, write_jsonl,
+    Corpus, Example, Table, json_numbers, read_jsonl, read_model_file, unique_id, write_jsonl,
     write_model_file,
 )
 from .tokenization import SEP, UNK, tokenize
@@ -134,36 +136,22 @@ class AugmentedRecord:
     reference: str
 
 
-def _pair_ids(vocab: Vocabulary, table_ids: Sequence[int], sentence: Sequence[str]) -> list[int]:
-    return [*table_ids, vocab.sep_id, *vocab.ids(sentence)]
-
-
-@functools.lru_cache(maxsize=4096)
-def _linearized(table: Table) -> tuple[str, ...]:
-    # scoring and training linearize the same few tables over and over;
-    # a tuple, so that no caller can change what the next one gets
-    return tuple(linearize_table(table))
-
-
-def _table_ids(model_vocab: Vocabulary, table: Table) -> list[int]:
-    return model_vocab.ids(_linearized(table))
-
-
-def _pooled(emb: np.ndarray, ids: Sequence[int]) -> np.ndarray:
-    # summing in sorted-id order makes the mean bit-identical under any
-    # permutation of the input tokens; add.reduce then divide is exactly
-    # what ndarray.mean computes, without its per-call bookkeeping, and
-    # take is the same gather as fancy indexing at less cost per call
-    return np.add.reduce(emb.take(sorted(ids), axis=0), axis=0) / len(ids)
+def _pair_ids(
+    vocab: Vocabulary, table: Table, sentences: Iterable[Sequence[str]]
+) -> list[list[int]]:
+    """The ids of ``[table.tokens; <sep>; sentence]`` for each sentence."""
+    head = [*vocab.ids(table.tokens), vocab.sep_id]
+    return [head + vocab.ids(sentence) for sentence in sentences]
 
 
 def _pooled_rows(emb: np.ndarray, id_lists: Sequence[Sequence[int]]) -> np.ndarray:
-    """``_pooled`` of each id list, one row per list, from a single gather.
+    """The mean embedding of each id list, one row per list, from a single gather.
 
-    A slice of the gather is summed exactly as a gather of that list
-    alone would be, so each row has the bits of ``_pooled``. Meant for
-    the few lists of one hinge evaluation: the gather holds all their
-    rows at once.
+    Each list is summed in sorted-id order, so its mean is bit-identical
+    under any permutation of its tokens, and on its own slice of the
+    gather, so its row has the same bits whichever lists share the call.
+    ``add.reduce`` then divide is exactly what ``ndarray.mean`` computes,
+    without its per-call bookkeeping.
     """
     ordered = [sorted(ids) for ids in id_lists]
     rows = emb.take(list(chain.from_iterable(ordered)), axis=0)
@@ -176,13 +164,12 @@ def _pooled_rows(emb: np.ndarray, id_lists: Sequence[Sequence[int]]) -> np.ndarr
 
 
 def encode_pair(model: SelectorModel, table: Table, sentence: Sequence[str]) -> np.ndarray:
-    """Mean embedding of ``[linearize(table); <sep>; sentence]``.
+    """Mean embedding of ``[table.tokens; <sep>; sentence]``.
 
     Out-of-vocabulary tokens fall back to the ``<unk>`` row; an empty
     sentence leaves the table and separator positions in the mean.
     """
-    ids = _pair_ids(model.vocab, _table_ids(model.vocab, table), sentence)
-    return _pooled(model.embeddings, ids)
+    return _pooled_rows(model.embeddings, _pair_ids(model.vocab, table, [sentence]))[0]
 
 
 def _score(w: np.ndarray, b: float, h: np.ndarray) -> float:
@@ -196,14 +183,11 @@ def score_pair(model: SelectorModel, table: Table, sentence: Sequence[str]) -> f
 
 
 def _hinge_terms(
-    emb: np.ndarray,
-    w: np.ndarray,
-    b: float,
-    ids_y: Sequence[int],
-    ids_negatives: Sequence[Sequence[int]],
+    emb: np.ndarray, w: np.ndarray, b: float, ids: Sequence[Sequence[int]]
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """Pooled reference, pooled negatives (one row each) and the slack of each negative."""
-    pooled = _pooled_rows(emb, [ids_y, *ids_negatives])
+    """Pooled reference, pooled negatives (one row each) and the slack of each negative,
+    from the pair ids of the reference followed by those of the negatives."""
+    pooled = _pooled_rows(emb, ids)
     h_y, h_negs = pooled[0], pooled[1:]
     f_y = _score(w, b, h_y)
     slacks = [1.0 - f_y + _score(w, b, h_j) for h_j in h_negs]
@@ -212,13 +196,11 @@ def _hinge_terms(
 
 def _margin_ids(
     model: SelectorModel, table: Table, reference: Sequence[str], negatives: Sequence[Sequence[str]]
-) -> tuple[list[int], list[list[int]]]:
-    """The pair ids of the reference and of each negative; no negative is InvalidConfig."""
+) -> list[list[int]]:
+    """The pair ids of the reference, then of each negative; no negative is InvalidConfig."""
     if len(negatives) == 0:
         raise InvalidConfig("margin loss needs at least one negative")
-    t_ids = _table_ids(model.vocab, table)
-    ids_negs = [_pair_ids(model.vocab, t_ids, neg) for neg in negatives]
-    return _pair_ids(model.vocab, t_ids, reference), ids_negs
+    return _pair_ids(model.vocab, table, [reference, *negatives])
 
 
 def margin_loss(
@@ -228,19 +210,16 @@ def margin_loss(
     negatives: Sequence[Sequence[str]],
 ) -> float:
     """Summed hinge loss of the reference against each negative."""
-    ids_y, ids_negs = _margin_ids(model, table, reference, negatives)
-    _, _, slacks = _hinge_terms(model.embeddings, model.projection, model.bias, ids_y, ids_negs)
+    ids = _margin_ids(model, table, reference, negatives)
+    _, _, slacks = _hinge_terms(model.embeddings, model.projection, model.bias, ids)
     return sum(max(0.0, s) for s in slacks)
 
 
 def _loss_and_grads(
-    emb: np.ndarray,
-    w: np.ndarray,
-    b: float,
-    ids_y: Sequence[int],
-    ids_negs: Sequence[Sequence[int]],
+    emb: np.ndarray, w: np.ndarray, b: float, ids: Sequence[Sequence[int]]
 ) -> tuple[float, tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """Hinge loss plus analytic gradients w.r.t. embeddings and projection.
+    """Hinge loss plus analytic gradients w.r.t. embeddings and projection, from the
+    pair ids of the reference followed by those of the negatives.
 
     The bias gradient is identically zero because b cancels inside every
     slack term. The embedding gradient for vocabulary row v is
@@ -249,7 +228,8 @@ def _loss_and_grads(
     rows with ``c_v != 0`` in increasing order and their gradient rows.
     Every other row of the gradient is zero.
     """
-    h_y, h_negs, slacks = _hinge_terms(emb, w, b, ids_y, ids_negs)
+    h_y, h_negs, slacks = _hinge_terms(emb, w, b, ids)
+    ids_y, *ids_negs = ids
     loss = 0.0
     d_w = np.zeros_like(w)
     coeff = np.zeros(emb.shape[0])
@@ -272,10 +252,8 @@ def margin_loss_grad(
     negatives: Sequence[Sequence[str]],
 ) -> SelectorGradients:
     """Exact gradients of :func:`margin_loss` for every parameter group."""
-    ids_y, ids_negs = _margin_ids(model, table, reference, negatives)
-    _, (rows, values), d_w = _loss_and_grads(
-        model.embeddings, model.projection, model.bias, ids_y, ids_negs
-    )
+    ids = _margin_ids(model, table, reference, negatives)
+    _, (rows, values), d_w = _loss_and_grads(model.embeddings, model.projection, model.bias, ids)
     d_emb = np.zeros_like(model.embeddings)
     d_emb[rows] = values
     return SelectorGradients(embeddings=d_emb, projection=d_w)
@@ -285,7 +263,7 @@ def shared_vocabulary(corpus: Corpus, examples: Sequence[Example]) -> Vocabulary
     """The vocabulary of the selector and of a generator trained with a corpus: the
     reserved tokens, then the sorted tokens of the corpus, linearized tables and references."""
     streams = [s.tokens for s in corpus]
-    streams += [_linearized(ex.table) for ex in examples]
+    streams += [ex.table.tokens for ex in examples]
     streams += [tokenize(ex.reference) for ex in examples]
     return Vocabulary.build(streams)
 
@@ -328,30 +306,18 @@ def train_selector(
     emb = rng.uniform(-0.1, 0.1, size=(len(vocab), config.dim))
     w = np.zeros(config.dim)
 
-    table_ids = [_table_ids(vocab, table) for table, _, _ in examples]
-    ref_ids = [
-        _pair_ids(vocab, t_ids, tokenize(ref))
-        for t_ids, (_, ref, _) in zip(table_ids, examples)
-    ]
-    sent_ids: dict[int, list[int]] = {}
-
-    def candidate_ids(t_ids: list[int], sid: int) -> list[int]:
-        if sid not in sent_ids:
-            sent_ids[sid] = vocab.ids(corpus.get(sid).tokens)
-        return list(t_ids) + [vocab.sep_id] + sent_ids[sid]
-
+    references = [tokenize(ref) for _, ref, _ in examples]
     # the bias has no gradient (SelectorGradients), so Adam would keep it at 0.0
     opt = Adam({"emb": emb, "w": w}, lr=config.learning_rate)
     epoch_losses: list[float] = []
     for epoch in range(config.epochs):
         ep_rng = np.random.default_rng([config.seed, epoch])
         total = 0.0
-        for i, (table, _, cands) in enumerate(examples):
+        for (table, _, cands), reference in zip(examples, references):
             picks = ep_rng.choice(len(cands), size=config.k, replace=False)
-            ids_negs = [
-                candidate_ids(table_ids[i], cands.entries[int(p)][0]) for p in picks
-            ]
-            loss, (rows, d_emb), d_w = _loss_and_grads(emb, w, 0.0, ref_ids[i], ids_negs)
+            negatives = [corpus.get(cands.entries[p][0]).tokens for p in picks]
+            ids = _pair_ids(vocab, table, [reference, *negatives])
+            loss, (rows, d_emb), d_w = _loss_and_grads(emb, w, 0.0, ids)
             opt.step({"emb": d_emb, "w": d_w}, rows={"emb": rows})
             total += loss
         epoch_losses.append(total / len(examples) if examples else 0.0)
@@ -374,11 +340,10 @@ def select_top_n(
     """
     if n < 1:
         raise InvalidConfig(f"n must be >= 1, got {n}")
-    t_ids = _table_ids(model.vocab, table)
-    scored = []
-    for sid, _ in candidates.entries:
-        h = _pooled(model.embeddings, _pair_ids(model.vocab, t_ids, corpus.get(sid).tokens))
-        scored.append((sid, _score(model.projection, model.bias, h)))
+    sids = candidates.ids()
+    ids = _pair_ids(model.vocab, table, [corpus.get(sid).tokens for sid in sids])
+    pooled = _pooled_rows(model.embeddings, ids)
+    scored = [(sid, _score(model.projection, model.bias, h)) for sid, h in zip(sids, pooled)]
     scored.sort(key=lambda e: (-e[1], e[0]))
     return PrototypeSet(table_id=candidates.table_id, entries=tuple(scored[:n]))
 
@@ -480,9 +445,9 @@ def load_selector(path: str | Path) -> SelectorModel:
     def build(payload: dict) -> SelectorModel:
         return SelectorModel(
             vocab=Vocabulary.from_tokens(payload["tokens"]),
-            embeddings=np.array(payload["embeddings"], dtype=np.float64),
-            projection=np.array(payload["projection"], dtype=np.float64),
-            bias=float(payload["bias"]),
+            embeddings=json_numbers(payload["embeddings"], "embeddings", 2),
+            projection=json_numbers(payload["projection"], "projection", 1),
+            bias=float(json_numbers(payload["bias"], "bias", 0)),
         )
 
     return read_model_file(path, "selector", build)

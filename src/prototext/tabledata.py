@@ -5,9 +5,14 @@ File formats (one JSON object per line, UTF-8):
 * tables file:  ``{"id": int, "pairs": [[attr, value], ...], "reference": str}``
 * corpus file:  ``{"id": int, "text": str}``
 
+A table carries its linearization (``Table.tokens``) and a sentence its
+tokens (``Sentence.tokens``), each computed once when it is built, so
+retrieval, the selector and the generator never tokenize them again.
+
 :func:`read_jsonl` and :func:`write_jsonl` read and write every JSONL
 format of the package; :func:`read_model_file` and :func:`write_model_file`
-read and write both model files.
+read and write both model files, whose parameters pass one number rule
+(:func:`json_numbers`).
 
 All types are immutable after construction and safe to share across
 threads.
@@ -16,9 +21,11 @@ threads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TypeVar
+
+import numpy as np
 
 from .errors import MALFORMED, DuplicateId, InvalidTable, ParseError, UnknownDocument
 from .tokenization import ATTR_DELIM, PAIR_DELIM, tokenize
@@ -44,14 +51,17 @@ class AttributeValuePair:
 
 @dataclass(frozen=True)
 class Table:
-    """An ordered sequence of attribute-value pairs."""
+    """An ordered sequence of attribute-value pairs, with its linearization
+    computed once at construction (not part of equality, hash or repr)."""
 
     pairs: tuple[AttributeValuePair, ...]
+    tokens: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "pairs", tuple(self.pairs))
         if len(self.pairs) == 0:
             raise InvalidTable("a table needs at least one attribute-value pair")
+        object.__setattr__(self, "tokens", tuple(linearize_table(self)))
 
     @classmethod
     def from_pairs(cls, raw: Iterable[tuple[str, str]]) -> "Table":
@@ -116,10 +126,9 @@ def linearize_table(table: Table) -> list[str]:
 
     Attribute and value strings go through the shared tokenizer; the
     delimiters are reserved tokens, so segment boundaries stay
-    recoverable no matter what the cell text contains.
+    recoverable no matter what the cell text contains. Every table
+    holds its own as ``Table.tokens``.
     """
-    if len(table.pairs) == 0:  # unreachable through the Table constructor
-        raise InvalidTable("cannot linearize an empty table")
     tokens: list[str] = []
     for i, pair in enumerate(table.pairs):
         if i:
@@ -175,15 +184,29 @@ def write_model_file(path: str | Path, kind: str, payload: dict) -> None:
 
 def read_model_file(path: str | Path, kind: str, build: Callable[[dict], T]) -> T:
     """``build(payload)`` of a file :func:`write_model_file` wrote for ``kind``; another
-    format or version, or content that ``build`` fails on as MALFORMED, is a ParseError."""
+    format or version, or content that ``build`` fails on as MALFORMED or with a
+    ParseError, is a ParseError with the path."""
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
         if payload.get("format") != f"prototext-{kind}" or payload.get("version") != MODEL_VERSION:
-            raise ParseError(f"not a recognized {kind} model file", path=str(path))
+            raise ParseError(f"not a recognized {kind} model file")
         return build(payload)
     except MALFORMED as exc:
         raise ParseError(f"malformed {kind} model file: {exc}", path=str(path)) from exc
+    except ParseError as exc:
+        exc.path = str(path)
+        raise
+
+
+def json_numbers(value, name: str, ndim: int) -> np.ndarray:
+    """``value`` as a float64 array, by the one number rule for every parameter of a
+    model file: ``ndim`` levels of regular lists (none for a scalar) holding JSON numbers
+    alone; a bool, a string or a ragged list is a ParseError naming ``name``."""
+    cells = np.array(value, dtype=object)
+    if cells.ndim != ndim or not set(map(type, cells.flat)) <= {int, float}:
+        raise ParseError(f"{name} must be {ndim}-dimensional JSON numbers")
+    return cells.astype(np.float64)
 
 
 def json_int(value, name: str) -> int:

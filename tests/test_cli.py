@@ -594,11 +594,41 @@ def _rename_eos(text):
     return json.dumps(payload)
 
 
+def _retyped(key, new):
+    """A corruption that replaces the model file's ``key`` with ``new(its value)``."""
+
+    def corrupt(text):
+        payload = json.loads(text)
+        payload[key] = new(payload[key])
+        return json.dumps(payload)
+
+    return corrupt
+
+
 CORRUPTIONS = [_truncate, _drop_tokens, _ill_typed_tokens]
+# values that name a number without being one, or that fill a matrix with a bool
+NOT_NUMBERS = {
+    "generator": {
+        "max_context-string": _retyped("max_context", str),
+        "max_context-float": _retyped("max_context", float),
+    },
+    "selector": {
+        "bias-string": _retyped("bias", lambda _: "1e3"),
+        "bias-bool": _retyped("bias", lambda _: True),
+        "projection-strings": _retyped("projection", lambda row: [str(x) for x in row]),
+        "embeddings-bool": _retyped("embeddings", lambda rows: [[True] + r[1:] for r in rows]),
+    },
+}
+
+
+def not_numbers(kind):
+    return [pytest.param(corrupt, id=name) for name, corrupt in NOT_NUMBERS[kind].items()]
 
 
 class TestCorruptModelFiles:
-    @pytest.mark.parametrize("corrupt", CORRUPTIONS + [_narrow_generator_w_key, _rename_eos])
+    @pytest.mark.parametrize(
+        "corrupt", CORRUPTIONS + [_narrow_generator_w_key, _rename_eos] + not_numbers("generator")
+    )
     def test_corrupt_generator_is_data_error(self, tiny_bench, tmp_path, capsys, corrupt):
         model = tiny_generator_file(tmp_path)
         model.write_text(corrupt(model.read_text()), encoding="utf-8")
@@ -609,7 +639,9 @@ class TestCorruptModelFiles:
         assert code == 2
         assert str(model) in capsys.readouterr().err
 
-    @pytest.mark.parametrize("corrupt", CORRUPTIONS + [_narrow_selector_projection])
+    @pytest.mark.parametrize(
+        "corrupt", CORRUPTIONS + [_narrow_selector_projection] + not_numbers("selector")
+    )
     def test_corrupt_selector_is_data_error(self, tiny_bench, tmp_path, capsys, corrupt):
         vocab = Vocabulary.build([])
         model = tmp_path / "selector.json"

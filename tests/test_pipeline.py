@@ -117,6 +117,15 @@ class TestConfig:
         with pytest.raises(InvalidConfig, match=rf"config field {re.escape(name)} must be"):
             pipeline.typed_config(PipelineConfig, raw)
 
+    @pytest.mark.parametrize("name", [name for name in pipeline.RUN_SET if "." in name])
+    def test_section_field_a_run_sets_rejected_in_python_api(self, tiny_config, name):
+        section, key = name.split(".")
+        part = getattr(tiny_config(), section)
+        value = getattr(part, key)
+        changed = dataclasses.replace(part, **{key: not value if isinstance(value, bool) else 5})
+        with pytest.raises(InvalidConfig, match=f"field {re.escape(name)} cannot be set"):
+            tiny_config(**{section: changed})
+
     def test_labels_path_rejected(self):
         with pytest.raises(InvalidConfig, match="config field labels_path cannot be set"):
             config_from_dict({"corpus_path": "x", "labels_path": "labels.jsonl"})

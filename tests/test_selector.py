@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdcheck import central_diff, max_rel_error
 from prototext.errors import InsufficientNegatives, InvalidConfig, ParseError
@@ -368,6 +370,28 @@ class TestSelectTopN:
         assert set(got.ids()) == best_ids
         scores = [s for _, s in got.entries]
         assert scores == sorted(scores, reverse=True)
+
+    @settings(deadline=None, max_examples=80)
+    @given(st.data())
+    def test_entry_scores_are_score_pair_bits(self, data):
+        # texts of known, repeated and unknown words, and ones that tokenize to nothing
+        words = st.sampled_from(["a", "b", "c", "d", "oov", "zz", "...", "a"])
+        texts = data.draw(st.lists(st.lists(words, max_size=8).map(" ".join), min_size=1,
+                                   max_size=12))
+        cells = st.sampled_from(["a", "b b", "oov a"])
+        pairs = data.draw(st.lists(st.tuples(cells, cells), min_size=1, max_size=3))
+        vocab = Vocabulary.build([["a", "b", "c", "d"]])
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        dim = data.draw(st.integers(1, 40))
+        emb, w = rng.normal(size=(len(vocab), dim)), rng.normal(size=dim)
+        model, t = model_with(vocab, emb, w, b=rng.normal()), table_of(*pairs)
+        sentences = [Sentence.from_text(i, text) for i, text in enumerate(texts)]
+        corpus = Corpus(sentences)
+        cands = CandidateSet(0, tuple((s.id, 1.0) for s in sentences))
+        got = select_top_n(model, t, cands, corpus, len(sentences))
+        assert len(got) == len(sentences)
+        for sid, score in got.entries:
+            assert score == score_pair(model, t, corpus.get(sid).tokens)
 
     def test_bias_shift_leaves_selection_unchanged(self):
         rng = np.random.default_rng(9)

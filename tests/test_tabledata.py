@@ -71,6 +71,16 @@ class TestLinearize:
         t = table(("Origin", "Tampa, Florida"), ("Genre", "metal"))
         assert linearize_table(t) == linearize_table(t)
 
+    def test_tokens_leave_equality_hash_and_repr_alone(self):
+        a, b = table(("A", "x y"), ("B", "z")), table(("A", "x y"), ("B", "z"))
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == (
+            "Table(pairs=(AttributeValuePair(attribute='A', value='x y'), "
+            "AttributeValuePair(attribute='B', value='z')))"
+        )
+        with pytest.raises(TypeError):
+            Table(a.pairs, tokens=("x",))
+
 
 words = st.text(alphabet="abcdefgh", min_size=1, max_size=6)
 cells = st.lists(words, min_size=1, max_size=3).map(" ".join)
@@ -82,6 +92,7 @@ def test_linearization_length_formula(raw_pairs):
     expected = sum(len(tokenize(a)) + len(tokenize(v)) + 1 for a, v in raw_pairs)
     expected += len(raw_pairs) - 1
     assert len(linearize_table(t)) == expected
+    assert t.tokens == tuple(linearize_table(t))
 
 
 class TestTablesFile:
