@@ -333,7 +333,7 @@ def main(argv=None) -> int:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except StageError as exc:
-        cause = exc.__cause__
+        cause = exc.cause
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(cause, (UsageError, InvalidConfig)):
             return 1

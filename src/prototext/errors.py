@@ -50,8 +50,11 @@ class DuplicateId(ParseError):
     """Two records in the same file, or two sentences of a corpus, share an id."""
 
     def __init__(self, dup_id: int, key: str = "id"):
-        self.dup_id = dup_id
+        self.dup_id, self.key = dup_id, key
         super().__init__(f"duplicate {key} {dup_id}")
+
+    def __reduce__(self):
+        return type(self), (self.dup_id, self.key), self.__dict__
 
 
 class UnknownDocument(DataError):
@@ -75,11 +78,19 @@ class AllTies(DataError):
 
 
 class StageError(PrototextError):
-    """A pipeline stage failed; names the stage and keeps the cause chained."""
+    """A pipeline stage failed; names the stage and keeps the cause.
+
+    The cause is kept as ``cause`` as well as chained: an error raised in a worker
+    process reaches the caller pickled, with ``__cause__`` replaced by the remote
+    traceback.
+    """
 
     def __init__(self, stage: str, cause: BaseException):
-        self.stage = stage
+        self.stage, self.cause = stage, cause
         super().__init__(f"stage '{stage}' failed: {cause}")
+
+    def __reduce__(self):
+        return type(self), (self.stage, self.cause)
 
 
 # What decoding malformed content raises. OSError is absent on purpose:

@@ -48,7 +48,7 @@ from .errors import InvalidConfig, InputTooLong, ParseError
 from .optim import Adam
 from .selector import AugmentedRecord
 from .tabledata import (
-    Table, json_int, json_numbers, read_jsonl, read_model_file, unique_id, write_jsonl,
+    Table, json_int, json_numbers, known_keys, read_jsonl, read_model_file, unique_id, write_jsonl,
     write_model_file,
 )
 from .tokenization import RESERVED_TOKENS, tokenize
@@ -572,9 +572,10 @@ def load_generator(path: str | Path) -> GeneratorModel:
         missing = [t for t in RESERVED_TOKENS if t not in vocab]
         if missing:
             raise ParseError(f"generator vocabulary lacks {missing}")
+        known_keys(payload["params"], PARAM_KEYS, "params")
         params = {key: json_numbers(values, key, 2) for key, values in payload["params"].items()}
         return GeneratorModel(
             vocab=vocab, max_context=json_int(payload["max_context"], "max_context"), params=params
         )
 
-    return read_model_file(path, "generator", build)
+    return read_model_file(path, "generator", ("max_context", "tokens", "params"), build)

@@ -11,8 +11,12 @@ stage can also be driven standalone through the CLI. System variants:
 * ``RET_PS_CA``  additionally enables the content-aware loss.
 
 Runs are deterministic: given the same configuration and input files,
-every report and model file is byte-identical across reruns. The runs of
-one ablation or sweep share retrieval and the selector trained per seed.
+every report and model file is byte-identical across reruns, core counts
+and BLAS thread settings (importing the package sets numpy's BLAS to one
+thread; see :mod:`prototext.blas`). The runs of one ablation or sweep
+share retrieval and the selector trained per seed: the parent process
+computes both, then runs the runs in up to one forked worker process per
+CPU, which inherit them, and collects the results in submission order.
 """
 
 from __future__ import annotations
@@ -21,12 +25,17 @@ import dataclasses
 import functools
 import json
 import logging
+import multiprocessing
+import os
 import statistics
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from time import perf_counter
 from typing import Sequence, get_args, get_type_hints
 
+from . import blas
 from .errors import AllTies, InvalidConfig, StageError
 from .evaluation import EvalReport, evaluate_pairs, precision_at_k, sign_test
 from .generator import (
@@ -62,6 +71,7 @@ from .vocab import Vocabulary
 log = logging.getLogger(__name__)
 
 VARIANTS = ("BASE", "RET", "RET_PS", "RET_PS_CA")
+SELECTOR_VARIANTS = ("RET_PS", "RET_PS_CA")
 
 
 @dataclass(frozen=True)
@@ -79,6 +89,8 @@ class PipelineConfig:
     generator: GeneratorTrainConfig = field(default_factory=GeneratorTrainConfig)
 
     def __post_init__(self):
+        for name, kind in get_type_hints(PipelineConfig).items():
+            _check_type(name, kind, getattr(self, name))
         if self.variant not in VARIANTS:
             raise InvalidConfig(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if not (self.m >= self.n >= 0):
@@ -97,13 +109,21 @@ class PipelineConfig:
 RUN_SET = ("variant", "labels_path", "selector.seed", "generator.seed", "generator.ca_enabled")
 
 
+def _check_type(name: str, kind, value) -> None:
+    """The one type rule of a config field: InvalidConfig naming ``name`` unless ``value``
+    is exactly of type ``kind``, save that an int does for a float and None does for an
+    optional field."""
+    if type(value) not in (get_args(kind) or ((float, int) if kind is float else (kind,))):
+        kind_name = getattr(kind, "__name__", kind)
+        raise InvalidConfig(f"config field {name} must be {kind_name}, not {type(value).__name__}")
+
+
 def typed_config(cls, raw: dict, where: str = "", unread: Sequence[str] = (), **overrides):
     """The config dataclass ``cls`` read from ``raw``, a config file's JSON object: all of
     it, or with ``where`` its section ``where``, which must be its only key. A field whose
     type is a dataclass is a section, read the same way. Each override that is not None
     goes on top. Every key met is InvalidConfig naming its dotted field if ``cls`` lacks
-    it, if ``unread`` names it, or if its value is not exactly of the field's type, save
-    that an int does for a float and None does for an optional field."""
+    it, if ``unread`` names it, or if its value breaks :func:`_check_type`."""
     if where:
         stray = [key for key in raw if key != where]
         if stray:
@@ -122,9 +142,8 @@ def typed_config(cls, raw: dict, where: str = "", unread: Sequence[str] = (), **
         kind = hints[key]
         if dataclasses.is_dataclass(kind):
             value = typed_config(kind, {name: value}, name, unread)
-        elif type(value) not in (get_args(kind) or ((float, int) if kind is float else (kind,))):
-            kind_name = getattr(kind, "__name__", kind)
-            raise InvalidConfig(f"config field {name} must be {kind_name}, not {type(value).__name__}")
+        else:
+            _check_type(name, kind, value)
         values[key] = value
     values.update((key, value) for key, value in overrides.items() if value is not None)
     try:
@@ -230,6 +249,7 @@ class _Stages:
 
 def run_pipeline(config: PipelineConfig, *, stages: _Stages | None = None) -> PipelineResult:
     """One run. Runs given the same ``stages`` share load, index, retrieve and the selector."""
+    start = perf_counter()
     stages = stages or _Stages()
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -243,7 +263,7 @@ def run_pipeline(config: PipelineConfig, *, stages: _Stages | None = None) -> Pi
             write_candidate_sets(paths[f"candidates_{split}"], list(cands.values()))
 
     model, selector_losses = None, []
-    if config.variant in ("RET_PS", "RET_PS_CA"):
+    if config.variant in SELECTOR_VARIANTS:
         model, selector_losses = stages.selector(config)
     with _stage("select"):
         if model is not None:
@@ -288,8 +308,9 @@ def run_pipeline(config: PipelineConfig, *, stages: _Stages | None = None) -> Pi
         }
         dump_json(paths["report"], payload)
     log.info(
-        "pipeline %s seed %d: BLEU-4 %.4f ROUGE-4 %.4f",
-        config.variant, config.seed, report.bleu4, report.rouge4_f,
+        "pipeline %s seed %d n %d: BLEU-4 %.4f ROUGE-4 %.4f in %.2f s",
+        config.variant, config.seed, config.n, report.bleu4, report.rouge4_f,
+        perf_counter() - start,
     )
     return PipelineResult(
         report=report,
@@ -298,10 +319,54 @@ def run_pipeline(config: PipelineConfig, *, stages: _Stages | None = None) -> Pi
     )
 
 
+# What a forked worker of _run_all runs: its parent's configs and filled stages.
+_WORK: tuple[list[PipelineConfig], _Stages] | None = None
+
+
+def _adopt(configs: list[PipelineConfig], stages: _Stages) -> None:
+    global _WORK
+    _WORK = configs, stages
+
+
+def _run_at(index: int) -> PipelineResult:
+    configs, stages = _WORK
+    return run_pipeline(configs[index], stages=stages)
+
+
+def _run_all(configs: list[PipelineConfig], _workers: int | None = None) -> list[PipelineResult]:
+    """``run_pipeline`` of each config, in order, over one shared ``_Stages``.
+
+    The shared stages are computed here first. The runs then go to up to one worker
+    process per CPU, forked so that they inherit the stages (no model is pickled; a
+    config index goes out and a PipelineResult comes back), or run here, one after
+    another, when one CPU or one run leaves nothing to overlap or when the BLAS thread
+    count is not pinned, so that the workers' BLAS threads would oversubscribe the
+    CPUs. ``_workers`` overrides the count, for tests.
+    """
+    stages = _Stages()
+    for config in configs:
+        stages.inputs(config)
+        if config.variant in SELECTOR_VARIANTS:
+            stages.selector(config)
+    workers = _workers or (min(len(os.sched_getaffinity(0)), len(configs)) if blas.PINNED else 1)
+    log.info("%d runs on %d worker processes", len(configs), workers)
+    if workers == 1:
+        return [run_pipeline(config, stages=stages) for config in configs]
+    pool = ProcessPoolExecutor(
+        workers, multiprocessing.get_context("fork"), initializer=_adopt, initargs=(configs, stages)
+    )
+    try:
+        return list(pool.map(_run_at, range(len(configs))))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def run_ablation(
     config: PipelineConfig,
     variants: Sequence[str] = VARIANTS,
     seeds: Sequence[int] | None = None,
+    *,
+    _workers: int | None = None,
 ) -> dict:
     """Run each variant over the shared seeds and compare them.
 
@@ -319,15 +384,15 @@ def run_ablation(
         raise InvalidConfig(f"seeds repeat: {seeds}")
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    stages = _Stages()
-
-    runs: dict[str, list[PipelineResult]] = {}
-    for variant in variants:
-        runs[variant] = []
-        for seed in seeds:
-            out_dir = str(out / f"{variant.lower()}-seed{seed}")
-            sub = dataclasses.replace(config, variant=variant, seed=seed, out_dir=out_dir)
-            runs[variant].append(run_pipeline(sub, stages=stages))
+    plan = [
+        dataclasses.replace(
+            config, variant=variant, seed=seed, out_dir=str(out / f"{variant.lower()}-seed{seed}")
+        )
+        for variant in variants
+        for seed in seeds
+    ]
+    results = iter(_run_all(plan, _workers))
+    runs = {variant: [next(results) for _ in seeds] for variant in variants}
 
     rows = []
     for variant in variants:
@@ -364,7 +429,9 @@ def run_ablation(
     return payload
 
 
-def sweep_n(config: PipelineConfig, n_values: Sequence[int]) -> dict:
+def sweep_n(
+    config: PipelineConfig, n_values: Sequence[int], *, _workers: int | None = None
+) -> dict:
     """Prototype-count sweep for the full variant under a shared seed."""
     if not n_values or len(set(n_values)) < len(n_values):
         raise InvalidConfig(f"sweep needs one or more distinct n values, got {list(n_values)}")
@@ -375,12 +442,14 @@ def sweep_n(config: PipelineConfig, n_values: Sequence[int]) -> dict:
             raise InvalidConfig(f"n={n} exceeds m={config.m}")
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    stages = _Stages()
-    rows = []
-    for n in n_values:
-        sub = dataclasses.replace(config, variant="RET_PS_CA", n=n, out_dir=str(out / f"n{n}"))
-        report = run_pipeline(sub, stages=stages).report
-        rows.append({"n": n, "bleu4": report.bleu4, "rouge4_f": report.rouge4_f})
+    plan = [
+        dataclasses.replace(config, variant="RET_PS_CA", n=n, out_dir=str(out / f"n{n}"))
+        for n in n_values
+    ]
+    rows = [
+        {"n": n, "bleu4": r.report.bleu4, "rouge4_f": r.report.rouge4_f}
+        for n, r in zip(n_values, _run_all(plan, _workers))
+    ]
     payload = {"seed": config.seed, "variant": "RET_PS_CA", "rows": rows}
     dump_json(out / "sweep.json", payload)
     return payload

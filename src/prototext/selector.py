@@ -450,4 +450,4 @@ def load_selector(path: str | Path) -> SelectorModel:
             bias=float(json_numbers(payload["bias"], "bias", 0)),
         )
 
-    return read_model_file(path, "selector", build)
+    return read_model_file(path, "selector", ("tokens", "embeddings", "projection", "bias"), build)

@@ -11,7 +11,8 @@ retrieval, the selector and the generator never tokenize them again.
 
 :func:`read_jsonl` and :func:`write_jsonl` read and write every JSONL
 format of the package; :func:`read_model_file` and :func:`write_model_file`
-read and write both model files, whose parameters pass one number rule
+read and write both model files, which hold only their format's keys
+(:func:`known_keys`) and whose parameters pass one number rule
 (:func:`json_numbers`).
 
 All types are immutable after construction and safe to share across
@@ -182,21 +183,31 @@ def write_model_file(path: str | Path, kind: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def read_model_file(path: str | Path, kind: str, build: Callable[[dict], T]) -> T:
-    """``build(payload)`` of a file :func:`write_model_file` wrote for ``kind``; another
-    format or version, or content that ``build`` fails on as MALFORMED or with a
-    ParseError, is a ParseError with the path."""
+def read_model_file(
+    path: str | Path, kind: str, keys: Iterable[str], build: Callable[[dict], T]
+) -> T:
+    """``build(payload)`` of a file :func:`write_model_file` wrote for ``kind`` with the
+    payload ``keys``; another format or version, another key, or content that ``build``
+    fails on as MALFORMED or with a ParseError, is a ParseError with the path."""
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
         if payload.get("format") != f"prototext-{kind}" or payload.get("version") != MODEL_VERSION:
             raise ParseError(f"not a recognized {kind} model file")
+        known_keys(payload, ("format", "version", *keys), f"{kind} model file")
         return build(payload)
     except MALFORMED as exc:
         raise ParseError(f"malformed {kind} model file: {exc}", path=str(path)) from exc
     except ParseError as exc:
         exc.path = str(path)
         raise
+
+
+def known_keys(obj: dict, keys: Iterable[str], where: str) -> None:
+    """A ParseError naming the first key of ``obj`` that is not one of ``keys``."""
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise ParseError(f"unknown key {unknown[0]!r} in {where}")
 
 
 def json_numbers(value, name: str, ndim: int) -> np.ndarray:

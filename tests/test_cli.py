@@ -1,12 +1,18 @@
 import argparse
+import functools
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from prototext import cli, pipeline
 from prototext.cli import build_parser, main
+from prototext.errors import DataError
 from prototext.generator import GeneratorTrainConfig, init_generator, save_generator, write_outputs
 from prototext.pipeline import RUN_SET
 from prototext.retrieval import build_index, retrieve, save_index, write_candidate_sets
@@ -16,6 +22,7 @@ from prototext.selector import (
     select_prototypes,
     write_augmented_dataset,
 )
+from prototext.synth import SyntheticSpec, synth_benchmark
 from prototext.tabledata import load_corpus, parse_tables_file
 from prototext.tokenization import tokenize
 from prototext.vocab import Vocabulary
@@ -594,6 +601,20 @@ def _rename_eos(text):
     return json.dumps(payload)
 
 
+def _unknown_key(*where):
+    """A corruption that adds a key no loader reads, at the top or under ``where``."""
+
+    def corrupt(text):
+        payload = json.loads(text)
+        part = payload
+        for key in where:
+            part = part[key]
+        part["zzz"] = [[1.0]]
+        return json.dumps(payload)
+
+    return corrupt
+
+
 def _retyped(key, new):
     """A corruption that replaces the model file's ``key`` with ``new(its value)``."""
 
@@ -605,7 +626,7 @@ def _retyped(key, new):
     return corrupt
 
 
-CORRUPTIONS = [_truncate, _drop_tokens, _ill_typed_tokens]
+CORRUPTIONS = [_truncate, _drop_tokens, _ill_typed_tokens, _unknown_key()]
 # values that name a number without being one, or that fill a matrix with a bool
 NOT_NUMBERS = {
     "generator": {
@@ -627,7 +648,9 @@ def not_numbers(kind):
 
 class TestCorruptModelFiles:
     @pytest.mark.parametrize(
-        "corrupt", CORRUPTIONS + [_narrow_generator_w_key, _rename_eos] + not_numbers("generator")
+        "corrupt",
+        CORRUPTIONS + [_narrow_generator_w_key, _rename_eos, _unknown_key("params")]
+        + not_numbers("generator"),
     )
     def test_corrupt_generator_is_data_error(self, tiny_bench, tmp_path, capsys, corrupt):
         model = tiny_generator_file(tmp_path)
@@ -853,6 +876,43 @@ class TestPipelineCommands:
             == 0
         )
         assert (other / "ablation.json").exists()
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["in-process", "forked"])
+    def test_failed_run_keeps_its_exit_code(self, tiny_bench, tmp_path, capsys, monkeypatch,
+                                            workers):
+        def fail(*args, **kwargs):
+            raise DataError("planted failure")
+
+        monkeypatch.setattr(pipeline, "train_generator", fail)
+        monkeypatch.setattr(
+            cli, "run_ablation", functools.partial(pipeline.run_ablation, _workers=workers)
+        )
+        cfg = self.make_config(tiny_bench, tmp_path)
+        assert run_cli("ablate", "--config", str(cfg), "--variants", "BASE,RET") == 2
+        assert "stage 'train-generator' failed: planted failure" in capsys.readouterr().err
+
+    def test_train_generator_bytes_independent_of_blas_threads(self, tmp_path):
+        """Importing prototext sets BLAS to one thread, whatever OPENBLAS_NUM_THREADS says.
+        The desk-scale data makes the vocabulary-width products large enough for
+        OpenBLAS to split them over two threads when it may."""
+        data = synth_benchmark(SyntheticSpec(), tmp_path / "data")
+        corpus = load_corpus(data["corpus"])
+        train = parse_tables_file(data["train_tables"])
+        cands = {ex.id: retrieve(build_index(corpus), ex.table, 50, table_id=ex.id) for ex in train}
+        dataset = tmp_path / "augmented.jsonl"
+        write_augmented_dataset(dataset, select_prototypes(train, cands, corpus, 3))
+        src = str(Path(cli.__file__).parent.parent)
+        models = []
+        for threads in ("1", "2"):
+            models.append(tmp_path / f"generator-{threads}.json")
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            subprocess.run(
+                [sys.executable, "-m", "prototext.cli", "train-generator",
+                 "--dataset", str(dataset), "--tables", data["train_tables"],
+                 "--corpus", data["corpus"], "--epochs", "1", "--out", str(models[-1])],
+                env=env, check=True, capture_output=True, timeout=300,
+            )
+        assert models[0].read_bytes() == models[1].read_bytes()
 
     def test_pipeline_artifacts_feed_stage_commands(self, tiny_bench, tmp_path, capsys):
         """Artifacts written by a pipeline run drive the standalone commands."""

@@ -1,5 +1,8 @@
 import dataclasses
+import hashlib
 import json
+import multiprocessing
+import pickle
 import re
 from collections import Counter
 from pathlib import Path
@@ -8,7 +11,7 @@ from typing import get_args, get_type_hints
 import pytest
 
 from prototext import pipeline
-from prototext.errors import InvalidConfig, StageError
+from prototext.errors import DataError, DuplicateId, InvalidConfig, ParseError, StageError
 from prototext.pipeline import (
     VARIANTS,
     PipelineConfig,
@@ -116,6 +119,13 @@ class TestConfig:
         raw.update({section: {key: value}} if section else {key: value})
         with pytest.raises(InvalidConfig, match=rf"config field {re.escape(name)} must be"):
             pipeline.typed_config(PipelineConfig, raw)
+
+    @pytest.mark.parametrize(
+        "name, value", [p for p in wrong_typed_fields() if "." not in p.values[0]]
+    )
+    def test_wrong_typed_field_rejected_in_python_api(self, tiny_config, name, value):
+        with pytest.raises(InvalidConfig, match=rf"config field {re.escape(name)} must be"):
+            tiny_config(**{name: value})
 
     @pytest.mark.parametrize("name", [name for name in pipeline.RUN_SET if "." in name])
     def test_section_field_a_run_sets_rejected_in_python_api(self, tiny_config, name):
@@ -282,6 +292,74 @@ class TestSharedStages:
         calls.clear()
         sweep_n(tiny_config(out_dir=str(tmp_path / "sweep")), [1, 2, 3])
         assert calls == {"build_index": 1, "train_selector": 1}
+
+
+def tree_digests(root: Path) -> dict[str, str]:
+    return {
+        str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(root.rglob("*"))
+        if p.is_file()
+    }
+
+
+class TestParallelRuns:
+    def test_one_and_two_workers_write_the_same_bytes(self, tiny_config, tmp_path):
+        for workers in (1, 2):
+            run_ablation(tiny_config(out_dir=str(tmp_path / f"ablate{workers}")), VARIANTS,
+                         [1, 2], _workers=workers)
+            sweep_n(tiny_config(out_dir=str(tmp_path / f"sweep{workers}")), [1, 2, 3],
+                    _workers=workers)
+        # ablation.json and 8 or 9 files per run; sweep.json and 9 files per run
+        for kind, files in (("ablate", 1 + 2 * (8 + 8 + 9 + 9)), ("sweep", 1 + 3 * 9)):
+            one = tree_digests(tmp_path / f"{kind}1")
+            assert len(one) == files
+            assert one == tree_digests(tmp_path / f"{kind}2")
+
+    def test_unpinned_blas_starts_no_process(self, tiny_config, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a worker process was started")
+
+        monkeypatch.setattr(pipeline.blas, "PINNED", False)
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", refuse)
+        payload = run_ablation(tiny_config(out_dir=str(tmp_path / "ablate")), VARIANTS, [1, 2])
+        assert len(payload["rows"]) == len(VARIANTS)
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+    def test_no_worker_outlives_the_call(self, tiny_config, tmp_path, monkeypatch, fails):
+        if fails:
+            def fail(*args, **kwargs):
+                raise DataError("planted failure")
+
+            monkeypatch.setattr(pipeline, "train_generator", fail)
+        try:
+            run_ablation(tiny_config(out_dir=str(tmp_path / "ablate")), VARIANTS, [1, 2],
+                         _workers=2)
+        except StageError as exc:
+            assert fails and exc.stage == "train-generator"
+            assert isinstance(exc.cause, DataError)
+        assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        StageError("train-generator", ValueError("bad value")),
+        StageError("load-data", ParseError("bad record", 4, "tables.jsonl")),
+        ParseError("bad record", 4, "tables.jsonl"),
+        DuplicateId(7, "table_id"),
+    ],
+    ids=["StageError", "StageError-ParseError", "ParseError", "DuplicateId"],
+)
+def test_errors_survive_pickling(error):
+    if isinstance(error, DuplicateId):
+        error.line_no, error.path = 3, "tables.jsonl"
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error)
+    assert str(copy) == str(error) and copy.args == error.args
+    for name in ("stage", "message", "line_no", "path", "dup_id"):
+        assert getattr(copy, name, None) == getattr(error, name, None)
+    if isinstance(error, StageError):
+        assert type(copy.cause) is type(error.cause) and str(copy.cause) == str(error.cause)
 
 
 class TestSharedVocabulary:
