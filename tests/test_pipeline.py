@@ -334,6 +334,7 @@ class TestParallelRuns:
         try:
             run_ablation(tiny_config(out_dir=str(tmp_path / "ablate")), VARIANTS, [1, 2],
                          _workers=2)
+            assert not fails
         except StageError as exc:
             assert fails and exc.stage == "train-generator"
             assert isinstance(exc.cause, DataError)
