@@ -25,13 +25,22 @@ irrelevant prototype material.
 
 Inference (next_token_dist, decode_greedy) is read-only on the model and
 safe to run concurrently; training mutates the parameter arrays in a
-fixed single-threaded update order. next_token_dist runs the full
-forward over the whole prefix. decode_greedy decodes incrementally: it
-keeps a key/value cache that lives only in its own call, runs one
-forward over the conditioning, then one single-position forward per
-emitted token, and emits the same tokens as a full forward per token.
-generate_outputs decodes a list of records; write_outputs and
-read_outputs own the ``{"output", "table_id"}`` JSONL outputs format.
+fixed single-threaded update order. Keys and values depend only on the
+input embeddings, so the forward pass is: embed, project keys and
+values, then one block (attention, feed-forward, logits) for the query
+rows, which training, next_token_dist and decode_greedy all share.
+next_token_dist runs the full forward over the whole prefix.
+decode_greedy decodes incrementally with a key/value cache that lives
+only in its own call: the prefill embeds the conditioning, writes the
+keys and values of every position, and runs the block for the last
+position only; each emitted token then costs one single-position block,
+with no causal mask, since one query row may attend to every cached key.
+It emits the same tokens as a full forward per token, and each step's
+logits agree with that forward's last row within 1e-12 (not bit for
+bit: single-row and matrix products may sum in different orders).
+generate_outputs decodes a list of records and logs how many stopped at
+<eos> and how many at max_len; write_outputs and read_outputs own the
+``{"output", "table_id"}`` JSONL outputs format.
 """
 
 from __future__ import annotations
@@ -190,34 +199,25 @@ def build_conditioning(
     return ConditioningInput(ids=tuple(ids), table_len=len(table_ids), prototype_spans=clipped)
 
 
-def _forward(
-    params: dict[str, np.ndarray],
-    ids: Sequence[int],
-    kv: tuple[np.ndarray, np.ndarray] | None = None,
-    start: int = 0,
-):
-    """Forward pass over ``ids`` placed at positions ``start``, ``start+1``, ...
+def _embed(params: dict[str, np.ndarray], ids: Sequence[int], start: int = 0) -> np.ndarray:
+    """Token plus position embeddings of ``ids`` at positions ``start``, ``start+1``, ..."""
+    return params["tok_emb"][list(ids)] + params["pos_emb"][start : start + len(ids)]
 
-    ``kv`` is an optional pair of (max_context, dim) key/value buffers.
-    When given, the keys and values of ``ids`` are written to rows
-    ``start:start+n`` and the queries attend over rows ``:start+n``, so
-    rows before ``start`` must already hold the keys and values of the
-    earlier positions. Without it, ``start`` must be 0.
+
+def _block(params: dict[str, np.ndarray], x0: np.ndarray, k: np.ndarray, v: np.ndarray):
+    """Attention, feed-forward and logits for the queries ``x0``.
+
+    ``k`` and ``v`` hold the keys and values of positions ``0 .. m-1``;
+    the rows of ``x0`` are the last ``len(x0)`` of those positions. A
+    single query row may attend to every key, so the causal mask is
+    built only for more than one row.
     """
-    n = len(ids)
-    d = params["tok_emb"].shape[1]
-    x0 = params["tok_emb"][list(ids)] + params["pos_emb"][start : start + n]
+    n, m = len(x0), len(k)
     q = x0 @ params["w_query"]
-    k = x0 @ params["w_key"]
-    v = x0 @ params["w_value"]
-    if kv is not None:
-        kv[0][start : start + n] = k
-        kv[1][start : start + n] = v
-        k = kv[0][: start + n]
-        v = kv[1][: start + n]
-    scores = (q @ k.T) / math.sqrt(d)
-    causal = np.tril(np.ones((n, start + n), dtype=bool), k=start)
-    scores = np.where(causal, scores, -np.inf)
+    scores = (q @ k.T) / math.sqrt(x0.shape[1])
+    if n > 1:
+        causal = np.tril(np.ones((n, m), dtype=bool), k=m - n)
+        scores = np.where(causal, scores, -np.inf)
     shifted = scores - scores.max(axis=1, keepdims=True)
     expd = np.exp(shifted)
     att = expd / expd.sum(axis=1, keepdims=True)
@@ -226,8 +226,16 @@ def _forward(
     a = np.tanh(x1 @ params["w_ff_in"])
     x2 = x1 + a @ params["w_ff_out"]
     logits = x2 @ params["w_out"]
-    cache = (list(ids), x0, q, k, v, att, ctx, x1, a, x2)
-    return logits, cache
+    return logits, (q, att, ctx, x1, a, x2)
+
+
+def _forward(params: dict[str, np.ndarray], ids: Sequence[int]):
+    """Forward pass over ``ids`` at positions ``0 .. len(ids)-1``: logits of every row."""
+    x0 = _embed(params, ids)
+    k = x0 @ params["w_key"]
+    v = x0 @ params["w_value"]
+    logits, (q, att, ctx, x1, a, x2) = _block(params, x0, k, v)
+    return logits, (list(ids), x0, q, k, v, att, ctx, x1, a, x2)
 
 
 def _backward(params: dict[str, np.ndarray], cache, d_logits: np.ndarray) -> dict[str, np.ndarray]:
@@ -429,30 +437,35 @@ def _last_row_dist(logits: np.ndarray) -> np.ndarray:
 def decode_greedy(model: GeneratorModel, cond: ConditioningInput, max_len: int) -> list[str]:
     """Greedy decoding; stops at <eos> (excluded) or after max_len tokens.
 
-    Argmax ties resolve toward the lowest vocabulary index. One forward
-    over the conditioning fills a key/value cache local to this call;
-    each later token then costs one single-position forward.
+    Argmax ties resolve toward the lowest vocabulary index. The prefill
+    writes the keys and values of the whole conditioning to a cache local
+    to this call and runs the block for its last row only; each emitted
+    token then costs one single-position block over that cache.
     """
-    if len(cond.ids) + max_len > model.max_context:
+    n = len(cond.ids)
+    if n + max_len > model.max_context:
         raise InputTooLong(
-            f"conditioning ({len(cond.ids)}) plus max_len ({max_len}) exceeds "
+            f"conditioning ({n}) plus max_len ({max_len}) exceeds "
             f"max_context {model.max_context}"
         )
-    kv = (
-        np.empty((model.max_context, model.dim)),
-        np.empty((model.max_context, model.dim)),
-    )
-    ids = list(cond.ids)
+    params = model.params
+    keys = np.empty((model.max_context, model.dim))
+    values = np.empty((model.max_context, model.dim))
+    x = _embed(params, cond.ids)
+    keys[:n] = x @ params["w_key"]
+    values[:n] = x @ params["w_value"]
+    x = x[-1:]
     out: list[str] = []
     eos = model.vocab.eos_id
-    start = 0
-    for _ in range(max_len):
-        logits, _ = _forward(model.params, ids[start:], kv, start)
+    for pos in range(n - 1, n + max_len - 1):
+        if pos >= n:
+            x = _embed(params, [nxt], pos)
+            keys[pos] = x @ params["w_key"]
+            values[pos] = x @ params["w_value"]
+        logits, _ = _block(params, x, keys[: pos + 1], values[: pos + 1])
         nxt = int(np.argmax(_last_row_dist(logits)))
         if nxt == eos:
             break
-        start = len(ids)
-        ids.append(nxt)
         out.append(model.vocab.tokens[nxt])
     return out
 
@@ -471,6 +484,11 @@ def generate_outputs(
         protos = [tokenize(p) for p in rec.prototypes]
         cond = build_conditioning(rec.table, protos, model.vocab, budget)
         outputs.append((rec.table_id, decode_greedy(model, cond, max_len)))
+    max_len_stops = sum(1 for _, tokens in outputs if len(tokens) >= max_len)
+    log.info(
+        "decoded %d outputs: %d stopped at <eos>, %d at max_len %d",
+        len(outputs), len(outputs) - max_len_stops, max_len_stops, max_len,
+    )
     return outputs
 
 

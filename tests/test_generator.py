@@ -125,6 +125,10 @@ class TestNextTokenDist:
         early = np.exp(_log_softmax(logits[2:3]))[0]
         np.testing.assert_array_equal(short, early)
         assert longer.shape == short.shape
+        # every shorter forward reproduces the leading rows, down to one row
+        for n in (1, 2, 3):
+            prefix, _ = _forward(model.params, [1, 2, 3, vocab.id("w4")][:n])
+            np.testing.assert_allclose(prefix, logits[:n], rtol=0, atol=1e-12)
 
     def test_length_overflow(self):
         model = tiny_uniform_model()
@@ -354,8 +358,9 @@ class TestDecodeGreedy:
 
 
 # Cached and full-forward logits differ only by BLAS summation order
-# (single-row vs. matrix products); 3.6e-14 was the largest gap measured
-# on the desk model, so float64 leaves ample room below this bound.
+# (single-row vs. matrix products); 5.0e-14 was the largest gap measured
+# over the desk model's 700 generate requests at seeds 13 and 29, so
+# float64 leaves ample room below this bound.
 CACHED_LOGITS_ATOL = 1e-12
 
 
@@ -370,19 +375,26 @@ def reference_decode(model, cond, max_len):
     return out
 
 
+def full_forward_forbidden(params, ids):
+    raise AssertionError("decode_greedy ran the full forward")
+
+
 def assert_decode_matches_reference(model, cond, max_len):
-    """decode_greedy emits the reference tokens, every forward it runs
-    matches the full forward's last row, and the model is untouched."""
+    """decode_greedy emits the reference tokens without running the full
+    forward, every block it runs matches the full forward's last row, and
+    the model is untouched."""
     before = {key: value.tobytes() for key, value in model.params.items()}
     step_rows = []
-    real_forward = generator._forward
+    real_block = generator._block
 
-    def recording_forward(params, ids, kv=None, start=0):
-        logits, cache = real_forward(params, ids, kv, start)
+    def recording_block(params, x0, k, v):
+        logits, cache = real_block(params, x0, k, v)
         step_rows.append(logits[-1].copy())
         return logits, cache
 
-    with mock.patch.object(generator, "_forward", recording_forward):
+    with mock.patch.object(generator, "_block", recording_block), mock.patch.object(
+        generator, "_forward", full_forward_forbidden
+    ):
         got = decode_greedy(model, cond, max_len)
     expected = reference_decode(model, cond, max_len)
     assert got == expected
@@ -391,7 +403,7 @@ def assert_decode_matches_reference(model, cond, max_len):
     seq = list(cond.ids) + model.vocab.ids(got)
     assert len(step_rows) == min(len(got) + 1, max_len)
     for i, row in enumerate(step_rows):
-        full, _ = real_forward(model.params, seq[: len(cond.ids) + i])
+        full, _ = generator._forward(model.params, seq[: len(cond.ids) + i])
         assert np.max(np.abs(row - full[-1])) <= CACHED_LOGITS_ATOL
     return expected
 
@@ -421,6 +433,29 @@ class TestCachedDecodeEquivalence:
         max_len = 12
         out = assert_decode_matches_reference(model, bare_cond(1, 2, 3), max_len)
         assert (len(out) < max_len) == stops_at_eos
+
+    @pytest.mark.parametrize("n_cond", [1, 20])
+    def test_conditioning_length_boundaries(self, n_cond):
+        # 1: the prefill has one row; 20 + max_len == max_context: the longest decode
+        model = randomized_model(plain_vocab(10), small_config(max_context=32), seed=2)
+        cond = bare_cond(*[i % len(model.vocab) for i in range(n_cond)])
+        max_len = 12
+        out = assert_decode_matches_reference(model, cond, max_len)
+        assert len(out) == max_len
+
+
+class TestGenerateOutputs:
+    def test_logs_stop_reasons(self, caplog):
+        records = make_records(["ada", "bob", "cid", "dee"])
+        model = randomized_model(vocab_of(records), small_config(max_context=64), seed=1)
+        lengths = iter([0, 4, 2, 4])
+        # generate_outputs reaches decode_greedy through the module global
+        with mock.patch.object(
+            generator, "decode_greedy", lambda model, cond, max_len: ["ada"] * next(lengths)
+        ), caplog.at_level(logging.INFO, logger="prototext.generator"):
+            outputs = generator.generate_outputs(model, records, max_len=4)
+        assert [len(tokens) for _, tokens in outputs] == [0, 4, 2, 4]
+        assert "decoded 4 outputs: 2 stopped at <eos>, 2 at max_len 4" in caplog.text
 
 
 class TestGeneratorPersistence:
