@@ -26,18 +26,17 @@ irrelevant prototype material.
 Inference (next_token_dist, decode_greedy) is read-only on the model and
 safe to run concurrently; training mutates the parameter arrays in a
 fixed single-threaded update order. Keys and values depend only on the
-input embeddings, so the forward pass is: embed, project keys and
-values, then one block (attention, feed-forward, logits) for the query
-rows, which training, next_token_dist and decode_greedy all share.
-next_token_dist runs the full forward over the whole prefix.
-decode_greedy decodes incrementally with a key/value cache that lives
-only in its own call: the prefill embeds the conditioning, writes the
-keys and values of every position, and runs the block for the last
-position only; each emitted token then costs one single-position block,
-with no causal mask, since one query row may attend to every cached key.
-It emits the same tokens as a full forward per token, and each step's
-logits agree with that forward's last row within 1e-12 (not bit for
-bit: single-row and matrix products may sum in different orders).
+input embeddings, so the one forward pass embeds, projects keys and
+values at every position, then runs one block (attention, feed-forward,
+logits) on only the last rows, the ones its caller reads. Training runs
+it on the last len(y) + 1 rows; next_token_dist on every row, as the
+full-width reference. decode_greedy keeps the prefill's keys and values
+in a cache local to its call, and each emitted token then costs one
+single-position block, with no causal mask, since one query row may
+attend to every cached key. Products over fewer rows may sum in another
+order, so this is a declared drift, not bit-equal: gradients agree with
+the reference within 1e-12 of each group's largest entry, and each
+decode step's logits with its last row within 1e-12, tokens equal.
 generate_outputs decodes a list of records and logs how many stopped at
 <eos> and how many at max_len; write_outputs and read_outputs own the
 ``{"output", "table_id"}`` JSONL outputs format.
@@ -229,18 +228,24 @@ def _block(params: dict[str, np.ndarray], x0: np.ndarray, k: np.ndarray, v: np.n
     return logits, (q, att, ctx, x1, a, x2)
 
 
-def _forward(params: dict[str, np.ndarray], ids: Sequence[int]):
-    """Forward pass over ``ids`` at positions ``0 .. len(ids)-1``: logits of every row."""
+def _forward(params: dict[str, np.ndarray], ids: Sequence[int], rows: int):
+    """Logits of the last ``rows`` positions of ``ids``; keys and values
+    come from every position. The one check of a sequence's length."""
+    n = len(ids)
+    if n > len(params["pos_emb"]):
+        raise InputTooLong(f"sequence needs {n} positions, max_context is {len(params['pos_emb'])}")
     x0 = _embed(params, ids)
     k = x0 @ params["w_key"]
     v = x0 @ params["w_value"]
-    logits, (q, att, ctx, x1, a, x2) = _block(params, x0, k, v)
+    logits, (q, att, ctx, x1, a, x2) = _block(params, x0[n - rows :], k, v)
     return logits, (list(ids), x0, q, k, v, att, ctx, x1, a, x2)
 
 
 def _backward(params: dict[str, np.ndarray], cache, d_logits: np.ndarray) -> dict[str, np.ndarray]:
+    """Gradients from the block's ``(rows, V)`` ``d_logits``; keys and values
+    pass a gradient to every position, queries to the last ``rows``."""
     ids, x0, q, k, v, att, ctx, x1, a, x2 = cache
-    n = len(ids)
+    n, rows = len(ids), len(d_logits)
     d = params["tok_emb"].shape[1]
     grads: dict[str, np.ndarray] = {}
 
@@ -256,7 +261,6 @@ def _backward(params: dict[str, np.ndarray], cache, d_logits: np.ndarray) -> dic
 
     d_ctx = d_x1 @ params["w_attn_out"].T
     grads["w_attn_out"] = ctx.T @ d_x1
-    d_x0 = d_x1.copy()
 
     d_att = d_ctx @ v.T
     d_v = att.T @ d_ctx
@@ -264,10 +268,11 @@ def _backward(params: dict[str, np.ndarray], cache, d_logits: np.ndarray) -> dic
     g = d_scores / math.sqrt(d)
     d_q = g @ k
     d_k = g.T @ q
-    d_x0 += d_q @ params["w_query"].T
+    d_x0 = np.zeros_like(x0)
+    d_x0[n - rows :] = d_x1 + d_q @ params["w_query"].T
     d_x0 += d_k @ params["w_key"].T
     d_x0 += d_v @ params["w_value"].T
-    grads["w_query"] = x0.T @ d_q
+    grads["w_query"] = x0[n - rows :].T @ d_q
     grads["w_key"] = x0.T @ d_k
     grads["w_value"] = x0.T @ d_v
 
@@ -291,20 +296,15 @@ def _forward_losses(
 ):
     """Forward pass and both loss terms for one id-level sequence pair.
 
-    Also returns what the backward pass needs: the logits and forward
-    cache, the target rows' probabilities, the target ids and the sorted
-    negative ids.
+    The block runs on the last ``len(y_ids) + 1`` rows; all but the last
+    predict a target. Also returns what the backward pass needs: the
+    logits and forward cache, the target rows' probabilities, the target
+    ids and the sorted negative ids.
     """
     if len(y_ids) == 0:
         raise InvalidConfig("target sequence must be non-empty")
-    seq = list(x_ids) + list(y_ids)
-    if len(seq) > model.max_context:
-        raise InputTooLong(
-            f"sequence needs {len(seq)} positions, max_context is {model.max_context}"
-        )
-    logits, cache = _forward(model.params, seq)
-    first = len(x_ids) - 1
-    logp = _log_softmax(logits[first : first + len(y_ids)])
+    logits, cache = _forward(model.params, list(x_ids) + list(y_ids), len(y_ids) + 1)
+    logp = _log_softmax(logits[:-1])
     probs = np.exp(logp)
     targets = np.asarray(list(y_ids))
     lm = float(-logp[np.arange(len(y_ids)), targets].sum())
@@ -343,7 +343,8 @@ def loss_and_grads(
     lm, ca, (logits, cache, probs, targets, neg) = _forward_losses(
         model, x_ids, y_ids, negative_ids
     )
-    d_rows = np.zeros_like(probs)
+    d_logits = np.zeros_like(logits)
+    d_rows = d_logits[:-1]
     if include_lm:
         d_rows += probs
         d_rows[np.arange(len(targets)), targets] -= 1.0
@@ -352,9 +353,6 @@ def loss_and_grads(
         coef = np.where(one_minus > CA_CLAMP, probs[:, neg] / one_minus, 0.0)
         d_rows[:, neg] += coef
         d_rows -= probs * coef.sum(axis=1, keepdims=True)
-    d_logits = np.zeros_like(logits)
-    first = len(x_ids) - 1
-    d_logits[first : first + len(y_ids)] = d_rows
     return lm, ca, _backward(model.params, cache, d_logits)
 
 
@@ -416,17 +414,10 @@ def next_token_dist(
     cond: ConditioningInput,
     prefix: Sequence[str],
 ) -> np.ndarray:
-    """Distribution over the vocabulary after consuming X and a prefix."""
+    """Distribution over the vocabulary after consuming X and a prefix;
+    the full-width reference, whose block runs on every position."""
     ids = list(cond.ids) + model.vocab.ids(prefix)
-    return _dist_for_ids(model, ids)
-
-
-def _dist_for_ids(model: GeneratorModel, ids: Sequence[int]) -> np.ndarray:
-    if len(ids) > model.max_context:
-        raise InputTooLong(
-            f"sequence needs {len(ids)} positions, max_context is {model.max_context}"
-        )
-    logits, _ = _forward(model.params, ids)
+    logits, _ = _forward(model.params, ids, len(ids))
     return _last_row_dist(logits)
 
 
@@ -437,24 +428,24 @@ def _last_row_dist(logits: np.ndarray) -> np.ndarray:
 def decode_greedy(model: GeneratorModel, cond: ConditioningInput, max_len: int) -> list[str]:
     """Greedy decoding; stops at <eos> (excluded) or after max_len tokens.
 
-    Argmax ties resolve toward the lowest vocabulary index. The prefill
-    writes the keys and values of the whole conditioning to a cache local
-    to this call and runs the block for its last row only; each emitted
-    token then costs one single-position block over that cache.
+    Argmax ties resolve toward the lowest vocabulary index. The last
+    emitted token is never fed back, so a decode reads at most
+    ``len(cond) + max_len - 1`` positions. The prefill is the forward over
+    the conditioning for its last row, with its keys and values kept in a
+    cache local to this call; each emitted token then costs one
+    single-position block over that cache.
     """
     n = len(cond.ids)
-    if n + max_len > model.max_context:
+    if n + max_len - 1 > model.max_context:
         raise InputTooLong(
-            f"conditioning ({n}) plus max_len ({max_len}) exceeds "
+            f"conditioning ({n}) plus max_len ({max_len}) minus one exceeds "
             f"max_context {model.max_context}"
         )
     params = model.params
+    logits, (_, _, _, k, v, *_) = _forward(params, cond.ids, 1)
     keys = np.empty((model.max_context, model.dim))
     values = np.empty((model.max_context, model.dim))
-    x = _embed(params, cond.ids)
-    keys[:n] = x @ params["w_key"]
-    values[:n] = x @ params["w_value"]
-    x = x[-1:]
+    keys[:n], values[:n] = k, v
     out: list[str] = []
     eos = model.vocab.eos_id
     for pos in range(n - 1, n + max_len - 1):
@@ -462,7 +453,7 @@ def decode_greedy(model: GeneratorModel, cond: ConditioningInput, max_len: int) 
             x = _embed(params, [nxt], pos)
             keys[pos] = x @ params["w_key"]
             values[pos] = x @ params["w_value"]
-        logits, _ = _block(params, x, keys[: pos + 1], values[: pos + 1])
+            logits, _ = _block(params, x, keys[: pos + 1], values[: pos + 1])
         nxt = int(np.argmax(_last_row_dist(logits)))
         if nxt == eos:
             break
@@ -475,10 +466,10 @@ def generate_outputs(
 ) -> list[tuple[int, list[str]]]:
     """Greedy output tokens for each record, as ``(table_id, tokens)``.
 
-    The conditioning gets ``max_context - max_len`` positions, so the
-    decoded tokens always fit the context window.
+    The conditioning gets ``max_context - max_len + 1`` positions, the
+    most a decode of ``max_len`` tokens leaves it.
     """
-    budget = model.max_context - max_len
+    budget = model.max_context - max_len + 1
     outputs = []
     for rec in records:
         protos = [tokenize(p) for p in rec.prototypes]

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fdcheck import central_diff, max_rel_error
@@ -29,7 +29,7 @@ from prototext.generator import (
 )
 from prototext.selector import AugmentedRecord, shared_vocabulary
 from prototext.tabledata import Corpus, Example, Sentence, Table
-from prototext.tokenization import SEP
+from prototext.tokenization import SEP, tokenize
 from prototext.vocab import Vocabulary
 
 
@@ -121,14 +121,20 @@ class TestNextTokenDist:
         # recompute the position-3 distribution from the longer run
         from prototext.generator import _forward, _log_softmax
 
-        logits, _ = _forward(model.params, [1, 2, 3, vocab.id("w4")])
+        ids = [1, 2, 3, vocab.id("w4")]
+        logits, _ = _forward(model.params, ids, len(ids))
         early = np.exp(_log_softmax(logits[2:3]))[0]
         np.testing.assert_array_equal(short, early)
         assert longer.shape == short.shape
         # every shorter forward reproduces the leading rows, down to one row
         for n in (1, 2, 3):
-            prefix, _ = _forward(model.params, [1, 2, 3, vocab.id("w4")][:n])
+            prefix, _ = _forward(model.params, ids[:n], n)
             np.testing.assert_allclose(prefix, logits[:n], rtol=0, atol=1e-12)
+        # the block over the last r rows reproduces the full forward's last r
+        for r in range(1, len(ids) + 1):
+            last, _ = _forward(model.params, ids, r)
+            assert last.shape == (r, len(vocab))
+            np.testing.assert_allclose(last, logits[-r:], rtol=0, atol=1e-12)
 
     def test_length_overflow(self):
         model = tiny_uniform_model()
@@ -259,6 +265,82 @@ class TestGradients:
             assert err < 1e-4, f"{component}/{key}: rel error {err}"
 
 
+def full_width_loss_and_grads(model, x_ids, y_ids, negative_ids, include_lm, include_ca):
+    """loss_and_grads with the block on every row: the target rows sliced
+    out of the full logits, and a full-width ``d_logits`` that is zero
+    outside them."""
+    ids = list(x_ids) + list(y_ids)
+    logits, cache = generator._forward(model.params, ids, len(ids))
+    first = len(x_ids) - 1
+    logp = generator._log_softmax(logits[first : first + len(y_ids)])
+    probs = np.exp(logp)
+    targets = np.asarray(y_ids)
+    lm = float(-logp[np.arange(len(y_ids)), targets].sum())
+    neg = sorted(set(negative_ids))
+    ca = 0.0
+    if neg:
+        ca = float(-np.log(np.maximum(1.0 - probs[:, neg], generator.CA_CLAMP)).sum())
+    d_rows = np.zeros_like(probs)
+    if include_lm:
+        d_rows += probs
+        d_rows[np.arange(len(targets)), targets] -= 1.0
+    if include_ca and neg:
+        one_minus = 1.0 - probs[:, neg]
+        coef = np.where(one_minus > generator.CA_CLAMP, probs[:, neg] / one_minus, 0.0)
+        d_rows[:, neg] += coef
+        d_rows -= probs * coef.sum(axis=1, keepdims=True)
+    d_logits = np.zeros_like(logits)
+    d_logits[first : first + len(y_ids)] = d_rows
+    return lm, ca, generator._backward(model.params, cache, d_logits)
+
+
+@st.composite
+def training_cases(draw):
+    """(n_content, max_context, dim, seed, x_ids, y_ids, negative_ids) with
+    ``len(x_ids) + len(y_ids) <= max_context``."""
+    n_content = draw(st.integers(1, 10))
+    max_context = draw(st.integers(2, 24))
+    v = len(plain_vocab(n_content))
+    n_x = draw(st.integers(1, max_context - 1))
+    n_y = draw(st.integers(1, max_context - n_x))
+    ids = st.integers(0, v - 1)
+    return (
+        n_content,
+        max_context,
+        draw(st.integers(1, 8)),
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.lists(ids, min_size=n_x, max_size=n_x)),
+        draw(st.lists(ids, min_size=n_y, max_size=n_y)),
+        draw(st.lists(ids, max_size=v, unique=True)),
+    )
+
+
+class TestTargetRowsMatchFullWidth:
+    """Training runs the block on the last len(y) + 1 rows only; its losses
+    and gradients match the full-width computation within 1e-12 of each
+    gradient group's largest entry."""
+
+    @pytest.mark.parametrize("component", ["lm", "ca", "total"])
+    @settings(deadline=None, max_examples=60)
+    @given(case=training_cases())
+    @example(case=(3, 8, 4, 0, [0, 6, 7], [8], [6, 3]))  # len(y) == 1
+    @example(case=(3, 8, 4, 1, [0, 6, 7, 8, 1], [6, 7, 2], [8, 3]))  # x + y fills max_context
+    def test_loss_and_grads_match_full_width(self, component, case):
+        n_content, max_context, dim, seed, x_ids, y_ids, neg = case
+        config = small_config(dim=dim, max_context=max_context)
+        model = randomized_model(plain_vocab(n_content), config, seed=seed)
+        include = dict(include_lm=component != "ca", include_ca=component != "lm")
+        lm, ca, grads = loss_and_grads(model, x_ids, y_ids, neg, **include)
+        ref_lm, ref_ca, ref_grads = full_width_loss_and_grads(model, x_ids, y_ids, neg, **include)
+        assert lm == pytest.approx(ref_lm, rel=1e-12)
+        assert ca == pytest.approx(ref_ca, rel=1e-12)
+        assert grads.keys() == ref_grads.keys()
+        for key, ref in ref_grads.items():
+            assert grads[key].shape == ref.shape
+            gap = np.max(np.abs(grads[key] - ref))
+            assert gap <= 1e-12 * np.max(np.abs(ref)), f"{component}/{key}: gap {gap}"
+
+
 def make_records(vocab_words, n=4):
     records = []
     for i in range(n):
@@ -375,27 +457,30 @@ def reference_decode(model, cond, max_len):
     return out
 
 
-def full_forward_forbidden(params, ids):
-    raise AssertionError("decode_greedy ran the full forward")
-
-
 def assert_decode_matches_reference(model, cond, max_len):
-    """decode_greedy emits the reference tokens without running the full
-    forward, every block it runs matches the full forward's last row, and
-    the model is untouched."""
+    """decode_greedy emits the reference tokens, runs the forward once and
+    for one row only (the prefill), every block it runs matches the full
+    forward's last row, and the model is untouched."""
     before = {key: value.tobytes() for key, value in model.params.items()}
     step_rows = []
-    real_block = generator._block
+    forward_rows = []
+    real_block, real_forward = generator._block, generator._forward
 
     def recording_block(params, x0, k, v):
         logits, cache = real_block(params, x0, k, v)
         step_rows.append(logits[-1].copy())
         return logits, cache
 
+    def prefill_only_forward(params, ids, rows):
+        forward_rows.append(rows)
+        assert forward_rows == [1], f"decode_greedy ran the forward on rows {forward_rows}"
+        return real_forward(params, ids, rows)
+
     with mock.patch.object(generator, "_block", recording_block), mock.patch.object(
-        generator, "_forward", full_forward_forbidden
+        generator, "_forward", prefill_only_forward
     ):
         got = decode_greedy(model, cond, max_len)
+    assert forward_rows == [1]
     expected = reference_decode(model, cond, max_len)
     assert got == expected
     assert {key: value.tobytes() for key, value in model.params.items()} == before
@@ -403,7 +488,8 @@ def assert_decode_matches_reference(model, cond, max_len):
     seq = list(cond.ids) + model.vocab.ids(got)
     assert len(step_rows) == min(len(got) + 1, max_len)
     for i, row in enumerate(step_rows):
-        full, _ = generator._forward(model.params, seq[: len(cond.ids) + i])
+        prefix = seq[: len(cond.ids) + i]
+        full, _ = generator._forward(model.params, prefix, len(prefix))
         assert np.max(np.abs(row - full[-1])) <= CACHED_LOGITS_ATOL
     return expected
 
@@ -416,7 +502,7 @@ def decode_cases(draw):
     model = randomized_model(plain_vocab(n_content), config, seed=draw(st.integers(0, 2**32 - 1)))
     n_cond = draw(st.integers(1, max_context - 1))
     ids = draw(st.lists(st.integers(0, len(model.vocab) - 1), min_size=n_cond, max_size=n_cond))
-    max_len = draw(st.integers(1, max_context - n_cond))
+    max_len = draw(st.integers(1, max_context - n_cond + 1))
     return model, bare_cond(*ids), max_len
 
 
@@ -434,9 +520,10 @@ class TestCachedDecodeEquivalence:
         out = assert_decode_matches_reference(model, bare_cond(1, 2, 3), max_len)
         assert (len(out) < max_len) == stops_at_eos
 
-    @pytest.mark.parametrize("n_cond", [1, 20])
+    @pytest.mark.parametrize("n_cond", [1, 20, 21])
     def test_conditioning_length_boundaries(self, n_cond):
-        # 1: the prefill has one row; 20 + max_len == max_context: the longest decode
+        # 1: the prefill has one row; 21 + max_len - 1 == max_context: the
+        # longest decode, which fills the last cache row
         model = randomized_model(plain_vocab(10), small_config(max_context=32), seed=2)
         cond = bare_cond(*[i % len(model.vocab) for i in range(n_cond)])
         max_len = 12
@@ -456,6 +543,27 @@ class TestGenerateOutputs:
             outputs = generator.generate_outputs(model, records, max_len=4)
         assert [len(tokens) for _, tokens in outputs] == [0, 4, 2, 4]
         assert "decoded 4 outputs: 2 stopped at <eos>, 2 at max_len 4" in caplog.text
+
+    def test_conditioning_of_exactly_the_budget_is_not_clipped(self):
+        records = make_records(["ada", "bob", "cid", "dee"])
+        vocab = vocab_of(records)
+        protos = [tokenize(p) for p in records[0].prototypes]
+        n = len(build_conditioning(records[0].table, protos, vocab, 64))
+        max_len = 4
+        # the budget max_context - max_len + 1 is exactly the conditioning's length
+        model = randomized_model(vocab, small_config(max_context=n + max_len - 1), seed=1)
+        seen = []
+        real_decode = generator.decode_greedy
+
+        def recording_decode(model, cond, max_len):
+            seen.append(cond)
+            return real_decode(model, cond, max_len)
+
+        with mock.patch.object(generator, "decode_greedy", recording_decode):
+            outputs = generator.generate_outputs(model, records[:1], max_len=max_len)
+        assert len(seen[0]) == n
+        assert seen[0].ids == build_conditioning(records[0].table, protos, vocab, 64).ids
+        assert outputs == [(0, real_decode(model, seen[0], max_len))]
 
 
 class TestGeneratorPersistence:
