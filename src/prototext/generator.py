@@ -472,8 +472,7 @@ def generate_outputs(
     budget = model.max_context - max_len + 1
     outputs = []
     for rec in records:
-        protos = [tokenize(p) for p in rec.prototypes]
-        cond = build_conditioning(rec.table, protos, model.vocab, budget)
+        cond, _ = _conditioning(rec, model.vocab, budget)
         outputs.append((rec.table_id, decode_greedy(model, cond, max_len)))
     max_len_stops = sum(1 for _, tokens in outputs if len(tokens) >= max_len)
     log.info(
@@ -509,15 +508,30 @@ def read_outputs(path: str | Path) -> dict[int, str]:
     return dict(read_jsonl(path, parse))
 
 
+def _conditioning(
+    record: AugmentedRecord, vocab: Vocabulary, budget: int
+) -> tuple[ConditioningInput, list[list[str]]]:
+    """A record's conditioning within ``budget`` positions, and its prototypes' tokens."""
+    proto_tokens = [tokenize(p) for p in record.prototypes]
+    return build_conditioning(record.table, proto_tokens, vocab, budget), proto_tokens
+
+
 def _record_ids(
     vocab: Vocabulary, record: AugmentedRecord, max_context: int
 ) -> tuple[list[int], list[int], list[int]] | None:
-    proto_tokens = [tokenize(p) for p in record.prototypes]
-    cond = build_conditioning(record.table, proto_tokens, vocab, max_context)
+    """A training record's conditioning, target and negative ids, its prototypes
+    clipped to the room the target leaves; None when <bos>, the table and the target
+    alone exceed ``max_context``, and InputTooLong when <bos> and the table do."""
     y_tokens = tokenize(record.reference)
     y_ids = vocab.ids(y_tokens) + [vocab.eos_id]
-    if len(cond.ids) + len(y_ids) > max_context:
+    table_positions = 1 + len(record.table.tokens)
+    if table_positions > max_context:
+        raise InputTooLong(
+            f"linearized table needs {table_positions} positions, max_context is {max_context}"
+        )
+    if table_positions + len(y_ids) > max_context:
         return None
+    cond, proto_tokens = _conditioning(record, vocab, max_context - len(y_ids))
     neg = negative_token_ids(vocab, y_tokens + [vocab.tokens[vocab.eos_id]], proto_tokens)
     return list(cond.ids), y_ids, neg
 
@@ -527,9 +541,9 @@ def train_generator(
 ) -> tuple[GeneratorModel, list[float]]:
     """Train on an augmented dataset over ``vocab``; deterministic for a fixed seed.
 
-    Records that do not fit the context window even after prototype
-    truncation are skipped with a warning. Returns the model and mean
-    per-record loss for each epoch.
+    A record's prototypes are clipped to the positions its target leaves in
+    ``max_context``; a record whose <bos>, table and target alone do not fit is
+    skipped with a warning. Returns the model and mean per-record loss for each epoch.
     """
     if len(dataset) == 0:
         raise InvalidConfig("generator training needs a non-empty dataset")
@@ -540,7 +554,7 @@ def train_generator(
         ids = _record_ids(vocab, rec, config.max_context)
         if ids is None:
             log.warning(
-                "skipping record %d: conditioning plus target exceeds max_context %d",
+                "skipping record %d: table plus target exceeds max_context %d",
                 rec.table_id,
                 config.max_context,
             )

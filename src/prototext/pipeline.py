@@ -14,15 +14,17 @@ Runs are deterministic: given the same configuration and input files,
 every report and model file is byte-identical across reruns, core counts
 and BLAS thread settings (importing the package sets numpy's BLAS to one
 thread; see :mod:`prototext.blas`). The runs of one ablation or sweep
-share retrieval and the selector trained per seed: the parent process
-computes both, then runs the runs in up to one forked worker process per
-CPU, which inherit them, and collects the results in submission order.
+differ only in variant, seed, n and output directory, so they share
+load, index, retrieval and the selector trained per seed. ``_share``
+computes these once, before any run starts, into one frozen record of
+plain values; the parent process then runs the runs in up to one forked
+worker process per CPU, which inherit that record, and collects the
+results in submission order. A single run computes its own record.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import logging
 import multiprocessing
@@ -33,7 +35,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
-from typing import Sequence, get_args, get_type_hints
+from typing import Iterable, Sequence, get_args, get_type_hints
 
 from . import blas
 from .errors import AllTies, InvalidConfig, StageError
@@ -195,9 +197,10 @@ def _stage(name: str):
         raise StageError(name, exc) from exc
 
 
-@dataclass(frozen=True, eq=False)
-class _Inputs:
-    """What load, index and retrieve give every run over the same files and m."""
+@dataclass(frozen=True)
+class _Shared:
+    """What every run of one call reads and none writes: the loaded inputs, the index,
+    each split's candidates, and the selector trained per seed with its epoch losses."""
 
     corpus: Corpus
     train: list[Example]
@@ -206,54 +209,38 @@ class _Inputs:
     index: InvertedIndex
     train_cands: dict[int, CandidateSet]
     test_cands: dict[int, CandidateSet]
+    selectors: dict[int, tuple[SelectorModel, list[float]]]
 
 
-def _load_and_retrieve(corpus_path: str, train_path: str, test_path: str, m: int) -> _Inputs:
+def _share(config: PipelineConfig, seeds: Iterable[int]) -> _Shared:
+    """Load, index and retrieve over ``config``'s files and m once, then train the
+    selector once per distinct seed of ``seeds``, in order, seeded ``seed + 1``."""
     with _stage("load-data"):
-        corpus = load_corpus(corpus_path)
-        train = parse_tables_file(train_path)
-        test = parse_tables_file(test_path)
+        corpus = load_corpus(config.corpus_path)
+        train = parse_tables_file(config.train_tables_path)
+        test = parse_tables_file(config.test_tables_path)
         vocab = shared_vocabulary(corpus, train)
     with _stage("index"):
         index = build_index(corpus)
     with _stage("retrieve"):
-        train_cands = retrieve_candidates(index, train, m, corpus)
-        test_cands = retrieve_candidates(index, test, m, corpus)
-    return _Inputs(corpus, train, test, vocab, index, train_cands, test_cands)
+        train_cands = retrieve_candidates(index, train, config.m, corpus)
+        test_cands = retrieve_candidates(index, test, config.m, corpus)
+    selectors = {}
+    for seed in dict.fromkeys(seeds):
+        with _stage("select"):
+            triples = training_triples(train, train_cands)
+            selector_config = dataclasses.replace(config.selector, seed=seed + 1)
+            selectors[seed] = train_selector(triples, corpus, selector_config)
+    return _Shared(corpus, train, test, vocab, index, train_cands, test_cands, selectors)
 
 
-def _train_selector(
-    inputs: _Inputs, seed: int, config: SelectorTrainConfig
-) -> tuple[SelectorModel, list[float]]:
-    """The selector trained on the training tables, seeded ``seed + 1``."""
-    with _stage("select"):
-        triples = training_triples(inputs.train, inputs.train_cands)
-        return train_selector(triples, inputs.corpus, dataclasses.replace(config, seed=seed + 1))
-
-
-class _Stages:
-    """The stages that runs share, each computed once per value of the
-    config fields it reads. Runs only read what these return."""
-
-    def __init__(self):
-        self._inputs = functools.cache(_load_and_retrieve)
-        self._selector = functools.cache(_train_selector)
-
-    def inputs(self, config: PipelineConfig) -> _Inputs:
-        paths = (config.corpus_path, config.train_tables_path, config.test_tables_path)
-        return self._inputs(*paths, config.m)
-
-    def selector(self, config: PipelineConfig) -> tuple[SelectorModel, list[float]]:
-        return self._selector(self.inputs(config), config.seed, config.selector)
-
-
-def run_pipeline(config: PipelineConfig, *, stages: _Stages | None = None) -> PipelineResult:
-    """One run. Runs given the same ``stages`` share load, index, retrieve and the selector."""
+def run_pipeline(config: PipelineConfig, *, shared: _Shared | None = None) -> PipelineResult:
+    """One run; ``shared`` is what :func:`_share` gave for its files, m and seed."""
     start = perf_counter()
-    stages = stages or _Stages()
+    selects = config.variant in SELECTOR_VARIANTS
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    shared = stages.inputs(config)
+    shared = shared or _share(config, [config.seed] if selects else [])
     paths = {"index": str(out / "index.jsonl")}
     with _stage("index"):
         save_index(paths["index"], shared.index)
@@ -262,9 +249,7 @@ def run_pipeline(config: PipelineConfig, *, stages: _Stages | None = None) -> Pi
             paths[f"candidates_{split}"] = str(out / f"candidates_{split}.jsonl")
             write_candidate_sets(paths[f"candidates_{split}"], list(cands.values()))
 
-    model, selector_losses = None, []
-    if config.variant in SELECTOR_VARIANTS:
-        model, selector_losses = stages.selector(config)
+    model, selector_losses = shared.selectors[config.seed] if selects else (None, [])
     with _stage("select"):
         if model is not None:
             paths["selector_model"] = str(out / "selector.json")
@@ -319,41 +304,38 @@ def run_pipeline(config: PipelineConfig, *, stages: _Stages | None = None) -> Pi
     )
 
 
-# What a forked worker of _run_all runs: its parent's configs and filled stages.
-_WORK: tuple[list[PipelineConfig], _Stages] | None = None
+# What a forked worker of _run_all runs: its parent's configs and shared work.
+_WORK: tuple[list[PipelineConfig], _Shared] | None = None
 
 
-def _adopt(configs: list[PipelineConfig], stages: _Stages) -> None:
+def _adopt(configs: list[PipelineConfig], shared: _Shared) -> None:
     global _WORK
-    _WORK = configs, stages
+    _WORK = configs, shared
 
 
 def _run_at(index: int) -> PipelineResult:
-    configs, stages = _WORK
-    return run_pipeline(configs[index], stages=stages)
+    configs, shared = _WORK
+    return run_pipeline(configs[index], shared=shared)
 
 
 def _run_all(configs: list[PipelineConfig], _workers: int | None = None) -> list[PipelineResult]:
-    """``run_pipeline`` of each config, in order, over one shared ``_Stages``.
+    """``run_pipeline`` of each config, in order, over one :func:`_share`.
 
-    The shared stages are computed here first. The runs then go to up to one worker
-    process per CPU, forked so that they inherit the stages (no model is pickled; a
-    config index goes out and a PipelineResult comes back), or run here, one after
-    another, when one CPU or one run leaves nothing to overlap or when the BLAS thread
-    count is not pinned, so that the workers' BLAS threads would oversubscribe the
-    CPUs. ``_workers`` overrides the count, for tests.
+    The configs differ only in variant, seed, n and out_dir, so their shared work is
+    computed here first, from the first config and the seeds of the selector variants.
+    The runs then go to up to one worker process per CPU, forked so that they inherit
+    it (no model is pickled; a config index goes out and a PipelineResult comes back),
+    or run here, one after another, when one CPU or one run leaves nothing to overlap
+    or when the BLAS thread count is not pinned, so that the workers' BLAS threads would
+    oversubscribe the CPUs. ``_workers`` overrides the count, for tests.
     """
-    stages = _Stages()
-    for config in configs:
-        stages.inputs(config)
-        if config.variant in SELECTOR_VARIANTS:
-            stages.selector(config)
+    shared = _share(configs[0], [c.seed for c in configs if c.variant in SELECTOR_VARIANTS])
     workers = _workers or (min(len(os.sched_getaffinity(0)), len(configs)) if blas.PINNED else 1)
     log.info("%d runs on %d worker processes", len(configs), workers)
     if workers == 1:
-        return [run_pipeline(config, stages=stages) for config in configs]
+        return [run_pipeline(config, shared=shared) for config in configs]
     pool = ProcessPoolExecutor(
-        workers, multiprocessing.get_context("fork"), initializer=_adopt, initargs=(configs, stages)
+        workers, multiprocessing.get_context("fork"), initializer=_adopt, initargs=(configs, shared)
     )
     try:
         return list(pool.map(_run_at, range(len(configs))))
@@ -465,17 +447,15 @@ def selector_precision_benchmark(config: PipelineConfig) -> dict:
     if config.labels_path is None:
         raise InvalidConfig("selector benchmark needs labels_path")
     labels = read_labels(config.labels_path)
-    stages = _Stages()
-    shared = stages.inputs(config)
-    model, losses = stages.selector(config)
+    shared = _share(config, [config.seed])
+    model, losses = shared.selectors[config.seed]
 
     bm25_scores = []
     selector_scores = []
     for examples, cands in ((shared.train, shared.train_cands), (shared.test, shared.test_cands)):
-        records = select_prototypes(examples, cands, shared.corpus, config.n, model)
-        for rec, c in zip(records, cands.values()):
+        for rec in select_prototypes(examples, cands, shared.corpus, config.n, model):
             relevant = labels.get(rec.table_id, set())
-            bm25_scores.append(precision_at_k(c.ids(), relevant, config.n))
+            bm25_scores.append(precision_at_k(cands[rec.table_id].ids(), relevant, config.n))
             selector_scores.append(precision_at_k(rec.prototype_ids, relevant, config.n))
     return {
         "n": config.n,

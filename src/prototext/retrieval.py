@@ -57,10 +57,12 @@ class InvertedIndex:
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """Retrieval output for one table: ids with scores, best first.
+    """A ranked set of sentences for one table: ids with scores, best first.
 
     Entries are ordered by descending score, ties broken by ascending
-    sentence id; every score is strictly positive.
+    sentence id. Retrieval's sets hold BM25 scores, which are strictly
+    positive; :func:`prototext.selector.select_top_n` returns one holding
+    selector scores, which may have any sign.
     """
 
     table_id: int

@@ -103,20 +103,6 @@ class SelectorTrainConfig:
 
 
 @dataclass(frozen=True)
-class PrototypeSet:
-    """The n candidates with the highest selector scores, best first."""
-
-    table_id: int
-    entries: tuple[tuple[int, float], ...]
-
-    def ids(self) -> list[int]:
-        return [sid for sid, _ in self.entries]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-@dataclass(frozen=True)
 class SelectorGradients:
     """Gradients of the margin loss; the bias has none, since it cancels
     inside every hinge term."""
@@ -331,8 +317,8 @@ def select_top_n(
     candidates: CandidateSet,
     corpus: Corpus,
     n: int,
-) -> PrototypeSet:
-    """Pick the min(n, |candidates|) candidates with the highest scores.
+) -> CandidateSet:
+    """The min(n, |candidates|) candidates with the highest selector scores, best first.
 
     Because the selection objective is a sum of per-sentence scores, the
     maximizing subset is exactly the top-n individual scores; ties break
@@ -345,7 +331,7 @@ def select_top_n(
     pooled = _pooled_rows(model.embeddings, ids)
     scored = [(sid, _score(model.projection, model.bias, h)) for sid, h in zip(sids, pooled)]
     scored.sort(key=lambda e: (-e[1], e[0]))
-    return PrototypeSet(table_id=candidates.table_id, entries=tuple(scored[:n]))
+    return CandidateSet(table_id=candidates.table_id, entries=tuple(scored[:n]))
 
 
 def select_prototypes(

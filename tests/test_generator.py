@@ -413,6 +413,76 @@ class TestTrainGenerator:
         assert len(losses) == 1
 
 
+def trained_inputs(records, config):
+    """The (x_ids, y_ids) of every training step of ``train_generator``, and its losses."""
+    seen = []
+    real = generator.loss_and_grads
+
+    def recording(model, x_ids, y_ids, *args):
+        seen.append((list(x_ids), list(y_ids)))
+        return real(model, x_ids, y_ids, *args)
+
+    # train_generator reaches loss_and_grads through the module global
+    with mock.patch.object(generator, "loss_and_grads", recording):
+        _, losses = train_generator(records, config, vocab_of(records))
+    return seen, losses
+
+
+def target_ids(vocab, record):
+    return vocab.ids(tokenize(record.reference)) + [vocab.eos_id]
+
+
+class TestTrainingLengthRule:
+    def test_record_that_needs_clipping_trains_on_clipped_prototypes(self):
+        record = AugmentedRecord(
+            table_id=0,
+            table=table_of(("name", "ada")),
+            prototype_ids=(0,),
+            prototypes=(" ".join(["word"] * 40),),
+            reference="ada is a thing",
+        )
+        vocab = vocab_of([record])
+        y_ids = target_ids(vocab, record)
+        room = 32 - len(y_ids)
+        expected = build_conditioning(record.table, [tokenize(record.prototypes[0])], vocab, room)
+        assert len(expected.ids) == room and len(expected.prototype_spans) == 1
+        seen, losses = trained_inputs([record], small_config(epochs=1, max_context=32))
+        assert len(losses) == 1
+        assert seen == [(list(expected.ids), y_ids)]
+
+    def test_record_whose_table_and_target_overflow_is_skipped(self, caplog):
+        records = make_records(["ada", "bob"], n=2)
+        table = table_of(("name", "eve"))
+        words = 32 - (1 + len(table.tokens))
+        # <bos>, the table and the target need 33 positions in record 99 and 32 in record 7
+        for table_id, n_words in ((99, words), (7, words - 1)):
+            records.append(
+                AugmentedRecord(
+                    table_id=table_id,
+                    table=table,
+                    prototype_ids=(table_id,),
+                    prototypes=("eve is one fine thing",),
+                    reference=" ".join(["word"] * n_words),
+                )
+            )
+        vocab = vocab_of(records)
+        with caplog.at_level(logging.WARNING, logger="prototext.generator"):
+            seen, losses = trained_inputs(records, small_config(epochs=1, max_context=32))
+        assert "skipping record 99" in caplog.text
+        assert "skipping record 7" not in caplog.text
+        assert len(losses) == 1
+        trained = sorted(y for _, y in seen)
+        assert trained == sorted(target_ids(vocab, r) for r in records if r.table_id != 99)
+        fitting = [x for x, y in seen if y == target_ids(vocab, records[-1])]
+        assert fitting == [[vocab.bos_id] + vocab.ids(table.tokens)]
+
+    def test_table_that_alone_overflows_is_input_too_long(self):
+        records = make_records(["ada", "bob"], n=2)
+        vocab = vocab_of(records)
+        with pytest.raises(InputTooLong):
+            train_generator(records, small_config(max_context=len(records[0].table.tokens)), vocab)
+
+
 class TestDecodeGreedy:
     def test_immediate_eos_gives_empty_output(self):
         vocab = plain_vocab(3)

@@ -406,3 +406,21 @@ class TestSelectorBenchmark:
     def test_requires_labels(self, tiny_config):
         with pytest.raises(InvalidConfig):
             selector_precision_benchmark(tiny_config(labels_path=None))
+
+
+def test_benchmark_tracer_sees_every_layer_of_a_run(tiny_config, monkeypatch):
+    """The benchmark under bench/ traces src by name: every function it wraps and
+    every argument its counts read must still exist, so one traced run reaches every
+    layer and repeats no retrieval."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import tracing
+    import workloads  # noqa: F401 - its module-level reads of src must resolve
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        pipeline.run_pipeline(tiny_config(variant="RET_PS_CA"))
+    finally:
+        tracer.uninstall()
+    assert tracing.absent_layers(tracer.spans) == []
+    assert tracing.layer_metrics(tracer.spans, 1.0)["pipeline.repeat_retrievals"] == 0
