@@ -3,8 +3,12 @@
 Subcommands mirror the pipeline stages (``index``, ``retrieve``,
 ``train-selector``, ``select``, ``train-generator``, ``generate``,
 ``eval``) plus the experiment drivers (``synth``, ``ablate``,
-``sweep-n``). Exit codes: 0 success, 1 usage/config error, 2 data
-error, 3 internal error.
+``sweep-n``). Each setting has one way in. A stage command takes its
+settings as flags alone, one per field of its config dataclass, whose
+dest is the field it sets. ``ablate`` and ``sweep-n`` read a pipeline
+config file, on which ``--out-dir`` (and ``sweep-n --seed``) go.
+Exit codes: 0 success, 1 usage/config error, 2 data error, 3 internal
+error.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .errors import (
 from .evaluation import evaluate_pairs, sign_test
 from .generator import (
     GeneratorTrainConfig,
+    check_decode_len,
     generate_outputs,
     load_generator,
     read_outputs,
@@ -37,10 +42,8 @@ from .pipeline import (
     VARIANTS,
     dump_json,
     load_config,
-    read_config_file,
     run_ablation,
     sweep_n,
-    typed_config,
 )
 from .retrieval import (
     build_index,
@@ -75,7 +78,7 @@ class _Parser(argparse.ArgumentParser):
 
 # The flags some commands share; each command declares only those it reads.
 _SHARED_FLAGS = {
-    "--config": dict(help="JSON config file; explicit flags override it"),
+    "--config": dict(required=True, help="JSON pipeline config file; explicit flags override it"),
     "--seed": dict(type=int, help="global random seed"),
     "--out-dir": dict(help="output directory"),
 }
@@ -90,14 +93,6 @@ def _given(args, cls) -> dict:
     """The flags given for fields of ``cls``; a flag's dest is the field it sets."""
     names = [f.name for f in dataclasses.fields(cls)]
     return {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
-
-
-def _stage_config(args, cls, section: str):
-    """A stage's config: the --config file's ``section``, then each flag that was given.
-    A command reads only the fields it has a flag for, so the section may set no other."""
-    raw = read_config_file(args.config) if args.config else {}
-    unread = [f"{section}.{f.name}" for f in dataclasses.fields(cls) if not hasattr(args, f.name)]
-    return typed_config(cls, raw, section, unread, **_given(args, cls))
 
 
 def _cmd_synth(args) -> None:
@@ -127,7 +122,7 @@ def _cmd_train_selector(args) -> None:
     corpus = load_corpus(args.corpus)
     cand_sets = {c.table_id: c for c in read_candidate_sets(args.candidates)}
     triples = training_triples(parse_tables_file(args.tables), cand_sets)
-    config = _stage_config(args, SelectorTrainConfig, "selector")
+    config = SelectorTrainConfig(**_given(args, SelectorTrainConfig))
     model, losses = train_selector(triples, corpus, config)
     save_selector(args.out, model)
     print(f"trained selector ({len(losses)} epochs) -> {args.out}")
@@ -147,7 +142,7 @@ def _cmd_train_generator(args) -> None:
     examples = parse_tables_file(args.tables)
     records = read_augmented_dataset(args.dataset, examples)
     vocab = shared_vocabulary(load_corpus(args.corpus), examples)
-    config = _stage_config(args, GeneratorTrainConfig, "generator")
+    config = GeneratorTrainConfig(**_given(args, GeneratorTrainConfig))
     model, losses = train_generator(records, config, vocab)
     save_generator(args.out, model)
     print(f"trained generator ({len(losses)} epochs) -> {args.out}")
@@ -155,10 +150,7 @@ def _cmd_train_generator(args) -> None:
 
 def _cmd_generate(args) -> None:
     model = load_generator(args.model)
-    if not 1 <= args.max_len < model.max_context:
-        raise InvalidConfig(
-            f"--max-len must be in [1, {model.max_context - 1}] for this model, got {args.max_len}"
-        )
+    check_decode_len(args.max_len, model.max_context, "--max-len")
     examples = parse_tables_file(args.tables)
     if args.dataset:
         records = read_augmented_dataset(args.dataset, examples)
@@ -206,14 +198,8 @@ def _cmd_eval(args) -> None:
     print(f"bleu4={report.bleu4:.6f} rouge4_f={report.rouge4_f:.6f} n={report.pair_count}")
 
 
-def _pipeline_config(args) -> PipelineConfig:
-    if not args.config:
-        raise UsageError("this command requires --config")
-    return load_config(args.config, seed=args.seed, out_dir=args.out_dir)
-
-
 def _cmd_ablate(args) -> None:
-    config = _pipeline_config(args)
+    config = load_config(args.config, **_given(args, PipelineConfig))
     variants = args.variants.split(",") if args.variants else list(VARIANTS)
     payload = run_ablation(config, variants, args.seeds)
     for row in payload["rows"]:
@@ -225,7 +211,7 @@ def _cmd_ablate(args) -> None:
 
 
 def _cmd_sweep_n(args) -> None:
-    config = _pipeline_config(args)
+    config = load_config(args.config, **_given(args, PipelineConfig))
     payload = sweep_n(config, args.n_values)
     for row in payload["rows"]:
         print(f"n={row['n']:3d} BLEU-4 {row['bleu4']:.4f} ROUGE-4 {row['rouge4_f']:.4f}")
@@ -237,7 +223,7 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", metavar="command")
 
     def sub(name, handler, help_text, *shared_flags):
-        p = subs.add_parser(name, help=help_text)
+        p = subs.add_parser(name, help=help_text, allow_abbrev=False)
         for flag in shared_flags:
             p.add_argument(flag, **_SHARED_FLAGS[flag])
         p.set_defaults(handler=handler)
@@ -261,8 +247,7 @@ def build_parser() -> _Parser:
     p.add_argument("--corpus", required=True, help="corpus file, for the reference-leakage filter")
     p.add_argument("--out", required=True)
 
-    p = sub("train-selector", _cmd_train_selector, "train the prototype selector",
-            "--config", "--seed")
+    p = sub("train-selector", _cmd_train_selector, "train the prototype selector", "--seed")
     p.add_argument("--corpus", required=True)
     p.add_argument("--tables", required=True)
     p.add_argument("--candidates", required=True)
@@ -280,8 +265,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, default=PipelineConfig.n)
     p.add_argument("--out", required=True)
 
-    p = sub("train-generator", _cmd_train_generator, "train the conditional generator",
-            "--config", "--seed")
+    p = sub("train-generator", _cmd_train_generator, "train the conditional generator", "--seed")
     p.add_argument("--dataset", required=True, help="augmented dataset JSONL")
     p.add_argument("--tables", required=True)
     p.add_argument("--corpus", required=True, help="corpus file, for the shared vocabulary")
@@ -305,12 +289,11 @@ def build_parser() -> _Parser:
     p.add_argument("--compare", help="second hypothesis file for a sign test")
     p.add_argument("--out", required=True)
 
-    pipeline_flags = ("--config", "--seed", "--out-dir")
-    p = sub("ablate", _cmd_ablate, "run the system-variant ladder", *pipeline_flags)
+    p = sub("ablate", _cmd_ablate, "run the system-variant ladder", "--config", "--out-dir")
     p.add_argument("--variants", help="comma-separated subset of " + ",".join(VARIANTS))
     p.add_argument("--seeds", type=int_list, help="comma-separated seeds (default: config seed)")
 
-    p = sub("sweep-n", _cmd_sweep_n, "sweep the prototype count", *pipeline_flags)
+    p = sub("sweep-n", _cmd_sweep_n, "sweep the prototype count", "--config", "--seed", "--out-dir")
     p.add_argument("--n-values", type=int_list, required=True, help="comma-separated n values")
 
     return parser

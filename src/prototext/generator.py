@@ -94,7 +94,7 @@ class GeneratorTrainConfig:
             raise InvalidConfig("learning rate must be positive")
         if self.epochs < 0:
             raise InvalidConfig("epochs must be >= 0")
-        if self.dim < 1 or self.max_context < 2 or self.max_decode_len < 1:
+        if self.dim < 1 or self.max_context < 2:
             raise InvalidConfig("model size fields must be positive")
         if self.seed < 0:
             raise InvalidConfig("seed must be a non-negative integer")
@@ -459,6 +459,15 @@ def decode_greedy(model: GeneratorModel, cond: ConditioningInput, max_len: int) 
             break
         out.append(model.vocab.tokens[nxt])
     return out
+
+
+def check_decode_len(max_len: int, max_context: int, name: str) -> None:
+    """The one decode-length rule: InvalidConfig naming ``name`` unless
+    ``1 <= max_len < max_context``, so the conditioning keeps two or more positions."""
+    if not 1 <= max_len < max_context:
+        raise InvalidConfig(
+            f"{name} must be in [1, {max_context - 1}] for max_context {max_context}, got {max_len}"
+        )
 
 
 def generate_outputs(

@@ -10,6 +10,9 @@ stage can also be driven standalone through the CLI. System variants:
 * ``RET_PS``     feeds prototypes chosen by the trained selector;
 * ``RET_PS_CA``  additionally enables the content-aware loss.
 
+``ablate`` and ``sweep-n`` read their config through :func:`load_config`,
+the one config-file reader and type rule.
+
 Runs are deterministic: given the same configuration and input files,
 every report and model file is byte-identical across reruns, core counts
 and BLAS thread settings (importing the package sets numpy's BLAS to one
@@ -42,6 +45,7 @@ from .errors import AllTies, InvalidConfig, StageError
 from .evaluation import EvalReport, evaluate_pairs, precision_at_k, sign_test
 from .generator import (
     GeneratorTrainConfig,
+    check_decode_len,
     generate_outputs,
     save_generator,
     train_generator,
@@ -99,6 +103,8 @@ class PipelineConfig:
             raise InvalidConfig(f"need m >= n >= 0, got m={self.m}, n={self.n}")
         if self.seed < 0:
             raise InvalidConfig("seed must be a non-negative integer")
+        gen = self.generator
+        check_decode_len(gen.max_decode_len, gen.max_context, "generator.max_decode_len")
         for name in RUN_SET:
             section, _, key = name.partition(".")
             part = getattr(self, section)
@@ -120,32 +126,27 @@ def _check_type(name: str, kind, value) -> None:
         raise InvalidConfig(f"config field {name} must be {kind_name}, not {type(value).__name__}")
 
 
-def typed_config(cls, raw: dict, where: str = "", unread: Sequence[str] = (), **overrides):
-    """The config dataclass ``cls`` read from ``raw``, a config file's JSON object: all of
-    it, or with ``where`` its section ``where``, which must be its only key. A field whose
-    type is a dataclass is a section, read the same way. Each override that is not None
-    goes on top. Every key met is InvalidConfig naming its dotted field if ``cls`` lacks
-    it, if ``unread`` names it, or if its value breaks :func:`_check_type`."""
-    if where:
-        stray = [key for key in raw if key != where]
-        if stray:
-            raise InvalidConfig(f"config field {stray[0]} cannot be set: only section {where} is")
-        raw = raw.get(where, {})
-        if not isinstance(raw, dict):
-            raise InvalidConfig(f"config section {where} must be an object")
+def typed_config(cls, raw, where: str = "", **overrides):
+    """The config dataclass ``cls`` read from ``raw``, the JSON object of a config file or,
+    with ``where``, of its section ``where``. A field whose type is a dataclass is a
+    section, read the same way. Each override that is not None goes on top. Every key met
+    is InvalidConfig naming its dotted field if ``cls`` lacks it, if its value breaks
+    :func:`_check_type`, or if RUN_SET names it."""
+    if not isinstance(raw, dict):
+        raise InvalidConfig(f"config {f'section {where}' if where else 'file'} must be an object")
     hints = get_type_hints(cls)
     values = {}
     for key, value in raw.items():
         name = f"{where}.{key}" if where else key
         if key not in hints:
             raise InvalidConfig(f"unknown config field {name}")
-        if name in unread:
-            raise InvalidConfig(f"config field {name} cannot be set: the command sets or ignores it")
         kind = hints[key]
         if dataclasses.is_dataclass(kind):
-            value = typed_config(kind, {name: value}, name, unread)
+            value = typed_config(kind, value, name)
         else:
             _check_type(name, kind, value)
+        if name in RUN_SET:
+            raise InvalidConfig(f"config field {name} cannot be set: the command sets or ignores it")
         values[key] = value
     values.update((key, value) for key, value in overrides.items() if value is not None)
     try:
@@ -154,25 +155,14 @@ def typed_config(cls, raw: dict, where: str = "", unread: Sequence[str] = (), **
         raise InvalidConfig(f"bad config {where or 'file'}: {exc}") from None
 
 
-def config_from_dict(raw: dict, **overrides) -> PipelineConfig:
-    """An ablate or sweep-n config from a config file's object; no field of RUN_SET may be set."""
-    return typed_config(PipelineConfig, raw, "", RUN_SET, **overrides)
-
-
-def read_config_file(path: str | Path) -> dict:
-    """The JSON object a config file holds; anything else is InvalidConfig."""
+def load_config(path: str | Path, **overrides) -> PipelineConfig:
+    """An ablate or sweep-n config from the config file at ``path``, by :func:`typed_config`."""
     with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InvalidConfig(f"config file {path} is not valid JSON: {exc.msg}") from None
-    if not isinstance(raw, dict):
-        raise InvalidConfig("config file must contain a JSON object")
-    return raw
-
-
-def load_config(path: str | Path, **overrides) -> PipelineConfig:
-    return config_from_dict(read_config_file(path), **overrides)
+    return typed_config(PipelineConfig, raw, **overrides)
 
 
 @dataclass(frozen=True)
@@ -318,7 +308,7 @@ def _run_at(index: int) -> PipelineResult:
     return run_pipeline(configs[index], shared=shared)
 
 
-def _run_all(configs: list[PipelineConfig], _workers: int | None = None) -> list[PipelineResult]:
+def _run_all(configs: list[PipelineConfig]) -> list[PipelineResult]:
     """``run_pipeline`` of each config, in order, over one :func:`_share`.
 
     The configs differ only in variant, seed, n and out_dir, so their shared work is
@@ -327,10 +317,10 @@ def _run_all(configs: list[PipelineConfig], _workers: int | None = None) -> list
     it (no model is pickled; a config index goes out and a PipelineResult comes back),
     or run here, one after another, when one CPU or one run leaves nothing to overlap
     or when the BLAS thread count is not pinned, so that the workers' BLAS threads would
-    oversubscribe the CPUs. ``_workers`` overrides the count, for tests.
+    oversubscribe the CPUs.
     """
     shared = _share(configs[0], [c.seed for c in configs if c.variant in SELECTOR_VARIANTS])
-    workers = _workers or (min(len(os.sched_getaffinity(0)), len(configs)) if blas.PINNED else 1)
+    workers = min(len(os.sched_getaffinity(0)), len(configs)) if blas.PINNED else 1
     log.info("%d runs on %d worker processes", len(configs), workers)
     if workers == 1:
         return [run_pipeline(config, shared=shared) for config in configs]
@@ -347,8 +337,6 @@ def run_ablation(
     config: PipelineConfig,
     variants: Sequence[str] = VARIANTS,
     seeds: Sequence[int] | None = None,
-    *,
-    _workers: int | None = None,
 ) -> dict:
     """Run each variant over the shared seeds and compare them.
 
@@ -373,7 +361,7 @@ def run_ablation(
         for variant in variants
         for seed in seeds
     ]
-    results = iter(_run_all(plan, _workers))
+    results = iter(_run_all(plan))
     runs = {variant: [next(results) for _ in seeds] for variant in variants}
 
     rows = []
@@ -411,9 +399,7 @@ def run_ablation(
     return payload
 
 
-def sweep_n(
-    config: PipelineConfig, n_values: Sequence[int], *, _workers: int | None = None
-) -> dict:
+def sweep_n(config: PipelineConfig, n_values: Sequence[int]) -> dict:
     """Prototype-count sweep for the full variant under a shared seed."""
     if not n_values or len(set(n_values)) < len(n_values):
         raise InvalidConfig(f"sweep needs one or more distinct n values, got {list(n_values)}")
@@ -430,7 +416,7 @@ def sweep_n(
     ]
     rows = [
         {"n": n, "bleu4": r.report.bleu4, "rouge4_f": r.report.rouge4_f}
-        for n, r in zip(n_values, _run_all(plan, _workers))
+        for n, r in zip(n_values, _run_all(plan))
     ]
     payload = {"seed": config.seed, "variant": "RET_PS_CA", "rows": rows}
     dump_json(out / "sweep.json", payload)

@@ -17,7 +17,16 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import InvalidConfig, ParseError, UnknownDocument
-from .tabledata import Corpus, Example, Table, json_int, read_jsonl, unique_id, write_jsonl
+from .tabledata import (
+    Corpus,
+    Example,
+    Table,
+    json_int,
+    json_numbers,
+    read_jsonl,
+    unique_id,
+    write_jsonl,
+)
 from .tokenization import RESERVED_TOKENS, tokenize
 
 __all__ = [
@@ -232,7 +241,7 @@ def load_index(path: str | Path) -> InvertedIndex:
         if record.get("format") != INDEX_FORMAT or record.get("version") != INDEX_VERSION:
             raise ParseError("not a recognized index file")
         doc_count = json_int(record["doc_count"], "doc_count")
-        header.update(doc_count=doc_count, avgdl=float(record["avgdl"]))
+        header.update(doc_count=doc_count, avgdl=float(json_numbers(record["avgdl"], "avgdl", 0)))
 
     def parse_lengths(record: dict) -> None:
         seen: set[int] = set()

@@ -399,17 +399,19 @@ def read_augmented_dataset(path: str | Path, examples: Sequence[Example]) -> lis
             raise ParseError(f"table_id {record['table_id']} not present in tables file")
         pids: set[int] = set()
         prototype_ids = tuple(unique_id(i, "prototype id", pids) for i in record["prototype_ids"])
-        prototypes = tuple(record["prototypes"])
+        prototypes = record["prototypes"]
+        reference = record.get("reference", example.reference)
+        if type(prototypes) is not list or not all(
+            isinstance(text, str) for text in (reference, *prototypes)
+        ):
+            raise ParseError("'prototypes' must be a list of strings and 'reference' a string")
         if len(prototype_ids) != len(prototypes):
             raise ParseError(f"{len(prototype_ids)} prototype_ids but {len(prototypes)} prototypes")
-        reference = record.get("reference", example.reference)
-        if not all(isinstance(text, str) for text in (reference, *prototypes)):
-            raise ParseError("'prototypes' and 'reference' must be strings")
         return AugmentedRecord(
             table_id=example.id,
             table=example.table,
             prototype_ids=prototype_ids,
-            prototypes=prototypes,
+            prototypes=tuple(prototypes),
             reference=reference,
         )
 

@@ -30,7 +30,11 @@ class Vocabulary:
     @classmethod
     def from_tokens(cls, tokens: Iterable[str]) -> "Vocabulary":
         toks = tuple(tokens)
-        return cls(tokens=toks, index={t: i for i, t in enumerate(toks)})
+        index = {t: i for i, t in enumerate(toks)}
+        if len(index) < len(toks) or not all(type(t) is str for t in toks):
+            bad = next(t for i, t in enumerate(toks) if type(t) is not str or index[t] != i)
+            raise ValueError(f"vocabulary token {bad!r} repeats or is not a string")
+        return cls(tokens=toks, index=index)
 
     def __len__(self) -> int:
         return len(self.tokens)

@@ -1,5 +1,5 @@
 import argparse
-import functools
+import dataclasses
 import json
 import os
 import re
@@ -18,6 +18,7 @@ from prototext.pipeline import RUN_SET
 from prototext.retrieval import build_index, retrieve, save_index, write_candidate_sets
 from prototext.selector import (
     SelectorModel,
+    SelectorTrainConfig,
     save_selector,
     select_prototypes,
     write_augmented_dataset,
@@ -32,10 +33,10 @@ def run_cli(*argv):
     return main(list(argv))
 
 
-def tiny_generator_file(tmp_path):
+def tiny_generator_file(tmp_path, *content):
     path = tmp_path / "generator.json"
     config = GeneratorTrainConfig(dim=4, max_context=16)
-    save_generator(path, init_generator(Vocabulary.build([]), config))
+    save_generator(path, init_generator(Vocabulary.build([content]), config))
     return path
 
 
@@ -207,6 +208,14 @@ MALFORMED_JSONL = [
     pytest.param(
         "augmented", _set(1, prototype_ids=[0], prototypes=[1]), id="augmented-prototype-not-text"
     ),
+    pytest.param(
+        "augmented", _set(1, prototype_ids=[0, 1, 2], prototypes="abc"),
+        id="augmented-prototypes-a-string",
+    ),
+    pytest.param(
+        "augmented", _set(1, prototype_ids=[0], prototypes={"text": 1}),
+        id="augmented-prototypes-an-object",
+    ),
     pytest.param("augmented", _set(1, table_id=[1]), id="augmented-table-id-list"),
     pytest.param("augmented", _repeat_first_line, id="augmented-repeated-table-id"),
     pytest.param(
@@ -220,6 +229,9 @@ MALFORMED_JSONL = [
     pytest.param("index", _replace(1, b"[1]"), id="index-header-not-an-object"),
     pytest.param("index", _set(1, doc_count="x"), id="index-doc-count-string"),
     pytest.param("index", _header_avgdl(0.0), id="index-avgdl-zero"),
+    # the right mean, but not a JSON number
+    pytest.param("index", _edit_at(1, ("avgdl",), str), id="index-avgdl-string"),
+    pytest.param("index", _set(1, avgdl=True), id="index-avgdl-true"),
     pytest.param("index", _set(2, doc_lengths=[[0, 3]]), id="index-doc-count-mismatch"),
     pytest.param("index", _set(3, postings=5), id="index-postings-not-a-list"),
     pytest.param("index", _unindexed_postings, id="index-posting-unindexed-doc"),
@@ -314,24 +326,17 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "content", ["{bad", "[1, 2]", '{"selector": {"margin": 1.0}}', '{"selector": 3}']
     )
-    def test_malformed_stage_config_is_config_error(self, tiny_bench, tmp_path, capsys, content):
-        index, cands = tmp_path / "index.jsonl", tmp_path / "cands.jsonl"
-        assert run_cli("index", "--corpus", tiny_bench["corpus"], "--out", str(index)) == 0
-        assert run_cli(
-            "retrieve", "--index", str(index), "--tables", tiny_bench["train_tables"],
-            "--corpus", tiny_bench["corpus"], "--out", str(cands),
-        ) == 0
-        cfg = tmp_path / "bad.json"
-        cfg.write_text(content, encoding="utf-8")
-        out = tmp_path / "selector.json"
-        code = run_cli(
-            "train-selector", "--config", str(cfg), "--corpus", tiny_bench["corpus"],
-            "--tables", tiny_bench["train_tables"], "--candidates", str(cands),
-            "--out", str(out),
-        )
-        assert code == 1
+    def test_malformed_stage_config_is_config_error(
+        self, tiny_bench, tmp_path, monkeypatch, capsys, content
+    ):
+        monkeypatch.chdir(tmp_path)
+        if content.startswith('{"'):  # a malformed section in an otherwise sound file
+            write_pipeline_config(tiny_bench, **json.loads(content))
+        else:
+            Path("config.json").write_text(content, encoding="utf-8")
+        assert run_cli("ablate", "--config", "config.json") == 1
         assert "internal error" not in capsys.readouterr().err
-        assert not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     def test_config_field_a_run_sets_is_config_error(self, tiny_bench, tmp_path, capsys):
         cfg = tmp_path / "config.json"
@@ -362,37 +367,6 @@ class TestExitCodes:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     @pytest.mark.parametrize(
-        "command, raw, field",
-        [
-            ("train-selector", {"seed": 5, "m": 7, "zzz": 1, "generator": {"epochs": 99},
-                                "selector": {"epochs": 2, "k": 1}}, "seed"),
-            ("train-selector", {"selector": {"epochs": 2}, "m": 7}, "m"),
-            ("train-selector", {"generator": {"epochs": 2}}, "generator"),
-            ("train-generator", {"generator": {"epochs": 2}, "seed": 5}, "seed"),
-            ("train-generator", {"selector": {"epochs": 2}}, "selector"),
-        ],
-        ids=["selector-probe", "selector-top-level", "selector-other-section",
-             "generator-top-level", "generator-other-section"],
-    )
-    def test_stage_config_outside_its_section_is_config_error(
-        self, tiny_bench, stage_files, tmp_path, capsys, command, raw, field
-    ):
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps(raw), encoding="utf-8")
-        out = tmp_path / "model.json"
-        inputs = {
-            "train-selector": ["--candidates", str(stage_files["candidates"])],
-            "train-generator": ["--dataset", str(stage_files["augmented"])],
-        }[command]
-        code = run_cli(
-            command, "--config", str(cfg), *inputs, "--tables", tiny_bench["train_tables"],
-            "--corpus", tiny_bench["corpus"], "--out", str(out),
-        )
-        assert code == 1
-        assert f"config field {field} cannot be set" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
         "argv",
         [
             ["ablate", "--seeds", "1,x"],
@@ -421,28 +395,15 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
-    @pytest.mark.parametrize(
-        "section, field",
-        [
-            ({"ca_enabled": 1}, "generator.ca_enabled"),
-            ({"max_decode_len": 3}, "generator.max_decode_len"),
-        ],
-        ids=["ca_enabled-not-a-bool", "max_decode_len-unread"],
-    )
-    def test_bad_train_generator_config_is_config_error(
-        self, tiny_bench, stage_files, tmp_path, capsys, section, field
+    @pytest.mark.parametrize("max_decode_len", [256, 300])
+    def test_decode_len_outside_context_fails_before_any_stage(
+        self, tiny_bench, tmp_path, monkeypatch, capsys, max_decode_len
     ):
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({"generator": section}), encoding="utf-8")
-        out = tmp_path / "generator.json"
-        code = run_cli(
-            "train-generator", "--config", str(cfg), "--dataset", str(stage_files["augmented"]),
-            "--tables", tiny_bench["train_tables"], "--corpus", tiny_bench["corpus"],
-            "--out", str(out),
-        )
-        assert code == 1
-        assert f"config field {field}" in capsys.readouterr().err
-        assert not out.exists()
+        monkeypatch.chdir(tmp_path)
+        write_pipeline_config(tiny_bench, generator={"epochs": 1, "max_decode_len": max_decode_len})
+        assert run_cli("ablate", "--config", "config.json", "--variants", "BASE,RET") == 1
+        assert "generator.max_decode_len must be in [1, 255]" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     def test_corrupt_index_lengths_line_is_data_error(self, tiny_bench, tmp_path, capsys):
         index = tmp_path / "index.jsonl"
@@ -482,6 +443,7 @@ STAGE_ARGV = {
     "train-generator": ["--dataset", "a", "--tables", "t", "--corpus", "c", "--out", "o"],
     "generate": ["--model", "m", "--tables", "t", "--out", "o"],
     "eval": ["--hyp", "h", "--ref", "r", "--out", "o"],
+    "ablate": ["--config", "c"],
 }
 FLAG_VALUES = {
     "--config": "config.json", "--seed": "9", "--out-dir": "elsewhere", "--max-decode-len": "3"
@@ -490,9 +452,12 @@ UNREAD_FLAGS = [
     *((command, flag) for command in ("index", "retrieve", "select", "generate", "eval")
       for flag in ("--config", "--seed", "--out-dir")),
     ("synth", "--config"),
+    ("train-selector", "--config"),
     ("train-selector", "--out-dir"),
+    ("train-generator", "--config"),
     ("train-generator", "--out-dir"),
     ("train-generator", "--max-decode-len"),
+    ("ablate", "--seed"),
 ]
 
 
@@ -527,21 +492,36 @@ def _readme_flag_table():
 
 
 # Required flags that the command's handler checks, not argparse.
-HANDLER_REQUIRED = {"synth": {"--out-dir"}, "ablate": {"--config"}, "sweep-n": {"--config"}}
+HANDLER_REQUIRED = {"synth": {"--out-dir"}}
+
+
+def _command_parsers():
+    return next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
 
 
 def test_readme_flag_table_matches_parser():
-    subparsers = next(
-        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-    )
+    parsers = _command_parsers()
     table = _readme_flag_table()
-    assert set(table) == set(subparsers.choices)
-    for command, parser in subparsers.choices.items():
+    assert set(table) == set(parsers)
+    for command, parser in parsers.items():
         actions = [a for a in parser._actions if "--help" not in a.option_strings]
         flags = {flag for a in actions for flag in a.option_strings}
         required = {a.option_strings[0] for a in actions if a.required}
         required |= HANDLER_REQUIRED.get(command, set())
         assert table[command] == (required, flags - required), command
+
+
+@pytest.mark.parametrize(
+    "command, cls, unread",
+    [("train-selector", SelectorTrainConfig, set()),
+     ("train-generator", GeneratorTrainConfig, {"max_decode_len"})],
+)
+def test_every_train_config_field_has_a_flag(command, cls, unread):
+    """Flags are a stage command's one way in, so a field without one is out of reach."""
+    dests = {action.dest for action in _command_parsers()[command]._actions}
+    assert {f.name for f in dataclasses.fields(cls)} - dests == unread
 
 
 def test_readme_run_set_matches_pipeline():
@@ -626,7 +606,22 @@ def _retyped(key, new):
     return corrupt
 
 
-CORRUPTIONS = [_truncate, _drop_tokens, _ill_typed_tokens, _unknown_key()]
+def _last_token(new):
+    """A corruption that replaces the last token with ``new(tokens)``; every shape still agrees."""
+
+    def corrupt(text):
+        payload = json.loads(text)
+        payload["tokens"][-1] = new(payload["tokens"])
+        return json.dumps(payload)
+
+    return corrupt
+
+
+CORRUPTIONS = [
+    _truncate, _drop_tokens, _ill_typed_tokens, _unknown_key(),
+    pytest.param(_last_token(lambda tokens: tokens[-2]), id="token-repeated"),
+    pytest.param(_last_token(lambda tokens: 5), id="token-not-a-string"),
+]
 # values that name a number without being one, or that fill a matrix with a bool
 NOT_NUMBERS = {
     "generator": {
@@ -653,7 +648,7 @@ class TestCorruptModelFiles:
         + not_numbers("generator"),
     )
     def test_corrupt_generator_is_data_error(self, tiny_bench, tmp_path, capsys, corrupt):
-        model = tiny_generator_file(tmp_path)
+        model = tiny_generator_file(tmp_path, "a", "b")
         model.write_text(corrupt(model.read_text()), encoding="utf-8")
         code = run_cli(
             "generate", "--model", str(model), "--tables", tiny_bench["test_tables"],
@@ -666,7 +661,7 @@ class TestCorruptModelFiles:
         "corrupt", CORRUPTIONS + [_narrow_selector_projection] + not_numbers("selector")
     )
     def test_corrupt_selector_is_data_error(self, tiny_bench, tmp_path, capsys, corrupt):
-        vocab = Vocabulary.build([])
+        vocab = Vocabulary.build([["a", "b"]])
         model = tmp_path / "selector.json"
         save_selector(model, SelectorModel(vocab, np.ones((len(vocab), 3)), np.ones(3), 0.0))
         model.write_text(corrupt(model.read_text()), encoding="utf-8")
@@ -884,9 +879,8 @@ class TestPipelineCommands:
             raise DataError("planted failure")
 
         monkeypatch.setattr(pipeline, "train_generator", fail)
-        monkeypatch.setattr(
-            cli, "run_ablation", functools.partial(pipeline.run_ablation, _workers=workers)
-        )
+        monkeypatch.setattr(pipeline.blas, "PINNED", True)
+        monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: set(range(workers)))
         cfg = self.make_config(tiny_bench, tmp_path)
         assert run_cli("ablate", "--config", str(cfg), "--variants", "BASE,RET") == 2
         assert "stage 'train-generator' failed: planted failure" in capsys.readouterr().err

@@ -15,12 +15,12 @@ from prototext.errors import DataError, DuplicateId, InvalidConfig, ParseError, 
 from prototext.pipeline import (
     VARIANTS,
     PipelineConfig,
-    config_from_dict,
     load_config,
     run_ablation,
     run_pipeline,
     selector_precision_benchmark,
     sweep_n,
+    typed_config,
 )
 from prototext.generator import GeneratorTrainConfig
 from prototext.retrieval import build_index, retrieve_candidates
@@ -81,7 +81,7 @@ class TestConfig:
 
     def test_unknown_field_rejected(self):
         with pytest.raises(InvalidConfig):
-            config_from_dict({"corpus_path": "x", "zzz": 1})
+            typed_config(PipelineConfig, {"corpus_path": "x", "zzz": 1})
 
     @pytest.mark.parametrize(
         "section, fields",
@@ -95,7 +95,7 @@ class TestConfig:
     )
     def test_ill_typed_section_field_rejected(self, section, fields):
         with pytest.raises(InvalidConfig, match=f"{section}.{next(iter(fields))}"):
-            config_from_dict({"corpus_path": "x", section: fields})
+            typed_config(PipelineConfig, {"corpus_path": "x", section: fields})
 
     @pytest.mark.parametrize(
         "raw, field",
@@ -109,7 +109,7 @@ class TestConfig:
     )
     def test_field_a_run_sets_rejected(self, raw, field):
         with pytest.raises(InvalidConfig, match=f"config field {field} cannot be set"):
-            config_from_dict({"corpus_path": "x", **raw})
+            typed_config(PipelineConfig, {"corpus_path": "x", **raw})
 
     @pytest.mark.parametrize("name, value", list(wrong_typed_fields()))
     def test_wrong_typed_field_rejected(self, name, value):
@@ -118,7 +118,7 @@ class TestConfig:
                "out_dir": "o"}
         raw.update({section: {key: value}} if section else {key: value})
         with pytest.raises(InvalidConfig, match=rf"config field {re.escape(name)} must be"):
-            pipeline.typed_config(PipelineConfig, raw)
+            typed_config(PipelineConfig, raw)
 
     @pytest.mark.parametrize(
         "name, value", [p for p in wrong_typed_fields() if "." not in p.values[0]]
@@ -136,13 +136,18 @@ class TestConfig:
         with pytest.raises(InvalidConfig, match=f"field {re.escape(name)} cannot be set"):
             tiny_config(**{section: changed})
 
+    @pytest.mark.parametrize("max_context, max_decode_len", [(32, 32), (32, 40), (256, 0)])
+    def test_decode_len_outside_context_rejected(self, tiny_config, max_context, max_decode_len):
+        generator = GeneratorTrainConfig(max_context=max_context, max_decode_len=max_decode_len)
+        with pytest.raises(InvalidConfig, match="generator.max_decode_len must be in"):
+            tiny_config(generator=generator)
+
     def test_labels_path_rejected(self):
         with pytest.raises(InvalidConfig, match="config field labels_path cannot be set"):
-            config_from_dict({"corpus_path": "x", "labels_path": "labels.jsonl"})
+            typed_config(PipelineConfig, {"corpus_path": "x", "labels_path": "labels.jsonl"})
 
     def test_int_learning_rate_accepted(self):
-        raw = {"generator": {"learning_rate": 1}}
-        config = pipeline.typed_config(GeneratorTrainConfig, raw, "generator")
+        config = typed_config(GeneratorTrainConfig, {"learning_rate": 1}, "generator")
         assert config == GeneratorTrainConfig(learning_rate=1)
 
     def test_load_config_with_overrides(self, tiny_bench, tmp_path):
@@ -303,12 +308,12 @@ def tree_digests(root: Path) -> dict[str, str]:
 
 
 class TestParallelRuns:
-    def test_one_and_two_workers_write_the_same_bytes(self, tiny_config, tmp_path):
+    def test_one_and_two_workers_write_the_same_bytes(self, tiny_config, tmp_path, monkeypatch):
+        monkeypatch.setattr(pipeline.blas, "PINNED", True)
         for workers in (1, 2):
-            run_ablation(tiny_config(out_dir=str(tmp_path / f"ablate{workers}")), VARIANTS,
-                         [1, 2], _workers=workers)
-            sweep_n(tiny_config(out_dir=str(tmp_path / f"sweep{workers}")), [1, 2, 3],
-                    _workers=workers)
+            monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: set(range(workers)))
+            run_ablation(tiny_config(out_dir=str(tmp_path / f"ablate{workers}")), VARIANTS, [1, 2])
+            sweep_n(tiny_config(out_dir=str(tmp_path / f"sweep{workers}")), [1, 2, 3])
         # ablation.json and 8 or 9 files per run; sweep.json and 9 files per run
         for kind, files in (("ablate", 1 + 2 * (8 + 8 + 9 + 9)), ("sweep", 1 + 3 * 9)):
             one = tree_digests(tmp_path / f"{kind}1")
@@ -331,9 +336,10 @@ class TestParallelRuns:
                 raise DataError("planted failure")
 
             monkeypatch.setattr(pipeline, "train_generator", fail)
+        monkeypatch.setattr(pipeline.blas, "PINNED", True)
+        monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1})
         try:
-            run_ablation(tiny_config(out_dir=str(tmp_path / "ablate")), VARIANTS, [1, 2],
-                         _workers=2)
+            run_ablation(tiny_config(out_dir=str(tmp_path / "ablate")), VARIANTS, [1, 2])
             assert not fails
         except StageError as exc:
             assert fails and exc.stage == "train-generator"
