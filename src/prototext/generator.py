@@ -31,12 +31,14 @@ values at every position, then runs one block (attention, feed-forward,
 logits) on only the last rows, the ones its caller reads. Training runs
 it on the last len(y) + 1 rows; next_token_dist on every row, as the
 full-width reference. decode_greedy keeps the prefill's keys and values
-in a cache local to its call, and each emitted token then costs one
-single-position block, with no causal mask, since one query row may
-attend to every cached key. Products over fewer rows may sum in another
-order, so this is a declared drift, not bit-equal: gradients agree with
-the reference within 1e-12 of each group's largest entry, and each
-decode step's logits with its last row within 1e-12, tokens equal.
+in a cache local to its call; each emitted token then goes in as one 1-D
+row through the same block, with no causal mask, since one query row
+may attend to every cached key. The token is the argmax of that row's
+logits, ties to the lowest id, with no softmax. Products over fewer
+rows may sum in another order, so this is a declared drift, not
+bit-equal: gradients agree with the reference within 1e-12 of each
+group's largest entry, and each decode step's logits with its last row
+within 1e-12, tokens equal.
 generate_outputs decodes a list of records and logs how many stopped at
 <eos> and how many at max_len; write_outputs and read_outputs own the
 ``{"output", "table_id"}`` JSONL outputs format.
@@ -52,7 +54,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidConfig, InputTooLong, ParseError
+from .errors import InvalidConfig, InputTooLong, InvalidInput, ParseError
 from .optim import Adam
 from .selector import AugmentedRecord
 from .tabledata import (
@@ -107,6 +109,10 @@ class ConditioningInput:
     ids: tuple[int, ...]
     table_len: int
     prototype_spans: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        if not self.ids:
+            raise InvalidInput("conditioning needs at least one id")
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -198,28 +204,24 @@ def build_conditioning(
     return ConditioningInput(ids=tuple(ids), table_len=len(table_ids), prototype_spans=clipped)
 
 
-def _embed(params: dict[str, np.ndarray], ids: Sequence[int], start: int = 0) -> np.ndarray:
-    """Token plus position embeddings of ``ids`` at positions ``start``, ``start+1``, ..."""
-    return params["tok_emb"][list(ids)] + params["pos_emb"][start : start + len(ids)]
-
-
 def _block(params: dict[str, np.ndarray], x0: np.ndarray, k: np.ndarray, v: np.ndarray):
     """Attention, feed-forward and logits for the queries ``x0``.
 
-    ``k`` and ``v`` hold the keys and values of positions ``0 .. m-1``;
-    the rows of ``x0`` are the last ``len(x0)`` of those positions. A
-    single query row may attend to every key, so the causal mask is
-    built only for more than one row.
+    ``k`` and ``v`` hold the keys and values of positions ``0 .. m-1``.
+    ``x0`` is either a 2-D block whose rows are the last ``len(x0)`` of
+    those positions, or one 1-D row, the last position. A single query
+    row may attend to every key, so the causal mask is built only for a
+    block of more than one row.
     """
-    n, m = len(x0), len(k)
     q = x0 @ params["w_query"]
-    scores = (q @ k.T) / math.sqrt(x0.shape[1])
-    if n > 1:
+    scores = (q @ k.T) / math.sqrt(x0.shape[-1])
+    if x0.ndim == 2 and len(x0) > 1:
+        n, m = len(x0), len(k)
         causal = np.tril(np.ones((n, m), dtype=bool), k=m - n)
         scores = np.where(causal, scores, -np.inf)
-    shifted = scores - scores.max(axis=1, keepdims=True)
+    shifted = scores - scores.max(axis=-1, keepdims=True)
     expd = np.exp(shifted)
-    att = expd / expd.sum(axis=1, keepdims=True)
+    att = expd / expd.sum(axis=-1, keepdims=True)
     ctx = att @ v
     x1 = x0 + ctx @ params["w_attn_out"]
     a = np.tanh(x1 @ params["w_ff_in"])
@@ -234,7 +236,7 @@ def _forward(params: dict[str, np.ndarray], ids: Sequence[int], rows: int):
     n = len(ids)
     if n > len(params["pos_emb"]):
         raise InputTooLong(f"sequence needs {n} positions, max_context is {len(params['pos_emb'])}")
-    x0 = _embed(params, ids)
+    x0 = params["tok_emb"][list(ids)] + params["pos_emb"][:n]
     k = x0 @ params["w_key"]
     v = x0 @ params["w_value"]
     logits, (q, att, ctx, x1, a, x2) = _block(params, x0[n - rows :], k, v)
@@ -418,23 +420,23 @@ def next_token_dist(
     the full-width reference, whose block runs on every position."""
     ids = list(cond.ids) + model.vocab.ids(prefix)
     logits, _ = _forward(model.params, ids, len(ids))
-    return _last_row_dist(logits)
-
-
-def _last_row_dist(logits: np.ndarray) -> np.ndarray:
     return np.exp(_log_softmax(logits[-1:]))[0]
 
 
 def decode_greedy(model: GeneratorModel, cond: ConditioningInput, max_len: int) -> list[str]:
     """Greedy decoding; stops at <eos> (excluded) or after max_len tokens.
 
-    Argmax ties resolve toward the lowest vocabulary index. The last
-    emitted token is never fed back, so a decode reads at most
+    Each token is the argmax of its step's logits, with no softmax, and
+    ties resolve toward the lowest vocabulary index. The last emitted
+    token is never fed back, so a decode reads at most
     ``len(cond) + max_len - 1`` positions. The prefill is the forward over
     the conditioning for its last row, with its keys and values kept in a
-    cache local to this call; each emitted token then costs one
-    single-position block over that cache.
+    cache local to this call; each emitted token then goes in as one 1-D
+    row: its embedding read by index, its key and value written into the
+    cache, and ``_block`` run on that row over the cache.
     """
+    if max_len < 1:
+        raise InvalidConfig(f"max_len must be >= 1, got {max_len}")
     n = len(cond.ids)
     if n + max_len - 1 > model.max_context:
         raise InputTooLong(
@@ -443,6 +445,7 @@ def decode_greedy(model: GeneratorModel, cond: ConditioningInput, max_len: int) 
         )
     params = model.params
     logits, (_, _, _, k, v, *_) = _forward(params, cond.ids, 1)
+    row = logits[0]
     keys = np.empty((model.max_context, model.dim))
     values = np.empty((model.max_context, model.dim))
     keys[:n], values[:n] = k, v
@@ -450,11 +453,11 @@ def decode_greedy(model: GeneratorModel, cond: ConditioningInput, max_len: int) 
     eos = model.vocab.eos_id
     for pos in range(n - 1, n + max_len - 1):
         if pos >= n:
-            x = _embed(params, [nxt], pos)
+            x = params["tok_emb"][nxt] + params["pos_emb"][pos]
             keys[pos] = x @ params["w_key"]
             values[pos] = x @ params["w_value"]
-            logits, _ = _block(params, x, keys[: pos + 1], values[: pos + 1])
-        nxt = int(np.argmax(_last_row_dist(logits)))
+            row, _ = _block(params, x, keys[: pos + 1], values[: pos + 1])
+        nxt = int(row.argmax())
         if nxt == eos:
             break
         out.append(model.vocab.tokens[nxt])
@@ -478,6 +481,7 @@ def generate_outputs(
     The conditioning gets ``max_context - max_len + 1`` positions, the
     most a decode of ``max_len`` tokens leaves it.
     """
+    check_decode_len(max_len, model.max_context, "max_len")
     budget = model.max_context - max_len + 1
     outputs = []
     for rec in records:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fdcheck import central_diff, max_rel_error
 from prototext import generator
-from prototext.errors import InputTooLong, InvalidConfig
+from prototext.errors import InputTooLong, InvalidConfig, InvalidInput
 from prototext.generator import (
     ConditioningInput,
     GeneratorTrainConfig,
@@ -508,6 +508,15 @@ class TestDecodeGreedy:
         with pytest.raises(InputTooLong):
             decode_greedy(model, bare_cond(*[0] * 10), max_len=10)
 
+    @pytest.mark.parametrize("max_len", [0, -5])
+    def test_decode_len_below_one_rejected(self, max_len):
+        with pytest.raises(InvalidConfig, match="max_len must be >= 1"):
+            decode_greedy(tiny_uniform_model(), bare_cond(0), max_len=max_len)
+
+    def test_empty_conditioning_rejected(self):
+        with pytest.raises(InvalidInput, match="at least one id"):
+            ConditioningInput(ids=(), table_len=0, prototype_spans=())
+
 
 # Cached and full-forward logits differ only by BLAS summation order
 # (single-row vs. matrix products); 5.0e-14 was the largest gap measured
@@ -529,16 +538,19 @@ def reference_decode(model, cond, max_len):
 
 def assert_decode_matches_reference(model, cond, max_len):
     """decode_greedy emits the reference tokens, runs the forward once and
-    for one row only (the prefill), every block it runs matches the full
+    for one row only (the prefill), runs every later step's block on one
+    1-D row, computes no softmax, every block it runs matches the full
     forward's last row, and the model is untouched."""
     before = {key: value.tobytes() for key, value in model.params.items()}
     step_rows = []
+    block_ndims = []
     forward_rows = []
     real_block, real_forward = generator._block, generator._forward
 
     def recording_block(params, x0, k, v):
         logits, cache = real_block(params, x0, k, v)
-        step_rows.append(logits[-1].copy())
+        block_ndims.append(x0.ndim)
+        step_rows.append(np.atleast_2d(logits)[-1].copy())
         return logits, cache
 
     def prefill_only_forward(params, ids, rows):
@@ -546,11 +558,16 @@ def assert_decode_matches_reference(model, cond, max_len):
         assert forward_rows == [1], f"decode_greedy ran the forward on rows {forward_rows}"
         return real_forward(params, ids, rows)
 
+    def no_log_softmax(rows):
+        raise AssertionError("decode_greedy computed a log-softmax")
+
     with mock.patch.object(generator, "_block", recording_block), mock.patch.object(
         generator, "_forward", prefill_only_forward
-    ):
+    ), mock.patch.object(generator, "_log_softmax", no_log_softmax):
         got = decode_greedy(model, cond, max_len)
     assert forward_rows == [1]
+    # the prefill's block is the forward's (1, d) block; every later step a 1-D row
+    assert block_ndims == [2] + [1] * (len(block_ndims) - 1)
     expected = reference_decode(model, cond, max_len)
     assert got == expected
     assert {key: value.tobytes() for key, value in model.params.items()} == before
@@ -577,6 +594,18 @@ def decode_cases(draw):
 
 
 class TestCachedDecodeEquivalence:
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(1, 8), st.integers(1, 24), st.integers(0, 2**32 - 1))
+    def test_one_row_block_matches_one_row_matrix(self, dim, m, seed):
+        model = randomized_model(plain_vocab(6), small_config(dim=dim, max_context=24), seed)
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-1.0, 1.0, (m, dim))
+        k, v = x @ model.params["w_key"], x @ model.params["w_value"]
+        row, _ = generator._block(model.params, x[-1], k, v)
+        block, _ = generator._block(model.params, x[-1:], k, v)
+        assert row.shape == (len(model.vocab),) and block.shape == (1, len(model.vocab))
+        assert np.max(np.abs(row - block[0])) <= CACHED_LOGITS_ATOL
+
     @settings(deadline=None, max_examples=60)
     @given(decode_cases())
     def test_matches_full_forward_decoder(self, case):
@@ -600,8 +629,38 @@ class TestCachedDecodeEquivalence:
         out = assert_decode_matches_reference(model, cond, max_len)
         assert len(out) == max_len
 
+    def test_one_id_conditioning_decodes_max_context_tokens(self):
+        # len(cond) + max_len - 1 == max_context: the longest decode the
+        # context allows is valid, though max_len == max_context
+        model = randomized_model(plain_vocab(10), small_config(max_context=16), seed=2)
+        assert len(assert_decode_matches_reference(model, bare_cond(1), 16)) <= 16
+
+    def test_ties_go_to_the_lowest_id(self):
+        # tok_emb = 0, pos_emb = 1 and zero residual branches make every
+        # step's last hidden row all ones, so each logit is its w_out
+        # column's sum; two all-ones columns tie exactly and dominate
+        vocab = plain_vocab(6)
+        model = randomized_model(vocab, small_config(max_context=16), seed=5)
+        for key in ("w_attn_out", "w_ff_out", "tok_emb"):
+            model.params[key][...] = 0.0
+        model.params["pos_emb"][...] = 1.0
+        low, high = vocab.id("w2"), vocab.id("w4")
+        model.params["w_out"][:, [low, high]] = 1.0
+        logits, _ = generator._forward(model.params, [1, 2, 3], 3)
+        assert np.all(logits[:, low] == logits[:, high])
+        assert np.all(logits[:, low] > np.delete(logits, [low, high], axis=1).max(axis=1))
+        out = assert_decode_matches_reference(model, bare_cond(1, 2, 3), 5)
+        assert out == ["w2"] * 5
+
 
 class TestGenerateOutputs:
+    @pytest.mark.parametrize("max_len", [0, 16, 20])
+    def test_decode_len_outside_context_rejected(self, max_len):
+        records = make_records(["ada", "bob", "cid", "dee"])
+        model = randomized_model(vocab_of(records), small_config(max_context=16), seed=1)
+        with pytest.raises(InvalidConfig, match=r"max_len must be in \[1, 15\]"):
+            generator.generate_outputs(model, records, max_len)
+
     def test_logs_stop_reasons(self, caplog):
         records = make_records(["ada", "bob", "cid", "dee"])
         model = randomized_model(vocab_of(records), small_config(max_context=64), seed=1)
