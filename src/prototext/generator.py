@@ -411,6 +411,20 @@ def ca_loss(
     return ca
 
 
+def _check_ids(model: GeneratorModel, cond: ConditioningInput) -> None:
+    """InvalidInput unless every conditioning id is an int in ``[0, len(model.vocab))``."""
+    v = len(model.vocab)
+    for i in cond.ids:
+        if type(i) is not int or not 0 <= i < v:
+            raise InvalidInput(f"conditioning id {i!r} is not a vocabulary id in [0, {v})")
+
+
+def _check_int(value, name: str) -> None:
+    """InvalidConfig naming ``name`` unless ``value`` is an int (a bool is not)."""
+    if type(value) is not int:
+        raise InvalidConfig(f"{name} must be an int, not {type(value).__name__}")
+
+
 def next_token_dist(
     model: GeneratorModel,
     cond: ConditioningInput,
@@ -418,6 +432,7 @@ def next_token_dist(
 ) -> np.ndarray:
     """Distribution over the vocabulary after consuming X and a prefix;
     the full-width reference, whose block runs on every position."""
+    _check_ids(model, cond)
     ids = list(cond.ids) + model.vocab.ids(prefix)
     logits, _ = _forward(model.params, ids, len(ids))
     return np.exp(_log_softmax(logits[-1:]))[0]
@@ -435,8 +450,10 @@ def decode_greedy(model: GeneratorModel, cond: ConditioningInput, max_len: int) 
     row: its embedding read by index, its key and value written into the
     cache, and ``_block`` run on that row over the cache.
     """
+    _check_int(max_len, "max_len")
     if max_len < 1:
         raise InvalidConfig(f"max_len must be >= 1, got {max_len}")
+    _check_ids(model, cond)
     n = len(cond.ids)
     if n + max_len - 1 > model.max_context:
         raise InputTooLong(
@@ -467,6 +484,7 @@ def decode_greedy(model: GeneratorModel, cond: ConditioningInput, max_len: int) 
 def check_decode_len(max_len: int, max_context: int, name: str) -> None:
     """The one decode-length rule: InvalidConfig naming ``name`` unless
     ``1 <= max_len < max_context``, so the conditioning keeps two or more positions."""
+    _check_int(max_len, name)
     if not 1 <= max_len < max_context:
         raise InvalidConfig(
             f"{name} must be in [1, {max_context - 1}] for max_context {max_context}, got {max_len}"

@@ -14,7 +14,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InvalidConfig, ParseError, UnknownDocument
 from .tabledata import (
@@ -32,6 +32,7 @@ from .tokenization import RESERVED_TOKENS, tokenize
 __all__ = [
     "K1",
     "B",
+    "Posting",
     "InvertedIndex",
     "CandidateSet",
     "build_index",
@@ -50,15 +51,24 @@ INDEX_FORMAT = "prototext-index"
 INDEX_VERSION = 1
 
 
+class Posting(NamedTuple):
+    """One term's posting list: ``ids[i]`` holds the term ``tfs[i]`` times."""
+
+    ids: tuple[int, ...]  # strictly increasing sentence ids
+    tfs: tuple[int, ...]  # term frequencies, each >= 1
+
+
 @dataclass(frozen=True)
 class InvertedIndex:
     """Immutable term -> postings map with the global BM25 statistics.
 
-    Posting lists are ``(sentence id, term frequency)`` pairs with ids
-    strictly increasing.
+    In memory each term's postings are one :class:`Posting`, two
+    parallel tuples of ints rather than a tuple per posting, so an index
+    holds two tuples per term; a term's df is ``len(posting.ids)``. The
+    file that :func:`save_index` writes keeps ``[id, tf]`` pairs.
     """
 
-    postings: dict[str, tuple[tuple[int, int], ...]]
+    postings: dict[str, Posting]
     doc_lengths: dict[int, int]
     doc_count: int
     avgdl: float
@@ -94,7 +104,7 @@ def build_index(corpus: Corpus) -> InvertedIndex:
             raw.setdefault(tok, {}).setdefault(sentence.id, 0)
             raw[tok][sentence.id] += 1
     postings = {
-        term: tuple(sorted(by_doc.items()))
+        term: Posting(*zip(*sorted(by_doc.items())))
         for term, by_doc in sorted(raw.items())
     }
     n = len(doc_lengths)
@@ -106,10 +116,10 @@ def _idf(index: InvertedIndex, df: int) -> float:
     return math.log((index.doc_count - df + 0.5) / (df + 0.5) + 1.0)
 
 
-def _tf_in_posting(posting: tuple[tuple[int, int], ...], doc_id: int) -> int:
-    pos = bisect_left(posting, (doc_id,))
-    if pos < len(posting) and posting[pos][0] == doc_id:
-        return posting[pos][1]
+def _tf_in_posting(posting: Posting, doc_id: int) -> int:
+    pos = bisect_left(posting.ids, doc_id)
+    if pos < len(posting.ids) and posting.ids[pos] == doc_id:
+        return posting.tfs[pos]
     return 0
 
 
@@ -126,12 +136,12 @@ def bm25_score(index: InvertedIndex, query: Sequence[str], doc_id: int) -> float
     score = 0.0
     for term in dict.fromkeys(query):
         posting = index.postings.get(term)
-        if not posting:
+        if posting is None:
             continue
         tf = _tf_in_posting(posting, doc_id)
         if tf == 0:
             continue
-        score += _idf(index, len(posting)) * tf * (K1 + 1.0) / (tf + norm)
+        score += _idf(index, len(posting.ids)) * tf * (K1 + 1.0) / (tf + norm)
     return score
 
 
@@ -151,10 +161,10 @@ def retrieve(index: InvertedIndex, table: Table, m: int, *, table_id: int = 0) -
     acc: dict[int, float] = {}
     for term in table_query(table):
         posting = index.postings.get(term)
-        if not posting:
+        if posting is None:
             continue
-        idf = _idf(index, len(posting))
-        for doc_id, tf in posting:
+        idf = _idf(index, len(posting.ids))
+        for doc_id, tf in zip(posting.ids, posting.tfs):
             dl = index.doc_lengths[doc_id]
             norm = K1 * (1.0 - B + B * dl / index.avgdl)
             acc[doc_id] = acc.get(doc_id, 0.0) + idf * tf * (K1 + 1.0) / (tf + norm)
@@ -224,7 +234,7 @@ def save_index(path: str | Path, index: InvertedIndex) -> None:
     }
     lengths = {"doc_lengths": sorted(index.doc_lengths.items())}
     terms = (
-        {"term": term, "postings": [list(p) for p in index.postings[term]]}
+        {"term": term, "postings": [list(p) for p in zip(*index.postings[term])]}
         for term in sorted(index.postings)
     )
     write_jsonl(path, chain((header, lengths), terms))
@@ -235,7 +245,7 @@ def load_index(path: str | Path) -> InvertedIndex:
     header: dict = {}
     doc_lengths: dict[int, int] = {}
     doc_ids: dict[int, int] = {}
-    postings: dict[str, tuple[tuple[int, int], ...]] = {}
+    postings: dict[str, Posting] = {}
 
     def parse_header(record: dict) -> None:
         if record.get("format") != INDEX_FORMAT or record.get("version") != INDEX_VERSION:
@@ -258,21 +268,23 @@ def load_index(path: str | Path) -> InvertedIndex:
         doc_ids.update((sid, sid) for sid in doc_lengths)
 
     def parse_postings(record: dict) -> None:
-        entries: list[tuple[int, int]] = []
+        ids: list[int] = []
+        tfs: list[int] = []
         for d, tf in record["postings"]:
             # the indexed id object, so the postings of a document share one int
             sid, tf = doc_ids.get(json_int(d, "posting doc id")), json_int(tf, "term frequency")
             if sid is None:
                 raise ParseError(f"posting for unindexed document {d}")
-            if entries and sid <= entries[-1][0]:
+            if ids and sid <= ids[-1]:
                 raise ParseError(f"posting doc ids not strictly increasing at document {sid}")
             # a term frequency within the length also keeps BM25 from dividing by
             # an avgdl of 0, the mean of lengths that are all 0
             dl = doc_lengths[sid]
             if not 1 <= tf <= dl:
                 raise ParseError(f"term frequency {tf} for document {sid} of length {dl}")
-            entries.append((sid, tf))
-        postings[record["term"]] = tuple(entries)
+            ids.append(sid)
+            tfs.append(tf)
+        postings[record["term"]] = Posting(tuple(ids), tuple(tfs))
 
     # Line 1 is the header, line 2 the lengths, every later line postings.
     parsers = iter((parse_header, parse_lengths))

@@ -281,6 +281,8 @@ def train_selector(
     set, reseeded per epoch, and parameters are updated per example with
     Adam. Returns the trained model and the mean loss of each epoch.
     """
+    if not examples:
+        raise InvalidConfig("selector training needs at least one example")
     for table, _, cands in examples:
         if len(cands) < config.k:
             raise InsufficientNegatives(
@@ -306,7 +308,7 @@ def train_selector(
             loss, (rows, d_emb), d_w = _loss_and_grads(emb, w, 0.0, ids)
             opt.step({"emb": d_emb, "w": d_w}, rows={"emb": rows})
             total += loss
-        epoch_losses.append(total / len(examples) if examples else 0.0)
+        epoch_losses.append(total / len(examples))
         log.info("selector epoch %d mean loss %.6f", epoch, epoch_losses[-1])
     return SelectorModel(vocab=vocab, embeddings=emb, projection=w, bias=0.0), epoch_losses
 

@@ -517,6 +517,21 @@ class TestDecodeGreedy:
         with pytest.raises(InvalidInput, match="at least one id"):
             ConditioningInput(ids=(), table_len=0, prototype_spans=())
 
+    @pytest.mark.parametrize("max_len", [2.5, True])
+    def test_decode_len_not_an_int_rejected(self, max_len):
+        with pytest.raises(InvalidConfig, match="max_len must be an int"):
+            decode_greedy(tiny_uniform_model(), bare_cond(0), max_len=max_len)
+
+    @pytest.mark.parametrize("bad_id", [-1, 16, 99, "a", True])
+    def test_conditioning_id_outside_vocabulary_rejected(self, bad_id):
+        model = randomized_model(plain_vocab(10), small_config(), seed=3)
+        assert len(model.vocab) == 16
+        cond = bare_cond(1, bad_id)
+        with pytest.raises(InvalidInput, match=r"not a vocabulary id in \[0, 16\)"):
+            decode_greedy(model, cond, max_len=4)
+        with pytest.raises(InvalidInput, match=r"not a vocabulary id in \[0, 16\)"):
+            next_token_dist(model, cond, [])
+
 
 # Cached and full-forward logits differ only by BLAS summation order
 # (single-row vs. matrix products); 5.0e-14 was the largest gap measured
@@ -660,6 +675,11 @@ class TestGenerateOutputs:
         model = randomized_model(vocab_of(records), small_config(max_context=16), seed=1)
         with pytest.raises(InvalidConfig, match=r"max_len must be in \[1, 15\]"):
             generator.generate_outputs(model, records, max_len)
+
+    @pytest.mark.parametrize("max_len", [2.5, True, "3"])
+    def test_decode_len_not_an_int_rejected(self, max_len):
+        with pytest.raises(InvalidConfig, match="max_len must be an int"):
+            generator.check_decode_len(max_len, 16, "max_len")
 
     def test_logs_stop_reasons(self, caplog):
         records = make_records(["ada", "bob", "cid", "dee"])

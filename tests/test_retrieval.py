@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from prototext.errors import UnknownDocument
 from prototext.retrieval import (
     CandidateSet,
+    Posting,
     bm25_score,
     build_index,
     filter_leakage,
@@ -16,7 +18,7 @@ from prototext.retrieval import (
     save_index,
     table_query,
 )
-from prototext.tabledata import Corpus, Example, Sentence, Table
+from prototext.tabledata import Corpus, Example, Sentence, Table, load_corpus, write_corpus
 
 
 def corpus_of(*texts, ids=None):
@@ -33,9 +35,9 @@ class TestBuildIndex:
         index = build_index(corpus_of("a b", "a c"))
         assert index.doc_count == 2
         assert index.avgdl == 2.0
-        assert index.postings["a"] == ((1, 1), (2, 1))
-        assert index.postings["b"] == ((1, 1),)
-        assert index.postings["c"] == ((2, 1),)
+        assert index.postings["a"] == Posting(ids=(1, 2), tfs=(1, 1))
+        assert index.postings["b"] == Posting(ids=(1,), tfs=(1,))
+        assert index.postings["c"] == Posting(ids=(2,), tfs=(1,))
         assert index.doc_lengths == {1: 2, 2: 2}
 
     def test_empty_corpus(self):
@@ -46,12 +48,12 @@ class TestBuildIndex:
 
     def test_duplicate_text_both_indexed(self):
         index = build_index(corpus_of("same words", "same words"))
-        assert index.postings["same"] == ((1, 1), (2, 1))
+        assert index.postings["same"] == Posting(ids=(1, 2), tfs=(1, 1))
 
     def test_posting_ids_strictly_increasing(self):
         index = build_index(corpus_of("z a", "a", "a z", ids=[9, 2, 5]))
         for posting in index.postings.values():
-            ids = [doc for doc, _ in posting]
+            ids = list(posting.ids)
             assert ids == sorted(ids)
             assert len(set(ids)) == len(ids)
 
@@ -224,3 +226,39 @@ class TestIndexPersistence:
         path = tmp_path / "index.jsonl"
         save_index(path, index)
         assert load_index(path) == index
+
+
+class TestMemoryLayout:
+    """The compact in-memory layout: one string object per token type, and
+    two parallel tuples per posting list."""
+
+    TEXTS = [
+        "The cat sat on the mat.",
+        "A cat, a hat and the bat!",
+        "«Mat» the cat — the mat…",
+        "hat hat hat",
+        "",
+    ]
+
+    def test_loaded_corpus_holds_one_string_per_token_type(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(path, [Sentence.from_text(i, t) for i, t in enumerate(self.TEXTS, 1)])
+        tokens = [t for sentence in load_corpus(path) for t in sentence.tokens]
+        assert all(sys.intern(t) is t for t in tokens)
+        assert len({id(t) for t in tokens}) == len(set(tokens)) < len(tokens)
+
+    def test_postings_are_two_parallel_tuples(self, tmp_path):
+        index = build_index(corpus_of(*self.TEXTS, ids=[8, 3, 5, 1, 9]))
+        assert index.postings
+        for posting in index.postings.values():
+            assert type(posting) is Posting
+            assert type(posting.ids) is tuple and type(posting.tfs) is tuple
+            assert len(posting.ids) == len(posting.tfs) >= 1
+            assert all(a < b for a, b in zip(posting.ids, posting.ids[1:]))
+            assert all(type(tf) is int and tf >= 1 for tf in posting.tfs)
+        assert index.postings["hat"] == Posting(ids=(1, 3), tfs=(3, 1))
+        path = tmp_path / "index.jsonl"
+        save_index(path, index)
+        loaded = load_index(path)
+        assert loaded == index
+        assert all(type(p) is Posting for p in loaded.postings.values())

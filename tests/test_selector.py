@@ -319,6 +319,11 @@ class TestTrainSelector:
             train_selector(examples, corpus, config)
         assert "0" in str(err.value)
 
+    def test_empty_dataset_rejected(self):
+        corpus, _ = tiny_training_setup(n_cands=3)
+        with pytest.raises(InvalidConfig, match="at least one example"):
+            train_selector([], corpus, SelectorTrainConfig(k=2, epochs=1, dim=4))
+
 
 def scored_candidates(token_values, corpus_start=0):
     """Corpus + candidate set where sentence i is the single token ti."""

@@ -1,9 +1,20 @@
 import string
 
-from hypothesis import given
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prototext.tokenization import RESERVED_TOKENS, tokenize
+from prototext.tokenization import _ESCAPES, RESERVED_TOKENS, _strip_punct, tokenize
+
+
+def reference_tokenize(text):
+    """The per-character rule alone: ``_strip_punct`` on every lowercased piece."""
+    tokens = []
+    for piece in text.lower().split():
+        piece = _strip_punct(piece)
+        if piece:
+            tokens.append(_ESCAPES.get(piece, piece))
+    return tokens
 
 
 class TestTokenizeRules:
@@ -50,3 +61,30 @@ def test_tokens_are_wellformed(text):
 @given(st.text(alphabet=string.ascii_letters + string.punctuation + " ", max_size=80))
 def test_tokenize_is_deterministic(text):
     assert tokenize(text) == tokenize(text)
+
+
+class TestFastPathMatchesPerCharacterRule:
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("«word»", ["word"]),
+            ("—dash—", ["dash"]),
+            ("word…", ["word"]),
+            ("¿qué?", ["qué"]),
+            ("（ｘ）", ["ｘ"]),
+            ("a.»", ["a"]),
+            ("«<sep>»", ["_sep_"]),
+            ("...", []),
+            ("$5 +x <y> a=b ^c~ `d`", ["$5", "+x", "<y>", "a=b", "^c~", "`d`"]),
+        ],
+    )
+    def test_named_case(self, text, expected):
+        assert tokenize(text) == reference_tokenize(text) == expected
+
+    # ASCII punctuation mixed with non-ASCII punctuation, symbols and letters
+    EDGES = string.punctuation + "«»—…¿¡（）、。·‘’“”ｘéа a"
+
+    @settings(max_examples=500)
+    @given(st.one_of(st.text(), st.text(alphabet=EDGES)))
+    def test_equals_per_character_rule(self, text):
+        assert tokenize(text) == reference_tokenize(text)
