@@ -1,7 +1,43 @@
-"""Adam over a dict of named float64 parameter arrays."""
+"""Adam over a dict of named float64 parameter arrays.
+
+A step whose parameter write provably moves no element skips that
+write; the result is bit-identical to writing it. The proof, with
+``u = 2**-53`` the unit roundoff and ``eta = 2**-1075`` the largest
+absolute rounding error in the subnormal range:
+
+* The write is ``p -= s`` with ``s = fl(fl(fl(m / bc1) * lr) / d)`` and
+  ``d = fl(sqrt(fl(v / bc2)) + EPS) >= EPS``, since ``v >= 0`` and
+  rounding is monotone. (``v`` is NaN only where a NaN gradient made
+  ``m`` NaN too, and a NaN ``m`` never becomes a number again.) Each of
+  the three roundings errs by at most ``u * |x| + eta``, so with
+  ``K = lr / (bc1 * EPS)``
+
+      |s| <= (|m| + 2 * eta) * K * (1 + u)**3 + eta * (1 + u) / EPS + eta.
+
+  The step tests ``(M + 2**-1073) * K * (1 + 2**-40) + 2**-1000``, with
+  ``M = max |m|`` over every group: the factor ``1 + 2**-40`` covers the
+  ``(1 + u)**3`` and the roundings of the test's own products, and
+  ``2**-1000`` the last two terms.
+* Where ``|s| <= |p| * 2**-55`` and ``p != 0``, ``fl(p - s) == p``: the
+  exact difference lies within a quarter of the spacing above ``|p|``
+  and within half of the spacing below it (the two differ when ``|p|``
+  is a power of two), so it rounds back to ``p``.
+* An element with ``m == +0.0`` has ``s == +0.0``, and ``p - (+0.0)``
+  is ``p`` for every ``p``, ``-0.0`` included (a NaN keeps its bits).
+  An element with ``m == -0.0`` has ``s == -0.0``, and
+  ``-0.0 - (-0.0)`` is ``+0.0``. So ``P = min |p|`` is taken over the
+  elements with ``m != 0`` or a set sign bit, and a ``p`` of ``±0.0``
+  among them makes ``P = 0``.
+
+So the write is skipped when the test is below ``P * 2**-55`` and ``P``
+lies in ``(2**-900, inf)``; there ``P * 2**-55`` is a normal number,
+computed exactly. A NaN or infinite ``M`` or ``P`` fails the test and
+never skips.
+"""
 
 from __future__ import annotations
 
+import math
 from typing import Mapping
 
 import numpy as np
@@ -15,13 +51,21 @@ EPS = 1e-8
 class Adam:
     """Standard Adam with bias correction; updates parameters in place.
 
-    All parameter groups share one step counter, and every group is
-    decayed and updated densely on every step, which keeps training runs
+    All parameter groups share one step counter, and every group's
+    moments are decayed on every step, which keeps training runs
     reproducible. A group's gradient may be given on some of its rows
     only (``rows``); its first- and second-moment terms are then added
     on those rows alone. Every other row would have gained exactly +0.0,
     so the result is bit-identical to a dense gradient that is zero on
     every other row.
+
+    The parameter write is dense, except on a step that it provably
+    leaves unchanged (see the module docstring): that proof is tried
+    only when the step names its ``rows``, every row set is empty and
+    every other group's gradient is zero, so a step without ``rows``
+    pays nothing for it. ``skipped`` counts those steps. The smallest
+    ``|p|`` the proof reads is kept from one such step to the next, so
+    the parameters must change only through :meth:`step`.
     """
 
     def __init__(self, params: dict[str, np.ndarray], lr: float):
@@ -30,6 +74,15 @@ class Adam:
         self.t = 0
         self._m = {k: np.zeros_like(v) for k, v in params.items()}
         self._v = {k: np.zeros_like(v) for k, v in params.items()}
+        self._skipped = 0
+        # P of the module docstring, kept while no write and no nonzero
+        # gradient has happened since it was taken
+        self._floor: float | None = None
+
+    @property
+    def skipped(self) -> int:
+        """The steps whose parameter write was skipped as moving no element."""
+        return self._skipped
 
     def step(
         self,
@@ -42,6 +95,11 @@ class Adam:
         self.t += 1
         bc1 = 1.0 - BETA1 ** self.t
         bc2 = 1.0 - BETA2 ** self.t
+        zero = (
+            rows is not None
+            and all(len(r) == 0 for r in rows.values())
+            and not any(grads[k].any() for k in self.params if k not in rows)
+        )
         for name, p in self.params.items():
             g = grads[name]
             m = self._m[name]
@@ -55,12 +113,39 @@ class Adam:
             else:
                 m[r] += (1.0 - BETA1) * g
                 v[r] += (1.0 - BETA2) * np.square(g)
-            # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), in that order,
-            # on two temporaries
-            step = np.divide(m, bc1)
-            step *= self.lr
-            denom = np.divide(v, bc2)
-            np.sqrt(denom, out=denom)
-            denom += EPS
-            step /= denom
-            p -= step
+            if not zero:
+                self._write(p, m, v, bc1, bc2)
+        if zero:
+            if self._moves_nothing(bc1):
+                self._skipped += 1
+                return
+            for name, p in self.params.items():
+                self._write(p, self._m[name], self._v[name], bc1, bc2)
+        self._floor = None
+
+    def _write(self, p: np.ndarray, m: np.ndarray, v: np.ndarray, bc1: float, bc2: float) -> None:
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), in that order,
+        # on two temporaries
+        step = np.divide(m, bc1)
+        step *= self.lr
+        denom = np.divide(v, bc2)
+        np.sqrt(denom, out=denom)
+        denom += EPS
+        step /= denom
+        p -= step
+
+    def _moves_nothing(self, bc1: float) -> bool:
+        """Whether the write of this step's moments provably leaves every parameter as it is."""
+        # max and min instead of abs, which would copy m; np.max keeps a NaN
+        top = np.max([np.maximum(m.max(initial=0.0), -m.min(initial=0.0))
+                      for m in self._m.values()])
+        reach = (top + 2.0**-1073) * (self.lr / (bc1 * EPS)) * (1.0 + 2.0**-40) + 2.0**-1000
+        if self._floor is None:
+            self._floor = math.inf
+            for name, p in self.params.items():
+                m = self._m[name]
+                moving = np.signbit(m)
+                moving |= m != 0.0
+                low = np.min(np.abs(p), where=moving, initial=math.inf)
+                self._floor = float(np.minimum(self._floor, low))
+        return 2.0**-900 < self._floor < math.inf and reach < self._floor * 2.0**-55

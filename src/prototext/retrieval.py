@@ -10,9 +10,12 @@ returned.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -95,18 +98,21 @@ class CandidateSet:
 
 
 def build_index(corpus: Corpus) -> InvertedIndex:
-    """Index a corpus. An empty corpus yields a valid zero-document index."""
-    raw: dict[str, dict[int, int]] = {}
-    doc_lengths: dict[int, int] = {}
-    for sentence in corpus:
-        doc_lengths[sentence.id] = len(sentence.tokens)
-        for tok in sentence.tokens:
-            raw.setdefault(tok, {}).setdefault(sentence.id, 0)
-            raw[tok][sentence.id] += 1
-    postings = {
-        term: Posting(*zip(*sorted(by_doc.items())))
-        for term, by_doc in sorted(raw.items())
-    }
+    """Index a corpus. An empty corpus yields a valid zero-document index.
+
+    Sentences are visited in id order and append to per-term id and tf
+    lists, so each list comes out sorted without a per-term map.
+    """
+    raw: dict[str, tuple[list[int], list[int]]] = {}
+    for sentence in sorted(corpus, key=attrgetter("id")):
+        for tok, tf in Counter(sentence.tokens).items():
+            lists = raw.get(tok)
+            if lists is None:
+                lists = raw[tok] = ([], [])
+            lists[0].append(sentence.id)
+            lists[1].append(tf)
+    postings = {term: Posting(*map(tuple, raw.pop(term))) for term in sorted(raw)}
+    doc_lengths = {sentence.id: len(sentence.tokens) for sentence in corpus}
     n = len(doc_lengths)
     avgdl = sum(doc_lengths.values()) / n if n else 0.0
     return InvertedIndex(postings=postings, doc_lengths=doc_lengths, doc_count=n, avgdl=avgdl)
@@ -284,7 +290,8 @@ def load_index(path: str | Path) -> InvertedIndex:
                 raise ParseError(f"term frequency {tf} for document {sid} of length {dl}")
             ids.append(sid)
             tfs.append(tf)
-        postings[record["term"]] = Posting(tuple(ids), tuple(tfs))
+        # the interned term, so an index loaded beside a corpus shares its token objects
+        postings[sys.intern(record["term"])] = Posting(tuple(ids), tuple(tfs))
 
     # Line 1 is the header, line 2 the lengths, every later line postings.
     parsers = iter((parse_header, parse_lengths))

@@ -22,7 +22,12 @@ from a per-epoch seeded generator. The bias cancels inside every hinge
 term, so it has no gradient and stays at zero. A step's embedding
 gradient is nonzero only on the rows of the tokens in its active hinge
 terms; it is computed and handed to Adam on those rows alone, which
-gives the same bits as the dense gradient.
+gives the same bits as the dense gradient. A step whose every hinge
+term is met has no rows and a zero projection gradient; Adam still
+decays its moments, but skips the parameter write when it can prove
+the write moves nothing (:mod:`prototext.optim`), which it does for
+most steps of a converged run, with the same bits. ``train_selector``
+logs how many steps that was.
 
 Scoring and selection never mutate the model, so a trained model can be
 shared across threads; training runs single-threaded on its own arrays.
@@ -310,6 +315,7 @@ def train_selector(
             total += loss
         epoch_losses.append(total / len(examples))
         log.info("selector epoch %d mean loss %.6f", epoch, epoch_losses[-1])
+    log.info("selector: %d of %d Adam steps moved no parameter", opt.skipped, opt.t)
     return SelectorModel(vocab=vocab, embeddings=emb, projection=w, bias=0.0), epoch_losses
 
 

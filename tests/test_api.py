@@ -1,0 +1,119 @@
+"""The Python API boundary: each misuse of a public stage function is a named error."""
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from prototext.errors import (
+    AllTies, DuplicateId, InputTooLong, InsufficientNegatives, InvalidConfig, InvalidInput,
+    InvalidTable, PrototextError, UnknownDocument,
+)
+from prototext.evaluation import bleu4, evaluate_pairs, precision_at_k, sign_test
+from prototext.generator import (
+    ConditioningInput, GeneratorTrainConfig, build_conditioning, check_decode_len,
+    decode_greedy, generate_outputs, init_generator, next_token_dist, train_generator,
+)
+from prototext.retrieval import CandidateSet, bm25_score, build_index, filter_leakage, retrieve
+from prototext.selector import (
+    SelectorModel, SelectorTrainConfig, margin_loss, select_prototypes, select_top_n,
+    train_selector, training_triples,
+)
+from prototext.tabledata import Corpus, Example, Sentence, Table
+from prototext.vocab import Vocabulary
+
+
+@pytest.fixture(scope="module")
+def api():
+    """Small, valid objects of every stage, for the probes to misuse one argument at a time."""
+    corpus = Corpus([Sentence.from_text(i, t) for i, t in enumerate(
+        ["the red cat sat", "a blue dog ran", "the cat ran far"])])
+    table = Table.from_pairs([("name", "cat"), ("colour", "red")])
+    vocab = Vocabulary.build([s.tokens for s in corpus] + [table.tokens])
+    config = GeneratorTrainConfig(epochs=0, dim=4, max_context=12, max_decode_len=4)
+    cands = CandidateSet(0, ((0, 2.0), (2, 1.0)))
+    selector = SelectorModel(vocab=vocab, embeddings=np.zeros((len(vocab), 2)),
+                             projection=np.ones(2), bias=0.0)
+    return SimpleNamespace(
+        corpus=corpus, table=table, vocab=vocab, cands=cands, selector=selector,
+        index=build_index(corpus), example=Example(0, table, "the red cat sat"),
+        generator=init_generator(vocab, config),
+        cond=ConditioningInput(ids=(vocab.bos_id,), table_len=0, prototype_spans=()),
+    )
+
+
+def _cond(*ids):
+    return ConditioningInput(ids=ids, table_len=0, prototype_spans=())
+
+
+# (call on the fixture, the error it must raise): each call misuses one argument of a
+# public function, and must neither return nor raise a numpy or Python error
+API_MISUSE = [
+    pytest.param(lambda a: decode_greedy(a.generator, _cond(-1), 2), InvalidInput,
+                 id="decode-id-negative"),
+    pytest.param(lambda a: decode_greedy(a.generator, _cond(10**6), 2), InvalidInput,
+                 id="decode-id-past-vocabulary"),
+    pytest.param(lambda a: decode_greedy(a.generator, _cond("a"), 2), InvalidInput,
+                 id="decode-id-string"),
+    pytest.param(lambda a: decode_greedy(a.generator, _cond(True), 2), InvalidInput,
+                 id="decode-id-bool"),
+    pytest.param(lambda a: decode_greedy(a.generator, a.cond, 2.5), InvalidConfig,
+                 id="decode-max-len-float"),
+    pytest.param(lambda a: decode_greedy(a.generator, a.cond, True), InvalidConfig,
+                 id="decode-max-len-bool"),
+    pytest.param(lambda a: decode_greedy(a.generator, a.cond, 0), InvalidConfig,
+                 id="decode-max-len-zero"),
+    pytest.param(lambda a: decode_greedy(a.generator, a.cond, 13), InputTooLong,
+                 id="decode-past-context"),
+    pytest.param(lambda a: decode_greedy(a.generator, _cond(), 2), InvalidInput,
+                 id="decode-empty-conditioning"),
+    pytest.param(lambda a: next_token_dist(a.generator, _cond(-1), []), InvalidInput,
+                 id="next-token-id-negative"),
+    pytest.param(lambda a: check_decode_len("3", 12, "max_len"), InvalidConfig,
+                 id="decode-len-string"),
+    pytest.param(lambda a: generate_outputs(a.generator, [], 12), InvalidConfig,
+                 id="generate-max-len-at-context"),
+    pytest.param(lambda a: build_conditioning(a.table, [], a.vocab, 2), InputTooLong,
+                 id="conditioning-table-past-budget"),
+    pytest.param(lambda a: train_generator([], GeneratorTrainConfig(epochs=1), a.vocab),
+                 InvalidConfig, id="train-generator-no-records"),
+    pytest.param(lambda a: GeneratorTrainConfig(learning_rate=0.0), InvalidConfig,
+                 id="generator-config-learning-rate-zero"),
+    pytest.param(lambda a: train_selector([], a.corpus, SelectorTrainConfig(k=1)),
+                 InvalidConfig, id="train-selector-no-examples"),
+    pytest.param(lambda a: train_selector([(a.table, "cat", a.cands)], a.corpus,
+                                          SelectorTrainConfig(k=3)),
+                 InsufficientNegatives, id="train-selector-too-few-candidates"),
+    pytest.param(lambda a: SelectorTrainConfig(k=0), InvalidConfig, id="selector-config-k-zero"),
+    pytest.param(lambda a: training_triples([a.example], {}), InvalidInput,
+                 id="triples-missing-candidates"),
+    pytest.param(lambda a: margin_loss(a.selector, a.table, ["cat"], []), InvalidConfig,
+                 id="margin-loss-no-negatives"),
+    pytest.param(lambda a: select_top_n(a.selector, a.table, a.cands, a.corpus, 0),
+                 InvalidConfig, id="select-top-n-zero"),
+    pytest.param(lambda a: select_prototypes([a.example], {0: a.cands}, a.corpus, -1),
+                 InvalidConfig, id="select-prototypes-negative-n"),
+    pytest.param(lambda a: select_top_n(a.selector, a.table, CandidateSet(0, ((99, 1.0),)),
+                                        a.corpus, 1),
+                 UnknownDocument, id="select-unknown-sentence"),
+    pytest.param(lambda a: retrieve(a.index, a.table, 0), InvalidConfig, id="retrieve-m-zero"),
+    pytest.param(lambda a: bm25_score(a.index, ["cat"], 99), UnknownDocument,
+                 id="bm25-unknown-document"),
+    pytest.param(lambda a: filter_leakage(CandidateSet(0, ((99, 1.0),)), a.corpus, "x"),
+                 UnknownDocument, id="leakage-unknown-sentence"),
+    pytest.param(lambda a: Corpus([Sentence.from_text(1, "a"), Sentence.from_text(1, "b")]),
+                 DuplicateId, id="corpus-repeated-id"),
+    pytest.param(lambda a: Table.from_pairs([]), InvalidTable, id="table-no-pairs"),
+    pytest.param(lambda a: bleu4([["a"]], []), InvalidInput, id="bleu-unpaired"),
+    pytest.param(lambda a: evaluate_pairs([["a"]], []), InvalidInput, id="evaluate-unpaired"),
+    pytest.param(lambda a: precision_at_k([1], {1}, 0), InvalidConfig, id="precision-k-zero"),
+    pytest.param(lambda a: sign_test([1.0], [1.0]), AllTies, id="sign-test-all-ties"),
+    pytest.param(lambda a: sign_test([], []), InvalidInput, id="sign-test-empty"),
+]
+
+
+@pytest.mark.parametrize("call, error", API_MISUSE)
+def test_api_misuse_is_a_named_error(api, call, error):
+    assert issubclass(error, PrototextError)
+    with pytest.raises(error):
+        call(api)

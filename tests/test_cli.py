@@ -234,6 +234,7 @@ MALFORMED_JSONL = [
     pytest.param("index", _set(1, avgdl=True), id="index-avgdl-true"),
     pytest.param("index", _set(2, doc_lengths=[[0, 3]]), id="index-doc-count-mismatch"),
     pytest.param("index", _set(3, postings=5), id="index-postings-not-a-list"),
+    pytest.param("index", _set(3, term=5), id="index-term-not-a-string"),
     pytest.param("index", _unindexed_postings, id="index-posting-unindexed-doc"),
     pytest.param("index", _reversed_postings, id="index-postings-reversed"),
     pytest.param("index", _negative_doc_length, id="index-negative-doc-length"),

@@ -247,6 +247,16 @@ class TestMemoryLayout:
         assert all(sys.intern(t) is t for t in tokens)
         assert len({id(t) for t in tokens}) == len(set(tokens)) < len(tokens)
 
+    def test_loaded_index_terms_are_the_corpus_tokens(self, tmp_path):
+        corpus_path, index_path = tmp_path / "corpus.jsonl", tmp_path / "index.jsonl"
+        write_corpus(corpus_path, [Sentence.from_text(i, t) for i, t in enumerate(self.TEXTS, 1)])
+        corpus = load_corpus(corpus_path)
+        save_index(index_path, build_index(corpus))
+        loaded = load_index(index_path)
+        token_objects = {t: t for sentence in corpus for t in sentence.tokens}
+        assert loaded.postings.keys() == token_objects.keys()
+        assert all(term is token_objects[term] for term in loaded.postings)
+
     def test_postings_are_two_parallel_tuples(self, tmp_path):
         index = build_index(corpus_of(*self.TEXTS, ids=[8, 3, 5, 1, 9]))
         assert index.postings

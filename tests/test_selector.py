@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import json
+import logging
+import re
 
 import numpy as np
 import pytest
@@ -223,6 +225,62 @@ def tiny_training_setup(n_examples=6, n_cands=8):
     return Corpus(sentences), examples
 
 
+def textbook_selector_run(corpus, examples, config):
+    """The selector's training as the textbook writes it: the dense np.outer gradient
+    of every row, and Adam decaying and writing every row of every group, bias
+    included. Returns the vocabulary, the parameters and the epoch losses."""
+    vocab = Vocabulary.build(
+        [s.tokens for s in corpus]
+        + [linearize_table(t) for t, _, _ in examples]
+        + [tokenize(ref) for _, ref, _ in examples]
+    )
+    rng = np.random.default_rng(config.seed)
+    params = {
+        "emb": rng.uniform(-0.1, 0.1, size=(len(vocab), config.dim)),
+        "w": np.zeros(config.dim),
+        "b": np.zeros(1),
+    }
+    emb, w, b = params["emb"], params["w"], params["b"]
+    m = {k: np.zeros_like(p) for k, p in params.items()}
+    v = {k: np.zeros_like(p) for k, p in params.items()}
+    beta1, beta2, eps, lr = 0.9, 0.999, 1e-8, config.learning_rate
+    ref_losses = []
+    t = 0
+    for epoch in range(config.epochs):
+        ep_rng = np.random.default_rng([config.seed, epoch])
+        total = 0.0
+        for table, ref, cands in examples:
+            picks = ep_rng.choice(len(cands), size=config.k, replace=False)
+            t_ids = vocab.ids(linearize_table(table))
+            ids_y = t_ids + [vocab.sep_id] + vocab.ids(tokenize(ref))
+            ids_negs = [
+                t_ids + [vocab.sep_id] + vocab.ids(corpus.get(cands.entries[p][0]).tokens)
+                for p in picks
+            ]
+            mean = lambda ids: emb[sorted(ids)].mean(axis=0)
+            f_y = float(w @ mean(ids_y) + b[0])
+            loss, coeff, d_w = 0.0, np.zeros(len(vocab)), np.zeros(config.dim)
+            for ids_j in ids_negs:
+                slack = 1.0 - f_y + float(w @ mean(ids_j) + b[0])
+                if slack <= 0.0:
+                    continue
+                loss += slack
+                d_w += mean(ids_j) - mean(ids_y)
+                np.add.at(coeff, ids_j, 1.0 / len(ids_j))
+                np.add.at(coeff, ids_y, -1.0 / len(ids_y))
+            grads = {"emb": np.outer(coeff, w), "w": d_w, "b": np.zeros(1)}
+            t += 1
+            for k, p in params.items():
+                m[k] = beta1 * m[k] + (1.0 - beta1) * grads[k]
+                v[k] = beta2 * v[k] + (1.0 - beta2) * grads[k] ** 2
+                m_hat = m[k] / (1.0 - beta1 ** t)
+                v_hat = v[k] / (1.0 - beta2 ** t)
+                p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            total += loss
+        ref_losses.append(total / len(examples))
+    return vocab, params, ref_losses
+
+
 class TestTrainSelector:
     def test_zero_epochs_returns_initialized_model(self):
         corpus, examples = tiny_training_setup()
@@ -250,67 +308,32 @@ class TestTrainSelector:
         assert losses[-1] < losses[0]
 
     def test_matches_textbook_dense_loop(self):
-        # the reference: dense np.outer gradient of every row, and Adam
-        # decaying and updating every row of every group, bias included
         corpus, examples = tiny_training_setup()
         config = SelectorTrainConfig(k=3, epochs=4, seed=7, dim=4, learning_rate=0.05)
         model, losses = train_selector(examples, corpus, config)
-
-        vocab = Vocabulary.build(
-            [s.tokens for s in corpus]
-            + [linearize_table(t) for t, _, _ in examples]
-            + [tokenize(ref) for _, ref, _ in examples]
-        )
-        rng = np.random.default_rng(config.seed)
-        params = {
-            "emb": rng.uniform(-0.1, 0.1, size=(len(vocab), config.dim)),
-            "w": np.zeros(config.dim),
-            "b": np.zeros(1),
-        }
-        emb, w, b = params["emb"], params["w"], params["b"]
-        m = {k: np.zeros_like(p) for k, p in params.items()}
-        v = {k: np.zeros_like(p) for k, p in params.items()}
-        beta1, beta2, eps, lr = 0.9, 0.999, 1e-8, config.learning_rate
-        ref_losses = []
-        t = 0
-        for epoch in range(config.epochs):
-            ep_rng = np.random.default_rng([config.seed, epoch])
-            total = 0.0
-            for table, ref, cands in examples:
-                picks = ep_rng.choice(len(cands), size=config.k, replace=False)
-                t_ids = vocab.ids(linearize_table(table))
-                ids_y = t_ids + [vocab.sep_id] + vocab.ids(tokenize(ref))
-                ids_negs = [
-                    t_ids + [vocab.sep_id] + vocab.ids(corpus.get(cands.entries[p][0]).tokens)
-                    for p in picks
-                ]
-                mean = lambda ids: emb[sorted(ids)].mean(axis=0)
-                f_y = float(w @ mean(ids_y) + b[0])
-                loss, coeff, d_w = 0.0, np.zeros(len(vocab)), np.zeros(config.dim)
-                for ids_j in ids_negs:
-                    slack = 1.0 - f_y + float(w @ mean(ids_j) + b[0])
-                    if slack <= 0.0:
-                        continue
-                    loss += slack
-                    d_w += mean(ids_j) - mean(ids_y)
-                    np.add.at(coeff, ids_j, 1.0 / len(ids_j))
-                    np.add.at(coeff, ids_y, -1.0 / len(ids_y))
-                grads = {"emb": np.outer(coeff, w), "w": d_w, "b": np.zeros(1)}
-                t += 1
-                for k, p in params.items():
-                    m[k] = beta1 * m[k] + (1.0 - beta1) * grads[k]
-                    v[k] = beta2 * v[k] + (1.0 - beta2) * grads[k] ** 2
-                    m_hat = m[k] / (1.0 - beta1 ** t)
-                    v_hat = v[k] / (1.0 - beta2 ** t)
-                    p -= lr * m_hat / (np.sqrt(v_hat) + eps)
-                total += loss
-            ref_losses.append(total / len(examples))
-
+        vocab, params, ref_losses = textbook_selector_run(corpus, examples, config)
         assert model.vocab.tokens == vocab.tokens
         assert losses == ref_losses
-        assert model.embeddings.tobytes() == emb.tobytes()
-        assert model.projection.tobytes() == w.tobytes()
-        assert model.bias == b[0] == 0.0
+        assert model.embeddings.tobytes() == params["emb"].tobytes()
+        assert model.projection.tobytes() == params["w"].tobytes()
+        assert model.bias == params["b"][0] == 0.0
+
+    def test_matches_textbook_dense_loop_through_skipped_writes(self, caplog):
+        # long enough for the margins to be met and Adam to skip writes that
+        # move nothing; the run keeps the textbook loop's bits all the same
+        corpus, examples = tiny_training_setup()
+        config = SelectorTrainConfig(k=3, epochs=200, seed=7, dim=4, learning_rate=0.05)
+        with caplog.at_level(logging.INFO, logger="prototext.selector"):
+            model, losses = train_selector(examples, corpus, config)
+        _, params, ref_losses = textbook_selector_run(corpus, examples, config)
+        assert losses == ref_losses
+        assert model.embeddings.tobytes() == params["emb"].tobytes()
+        assert model.projection.tobytes() == params["w"].tobytes()
+        summary = re.fullmatch(
+            r"selector: (\d+) of (\d+) Adam steps moved no parameter", caplog.messages[-1]
+        )
+        assert summary is not None
+        assert 0 < int(summary[1]) < int(summary[2]) == config.epochs * len(examples)
 
     def test_insufficient_candidates_names_example(self):
         corpus, examples = tiny_training_setup(n_cands=3)
