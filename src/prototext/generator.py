@@ -58,8 +58,8 @@ from .errors import InvalidConfig, InputTooLong, InvalidInput, ParseError
 from .optim import Adam
 from .selector import AugmentedRecord
 from .tabledata import (
-    Table, json_int, json_numbers, known_keys, read_jsonl, read_model_file, unique_id, write_jsonl,
-    write_model_file,
+    Table, decode_array, encode_array, json_int, known_keys, read_jsonl, read_model_file, unique_id,
+    write_jsonl, write_model_file,
 )
 from .tokenization import RESERVED_TOKENS, tokenize
 from .vocab import Vocabulary
@@ -204,14 +204,21 @@ def build_conditioning(
     return ConditioningInput(ids=tuple(ids), table_len=len(table_ids), prototype_spans=clipped)
 
 
-def _block(params: dict[str, np.ndarray], x0: np.ndarray, k: np.ndarray, v: np.ndarray):
+def _block(
+    params: dict[str, np.ndarray],
+    x0: np.ndarray,
+    k: np.ndarray,
+    v: np.ndarray,
+    out: np.ndarray | None = None,
+):
     """Attention, feed-forward and logits for the queries ``x0``.
 
     ``k`` and ``v`` hold the keys and values of positions ``0 .. m-1``.
     ``x0`` is either a 2-D block whose rows are the last ``len(x0)`` of
     those positions, or one 1-D row, the last position. A single query
     row may attend to every key, so the causal mask is built only for a
-    block of more than one row.
+    block of more than one row. The logits go into ``out`` when it is
+    given, a C-contiguous array of their shape.
     """
     q = x0 @ params["w_query"]
     scores = (q @ k.T) / math.sqrt(x0.shape[-1])
@@ -226,43 +233,54 @@ def _block(params: dict[str, np.ndarray], x0: np.ndarray, k: np.ndarray, v: np.n
     x1 = x0 + ctx @ params["w_attn_out"]
     a = np.tanh(x1 @ params["w_ff_in"])
     x2 = x1 + a @ params["w_ff_out"]
-    logits = x2 @ params["w_out"]
+    logits = np.matmul(x2, params["w_out"], out=out)
     return logits, (q, att, ctx, x1, a, x2)
 
 
-def _forward(params: dict[str, np.ndarray], ids: Sequence[int], rows: int):
-    """Logits of the last ``rows`` positions of ``ids``; keys and values
-    come from every position. The one check of a sequence's length."""
+def _forward(
+    params: dict[str, np.ndarray], ids: Sequence[int], rows: int, out: np.ndarray | None = None
+):
+    """Logits of the last ``rows`` positions of ``ids``, into ``out`` when it is
+    given; keys and values come from every position. The one check of a
+    sequence's length."""
     n = len(ids)
     if n > len(params["pos_emb"]):
         raise InputTooLong(f"sequence needs {n} positions, max_context is {len(params['pos_emb'])}")
     x0 = params["tok_emb"][list(ids)] + params["pos_emb"][:n]
     k = x0 @ params["w_key"]
     v = x0 @ params["w_value"]
-    logits, (q, att, ctx, x1, a, x2) = _block(params, x0[n - rows :], k, v)
+    logits, (q, att, ctx, x1, a, x2) = _block(params, x0[n - rows :], k, v, out)
     return logits, (list(ids), x0, q, k, v, att, ctx, x1, a, x2)
 
 
-def _backward(params: dict[str, np.ndarray], cache, d_logits: np.ndarray) -> dict[str, np.ndarray]:
+def _backward(
+    params: dict[str, np.ndarray],
+    cache,
+    d_logits: np.ndarray,
+    grads: dict[str, np.ndarray] | None = None,
+) -> dict[str, np.ndarray]:
     """Gradients from the block's ``(rows, V)`` ``d_logits``; keys and values
-    pass a gradient to every position, queries to the last ``rows``."""
+    pass a gradient to every position, queries to the last ``rows``. They are
+    written into ``grads``, one C-contiguous array per parameter and of its
+    shape, whose old contents are overwritten; None allocates them."""
     ids, x0, q, k, v, att, ctx, x1, a, x2 = cache
     n, rows = len(ids), len(d_logits)
     d = params["tok_emb"].shape[1]
-    grads: dict[str, np.ndarray] = {}
+    if grads is None:
+        grads = {key: np.empty_like(value) for key, value in params.items()}
 
-    grads["w_out"] = x2.T @ d_logits
+    np.matmul(x2.T, d_logits, out=grads["w_out"])
     d_x2 = d_logits @ params["w_out"].T
 
     d_x1 = d_x2.copy()
     d_a = d_x2 @ params["w_ff_out"].T
-    grads["w_ff_out"] = a.T @ d_x2
+    np.matmul(a.T, d_x2, out=grads["w_ff_out"])
     d_u = d_a * (1.0 - a * a)
-    grads["w_ff_in"] = x1.T @ d_u
+    np.matmul(x1.T, d_u, out=grads["w_ff_in"])
     d_x1 += d_u @ params["w_ff_in"].T
 
     d_ctx = d_x1 @ params["w_attn_out"].T
-    grads["w_attn_out"] = ctx.T @ d_x1
+    np.matmul(ctx.T, d_x1, out=grads["w_attn_out"])
 
     d_att = d_ctx @ v.T
     d_v = att.T @ d_ctx
@@ -274,20 +292,25 @@ def _backward(params: dict[str, np.ndarray], cache, d_logits: np.ndarray) -> dic
     d_x0[n - rows :] = d_x1 + d_q @ params["w_query"].T
     d_x0 += d_k @ params["w_key"].T
     d_x0 += d_v @ params["w_value"].T
-    grads["w_query"] = x0[n - rows :].T @ d_q
-    grads["w_key"] = x0.T @ d_k
-    grads["w_value"] = x0.T @ d_v
+    np.matmul(x0[n - rows :].T, d_q, out=grads["w_query"])
+    np.matmul(x0.T, d_k, out=grads["w_key"])
+    np.matmul(x0.T, d_v, out=grads["w_value"])
 
-    grads["tok_emb"] = np.zeros_like(params["tok_emb"])
+    grads["tok_emb"].fill(0.0)
     np.add.at(grads["tok_emb"], ids, d_x0)
-    grads["pos_emb"] = np.zeros_like(params["pos_emb"])
     grads["pos_emb"][:n] = d_x0
+    grads["pos_emb"][n:] = 0.0
     return grads
 
 
-def _log_softmax(rows: np.ndarray) -> np.ndarray:
-    shifted = rows - rows.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+def _log_softmax(
+    rows: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
+    """The log-softmax of each row, written into ``out``; ``scratch`` takes the
+    exponentials. Either is a fresh array when None."""
+    shifted = np.subtract(rows, rows.max(axis=1, keepdims=True), out=out)
+    shifted -= np.log(np.exp(shifted, out=scratch).sum(axis=1, keepdims=True))
+    return shifted
 
 
 def _forward_losses(
@@ -295,26 +318,32 @@ def _forward_losses(
     x_ids: Sequence[int],
     y_ids: Sequence[int],
     negative_ids: Sequence[int],
+    work: np.ndarray | None = None,
 ):
     """Forward pass and both loss terms for one id-level sequence pair.
 
     The block runs on the last ``len(y_ids) + 1`` rows; all but the last
     predict a target. Also returns what the backward pass needs: the
-    logits and forward cache, the target rows' probabilities, the target
-    ids and the sorted negative ids.
+    logits and forward cache, the target rows' log-probabilities and
+    probabilities, the target ids and the sorted negative ids. Those three
+    arrays of rows are slices of ``work``, a ``(3, rows, V)`` float64 array
+    with at least ``len(y_ids) + 1`` rows, or of a fresh one when it is None.
     """
     if len(y_ids) == 0:
         raise InvalidConfig("target sequence must be non-empty")
-    logits, cache = _forward(model.params, list(x_ids) + list(y_ids), len(y_ids) + 1)
-    logp = _log_softmax(logits[:-1])
-    probs = np.exp(logp)
+    rows = len(y_ids) + 1
+    if work is None:
+        work = np.empty((3, rows, len(model.vocab)))
+    logits, cache = _forward(model.params, list(x_ids) + list(y_ids), rows, work[0, :rows])
+    logp = _log_softmax(logits[:-1], work[1, : rows - 1], work[2, : rows - 1])
+    probs = np.exp(logp, out=work[2, : rows - 1])
     targets = np.asarray(list(y_ids))
     lm = float(-logp[np.arange(len(y_ids)), targets].sum())
     neg = sorted(set(int(t) for t in negative_ids))
     ca = 0.0
     if neg:
         ca = float(-np.log(np.maximum(1.0 - probs[:, neg], CA_CLAMP)).sum())
-    return lm, ca, (logits, cache, probs, targets, neg)
+    return lm, ca, (logits, cache, logp, probs, targets, neg)
 
 
 def losses_from_ids(
@@ -335,17 +364,25 @@ def loss_and_grads(
     negative_ids: Sequence[int],
     include_lm: bool,
     include_ca: bool,
+    out: dict[str, np.ndarray] | None = None,
+    work: np.ndarray | None = None,
 ) -> tuple[float, float, dict[str, np.ndarray]]:
     """Both loss terms plus exact gradients of the selected combination.
 
     The gradient dict corresponds to ``include_lm * L_LM +
     include_ca * L_CA``, which lets either objective be checked in
     isolation. With no negatives ``L_CA`` is 0.0 and adds no gradient.
+    The gradients are written into ``out`` and it is returned, when it is
+    given: one C-contiguous float64 array per parameter, of its shape.
+    ``work`` is the scratch of :func:`_forward_losses`. Given both, a call
+    allocates no array of ``V`` columns or of a parameter's size.
     """
-    lm, ca, (logits, cache, probs, targets, neg) = _forward_losses(
-        model, x_ids, y_ids, negative_ids
+    lm, ca, (logits, cache, logp, probs, targets, neg) = _forward_losses(
+        model, x_ids, y_ids, negative_ids, work
     )
-    d_logits = np.zeros_like(logits)
+    # logits and logp are spent: their rows take d_logits and a temporary
+    d_logits = logits
+    d_logits.fill(0.0)
     d_rows = d_logits[:-1]
     if include_lm:
         d_rows += probs
@@ -354,8 +391,8 @@ def loss_and_grads(
         one_minus = 1.0 - probs[:, neg]
         coef = np.where(one_minus > CA_CLAMP, probs[:, neg] / one_minus, 0.0)
         d_rows[:, neg] += coef
-        d_rows -= probs * coef.sum(axis=1, keepdims=True)
-    return lm, ca, _backward(model.params, cache, d_logits)
+        d_rows -= np.multiply(probs, coef.sum(axis=1, keepdims=True), out=logp)
+    return lm, ca, _backward(model.params, cache, d_logits, out)
 
 
 # The earlier name of the one loss entry point, kept for the acceptance tests.
@@ -574,7 +611,9 @@ def train_generator(
 
     A record's prototypes are clipped to the positions its target leaves in
     ``max_context``; a record whose <bos>, table and target alone do not fit is
-    skipped with a warning. Returns the model and mean per-record loss for each epoch.
+    skipped with a warning. Every step writes its gradients, and its logits and
+    probabilities, into arrays held for the whole run. Returns the model and mean
+    per-record loss for each epoch.
     """
     if len(dataset) == 0:
         raise InvalidConfig("generator training needs a non-empty dataset")
@@ -596,6 +635,10 @@ def train_generator(
         return model, []
 
     opt = Adam(model.params, lr=config.learning_rate)
+    # one gradient set and one scratch of target rows for the run: every step
+    # overwrites them
+    grads = {key: np.empty_like(value) for key, value in model.params.items()}
+    work = np.empty((3, max(len(y_ids) for _, y_ids, _ in prepared) + 1, len(vocab)))
     epoch_losses: list[float] = []
     for epoch in range(config.epochs):
         order = np.random.default_rng([config.seed, epoch]).permutation(len(prepared))
@@ -603,7 +646,7 @@ def train_generator(
         for idx in order:
             x_ids, y_ids, neg = prepared[int(idx)]
             neg = neg if config.ca_enabled else ()
-            lm, ca, grads = loss_and_grads(model, x_ids, y_ids, neg, True, True)
+            lm, ca, _ = loss_and_grads(model, x_ids, y_ids, neg, True, True, grads, work)
             opt.step(grads)
             total += lm + ca
         epoch_losses.append(total / len(prepared))
@@ -615,7 +658,7 @@ def save_generator(path: str | Path, model: GeneratorModel) -> None:
     payload = {
         "max_context": model.max_context,
         "tokens": list(model.vocab.tokens),
-        "params": {key: model.params[key].tolist() for key in PARAM_KEYS},
+        "params": {key: encode_array(model.params[key]) for key in PARAM_KEYS},
     }
     write_model_file(path, "generator", payload)
 
@@ -627,7 +670,7 @@ def load_generator(path: str | Path) -> GeneratorModel:
         if missing:
             raise ParseError(f"generator vocabulary lacks {missing}")
         known_keys(payload["params"], PARAM_KEYS, "params")
-        params = {key: json_numbers(values, key, 2) for key, values in payload["params"].items()}
+        params = {key: decode_array(value, key, 2) for key, value in payload["params"].items()}
         return GeneratorModel(
             vocab=vocab, max_context=json_int(payload["max_context"], "max_context"), params=params
         )

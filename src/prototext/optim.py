@@ -33,6 +33,22 @@ So the write is skipped when the test is below ``P * 2**-55`` and ``P``
 lies in ``(2**-900, inf)``; there ``P * 2**-55`` is a normal number,
 computed exactly. A NaN or infinite ``M`` or ``P`` fails the test and
 never skips.
+
+After a zero-gradient step, ``M`` needs no scan when the step before was
+one too: then ``M = fl(BETA1 * M_prev)``, bit for bit. Such a step sets
+each ``m`` to ``fl(BETA1 * m_prev)``, plus a zero on a group given
+whole, which can turn a ``-0.0`` into ``+0.0`` and changes no ``|m|``.
+Round-to-nearest is symmetric, ``fl(-x) == -fl(x)``, so
+``|fl(BETA1 * x)| == fl(BETA1 * |x|)``; it is monotone, so the largest
+``fl(BETA1 * |x|)`` is ``fl(BETA1 * max |x|)``. A NaN stays NaN and an
+infinity stays infinite through the product, as through the scan. A step
+with a nonzero gradient forgets ``M``, and the next zero-gradient step
+scans again.
+
+The moment updates and the write run in place and on two temporaries
+taken from one scratch buffer, allocated once and sized to the largest
+group, in the same operations and order as on fresh arrays: a step
+allocates no array of a group's size.
 """
 
 from __future__ import annotations
@@ -74,10 +90,14 @@ class Adam:
         self.t = 0
         self._m = {k: np.zeros_like(v) for k, v in params.items()}
         self._v = {k: np.zeros_like(v) for k, v in params.items()}
+        self._scratch = np.empty((2, max((v.size for v in params.values()), default=0)))
         self._skipped = 0
         # P of the module docstring, kept while no write and no nonzero
         # gradient has happened since it was taken
         self._floor: float | None = None
+        # M of the module docstring after the last step, kept while every
+        # step since it was taken had a zero gradient
+        self._top: float | None = None
 
     @property
     def skipped(self) -> int:
@@ -100,6 +120,8 @@ class Adam:
             and all(len(r) == 0 for r in rows.values())
             and not any(grads[k].any() for k in self.params if k not in rows)
         )
+        if not zero:
+            self._top = None
         for name, p in self.params.items():
             g = grads[name]
             m = self._m[name]
@@ -108,8 +130,13 @@ class Adam:
             m *= BETA1
             v *= BETA2
             if r is None:
-                m += (1.0 - BETA1) * g
-                v += (1.0 - BETA2) * np.square(g)
+                # m += (1 - BETA1) * g and v += (1 - BETA2) * g**2, in scratch
+                t, _ = self._temps(p.shape)
+                np.multiply(g, 1.0 - BETA1, out=t)
+                m += t
+                np.square(g, out=t)
+                t *= 1.0 - BETA2
+                v += t
             else:
                 m[r] += (1.0 - BETA1) * g
                 v[r] += (1.0 - BETA2) * np.square(g)
@@ -123,12 +150,18 @@ class Adam:
                 self._write(p, self._m[name], self._v[name], bc1, bc2)
         self._floor = None
 
+    def _temps(self, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """Two scratch arrays of ``shape``, valid until the next call."""
+        size = math.prod(shape)
+        return self._scratch[0, :size].reshape(shape), self._scratch[1, :size].reshape(shape)
+
     def _write(self, p: np.ndarray, m: np.ndarray, v: np.ndarray, bc1: float, bc2: float) -> None:
         # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), in that order,
         # on two temporaries
-        step = np.divide(m, bc1)
+        step, denom = self._temps(p.shape)
+        np.divide(m, bc1, out=step)
         step *= self.lr
-        denom = np.divide(v, bc2)
+        np.divide(v, bc2, out=denom)
         np.sqrt(denom, out=denom)
         denom += EPS
         step /= denom
@@ -136,9 +169,13 @@ class Adam:
 
     def _moves_nothing(self, bc1: float) -> bool:
         """Whether the write of this step's moments provably leaves every parameter as it is."""
-        # max and min instead of abs, which would copy m; np.max keeps a NaN
-        top = np.max([np.maximum(m.max(initial=0.0), -m.min(initial=0.0))
-                      for m in self._m.values()])
+        if self._top is None:
+            # max and min instead of abs, which would copy m; np.max keeps a NaN
+            top = float(np.max([np.maximum(m.max(initial=0.0), -m.min(initial=0.0))
+                                for m in self._m.values()]))
+        else:
+            top = BETA1 * self._top
+        self._top = top
         reach = (top + 2.0**-1073) * (self.lr / (bc1 * EPS)) * (1.0 + 2.0**-40) + 2.0**-1000
         if self._floor is None:
             self._floor = math.inf

@@ -162,6 +162,8 @@ def load_config(path: str | Path, **overrides) -> PipelineConfig:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InvalidConfig(f"config file {path} is not valid JSON: {exc.msg}") from None
+        except RecursionError:
+            raise InvalidConfig(f"config file {path} nests JSON too deeply") from None
     return typed_config(PipelineConfig, raw, **overrides)
 
 

@@ -47,8 +47,8 @@ from .errors import InvalidConfig, InvalidInput, InsufficientNegatives, ParseErr
 from .optim import Adam
 from .retrieval import CandidateSet
 from .tabledata import (
-    Corpus, Example, Table, json_numbers, read_jsonl, read_model_file, unique_id, write_jsonl,
-    write_model_file,
+    Corpus, Example, Table, decode_array, encode_array, read_jsonl, read_model_file, unique_id,
+    write_jsonl, write_model_file,
 )
 from .tokenization import SEP, UNK, tokenize
 from .vocab import Vocabulary
@@ -427,12 +427,12 @@ def read_augmented_dataset(path: str | Path, examples: Sequence[Example]) -> lis
 
 
 def save_selector(path: str | Path, model: SelectorModel) -> None:
-    """Write the model as versioned JSON; float64 values survive bit-exactly."""
+    """Write the model as a versioned model file; float64 values survive bit-exactly."""
     payload = {
         "tokens": list(model.vocab.tokens),
-        "embeddings": model.embeddings.tolist(),
-        "projection": model.projection.tolist(),
-        "bias": model.bias,
+        "embeddings": encode_array(model.embeddings),
+        "projection": encode_array(model.projection),
+        "bias": encode_array(model.bias),
     }
     write_model_file(path, "selector", payload)
 
@@ -441,9 +441,9 @@ def load_selector(path: str | Path) -> SelectorModel:
     def build(payload: dict) -> SelectorModel:
         return SelectorModel(
             vocab=Vocabulary.from_tokens(payload["tokens"]),
-            embeddings=json_numbers(payload["embeddings"], "embeddings", 2),
-            projection=json_numbers(payload["projection"], "projection", 1),
-            bias=float(json_numbers(payload["bias"], "bias", 0)),
+            embeddings=decode_array(payload["embeddings"], "embeddings", 2),
+            projection=decode_array(payload["projection"], "projection", 1),
+            bias=float(decode_array(payload["bias"], "bias", 0)),
         )
 
     return read_model_file(path, "selector", ("tokens", "embeddings", "projection", "bias"), build)

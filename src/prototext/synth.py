@@ -209,14 +209,19 @@ def _fill(template: str, entity: _Entity, noise: str = "") -> str:
     )
 
 
-def _related_sentence(entity: _Entity, attrs: int, reference: str, rng: np.random.Generator) -> str:
+def _related_sentence(
+    sid: int, entity: _Entity, attrs: int, reference: list[str], rng: np.random.Generator
+) -> Sentence:
+    """A related sentence of ``entity`` whose tokens differ from its ``reference``'s."""
     templates = _related_templates(attrs)
     idx = int(rng.integers(0, len(templates)))
     text = _fill(templates[idx], entity)
-    if tokenize(text) == tokenize(reference):
+    tokens = tokenize(text)
+    if tokens == reference:
         # never plant the exact reference in the corpus
         text = _fill(templates[(idx + 1) % len(templates)], entity)
-    return text
+        tokens = tokenize(text)
+    return Sentence(sid, text, tuple(tokens))
 
 
 def _distractor_sentence(
@@ -263,16 +268,17 @@ def generate_benchmark(spec: SyntheticSpec) -> SyntheticBenchmark:
     assignments += [("distractor", -1)] * n_distractors
     order = rng.permutation(len(assignments))
 
+    references = [tokenize(ex.reference) for ex in examples]
     sentences: list[Sentence] = []
     relevance: dict[int, list[int]] = {ex.id: [] for ex in examples}
     for sid, slot in enumerate(order):
         kind, owner = assignments[int(slot)]
         if kind == "relevant":
-            text = _related_sentence(entities[owner], attrs, examples[owner].reference, rng)
+            sentences.append(_related_sentence(sid, entities[owner], attrs, references[owner], rng))
             relevance[owner].append(sid)
         else:
             text = _distractor_sentence(entities, eras, noise_words, rng)
-        sentences.append(Sentence.from_text(sid, text))
+            sentences.append(Sentence.from_text(sid, text))
 
     n_train = spec.num_entities
     return SyntheticBenchmark(

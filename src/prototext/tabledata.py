@@ -4,6 +4,12 @@ File formats (one JSON object per line, UTF-8):
 
 * tables file:  ``{"id": int, "pairs": [[attr, value], ...], "reference": str}``
 * corpus file:  ``{"id": int, "text": str}``
+* model files:  one sorted-key JSON object,
+  ``{"format": "prototext-<kind>", "version": MODEL_VERSION, ...}``, in
+  which every parameter array is ``{"shape": [int, ...], "f64le": str}``:
+  the base64 (RFC 4648, standard alphabet, padded) of the array's
+  float64 values as little-endian bytes in C order, so the bits
+  round-trip exactly at about 10.7 bytes per value
 
 A table carries its linearization (``Table.tokens``) and a sentence its
 tokens (``Sentence.tokens``), each computed once when it is built, so
@@ -12,8 +18,8 @@ retrieval, the selector and the generator never tokenize them again.
 :func:`read_jsonl` and :func:`write_jsonl` read and write every JSONL
 format of the package; :func:`read_model_file` and :func:`write_model_file`
 read and write both model files, which hold only their format's keys
-(:func:`known_keys`) and whose parameters pass one number rule
-(:func:`json_numbers`).
+(:func:`known_keys`) and whose parameters pass one array rule
+(:func:`encode_array` and :func:`decode_array`).
 
 All types are immutable after construction and safe to share across
 threads.
@@ -21,7 +27,10 @@ threads.
 
 from __future__ import annotations
 
+import base64
+import binascii
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TypeVar
@@ -33,7 +42,7 @@ from .tokenization import ATTR_DELIM, PAIR_DELIM, tokenize
 
 T = TypeVar("T")
 
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -146,7 +155,8 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> Iterator[T]:
     A line that is not UTF-8, JSON or an object, and one that ``parse``
     rejects with a :data:`~prototext.errors.MALFORMED` error or a
     :class:`ParseError` (raised without path or line), is a ParseError
-    with path and line. Other data errors and ``OSError`` pass through.
+    with path and line; so is JSON nested too deeply for the parser. Other
+    data errors and ``OSError`` pass through.
     """
     spath = str(path)
     with open(path, "rb") as fh:
@@ -154,7 +164,10 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> Iterator[T]:
             if line.isspace():
                 continue
             try:
-                record = json.loads(line.decode("utf-8"))
+                try:
+                    record = json.loads(line.decode("utf-8"))
+                except RecursionError:
+                    raise ParseError("record nests JSON too deeply") from None
                 if not isinstance(record, dict):
                     raise ParseError("record is not a JSON object")
                 value = parse(record)
@@ -175,11 +188,12 @@ def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
 
 
 def write_model_file(path: str | Path, kind: str, payload: dict) -> None:
-    """Write a model as one sorted-key JSON object, tagged with its format and version."""
+    """Write a model as one sorted-key JSON object, tagged with its format and version;
+    its arrays go in by :func:`encode_array`."""
     envelope = {"format": f"prototext-{kind}", "version": MODEL_VERSION, **payload}
     with open(path, "w", encoding="utf-8") as fh:
-        # one dumps, one write: json.dump's chunked writes take about three times as long
-        fh.write(json.dumps(envelope, sort_keys=True, allow_nan=False))
+        # streamed: the document is a few long strings, never held whole
+        json.dump(envelope, fh, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -188,10 +202,14 @@ def read_model_file(
 ) -> T:
     """``build(payload)`` of a file :func:`write_model_file` wrote for ``kind`` with the
     payload ``keys``; another format or version, another key, or content that ``build``
-    fails on as MALFORMED or with a ParseError, is a ParseError with the path."""
+    fails on as MALFORMED or with a ParseError, is a ParseError with the path; so is
+    JSON nested too deeply for the parser."""
     try:
         with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+            try:
+                payload = json.load(fh)
+            except RecursionError:
+                raise ParseError(f"{kind} model file nests JSON too deeply") from None
         if payload.get("format") != f"prototext-{kind}" or payload.get("version") != MODEL_VERSION:
             raise ParseError(f"not a recognized {kind} model file")
         known_keys(payload, ("format", "version", *keys), f"{kind} model file")
@@ -210,10 +228,44 @@ def known_keys(obj: dict, keys: Iterable[str], where: str) -> None:
         raise ParseError(f"unknown key {unknown[0]!r} in {where}")
 
 
+def encode_array(values) -> dict:
+    """``values`` by the one array rule of model files: its shape, and the base64 of
+    its float64 values as little-endian bytes in C order."""
+    array = np.asarray(values, dtype="<f8")
+    return {"shape": list(array.shape), "f64le": base64.b64encode(array.tobytes()).decode("ascii")}
+
+
+def decode_array(value, name: str, ndim: int) -> np.ndarray:
+    """The float64 array that :func:`encode_array` wrote as ``value``, with ``ndim``
+    dimensions. Anything else is a ParseError naming ``name``: another key, a shape that
+    is not ``ndim`` non-negative integers or disagrees with the byte count, base64 that
+    is not valid (RFC 4648, padded), or a value that is not finite."""
+    if not isinstance(value, dict) or set(value) != {"shape", "f64le"}:
+        raise ParseError(f"{name} must be an object with the keys 'shape' and 'f64le' alone")
+    shape = value["shape"]
+    if type(shape) is not list or len(shape) != ndim:
+        raise ParseError(f"{name} shape must be a list of {ndim} integers")
+    shape = [json_int(n, f"{name} shape") for n in shape]
+    text = value["f64le"]
+    if not isinstance(text, str):
+        raise ParseError(f"{name} f64le must be a string")
+    try:
+        raw = binascii.a2b_base64(text, strict_mode=True)
+    except ValueError as exc:  # binascii.Error, or a character outside ASCII
+        raise ParseError(f"{name} f64le is not base64: {exc}") from None
+    size = 8 * math.prod(shape)
+    if len(raw) != size:
+        raise ParseError(f"{name} holds {len(raw)} bytes, shape {shape} needs {size}")
+    array = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    if not np.isfinite(array).all():
+        raise ParseError(f"{name} holds a value that is not finite")
+    return array
+
+
 def json_numbers(value, name: str, ndim: int) -> np.ndarray:
-    """``value`` as a float64 array, by the one number rule for every parameter of a
-    model file: ``ndim`` levels of regular lists (none for a scalar) holding JSON numbers
-    alone; a bool, a string or a ragged list is a ParseError naming ``name``."""
+    """``value`` as a float64 array, by the one number rule for the numbers of the
+    index file: ``ndim`` levels of regular lists (none for a scalar) holding JSON
+    numbers alone; a bool, a string or a ragged list is a ParseError naming ``name``."""
     cells = np.array(value, dtype=object)
     if cells.ndim != ndim or not set(map(type, cells.flat)) <= {int, float}:
         raise ParseError(f"{name} must be {ndim}-dimensional JSON numbers")

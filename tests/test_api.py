@@ -7,7 +7,7 @@ import pytest
 
 from prototext.errors import (
     AllTies, DuplicateId, InputTooLong, InsufficientNegatives, InvalidConfig, InvalidInput,
-    InvalidTable, PrototextError, UnknownDocument,
+    InvalidTable, ParseError, PrototextError, UnknownDocument,
 )
 from prototext.evaluation import bleu4, evaluate_pairs, precision_at_k, sign_test
 from prototext.generator import (
@@ -16,16 +16,17 @@ from prototext.generator import (
 )
 from prototext.retrieval import CandidateSet, bm25_score, build_index, filter_leakage, retrieve
 from prototext.selector import (
-    SelectorModel, SelectorTrainConfig, margin_loss, select_prototypes, select_top_n,
-    train_selector, training_triples,
+    SelectorModel, SelectorTrainConfig, load_selector, margin_loss, select_prototypes,
+    select_top_n, train_selector, training_triples,
 )
 from prototext.tabledata import Corpus, Example, Sentence, Table
 from prototext.vocab import Vocabulary
 
 
 @pytest.fixture(scope="module")
-def api():
-    """Small, valid objects of every stage, for the probes to misuse one argument at a time."""
+def api(tmp_path_factory):
+    """Small, valid objects of every stage, for the probes to misuse one argument at a time,
+    and a model file of JSON nested 1,000 deep."""
     corpus = Corpus([Sentence.from_text(i, t) for i, t in enumerate(
         ["the red cat sat", "a blue dog ran", "the cat ran far"])])
     table = Table.from_pairs([("name", "cat"), ("colour", "red")])
@@ -34,7 +35,10 @@ def api():
     cands = CandidateSet(0, ((0, 2.0), (2, 1.0)))
     selector = SelectorModel(vocab=vocab, embeddings=np.zeros((len(vocab), 2)),
                              projection=np.ones(2), bias=0.0)
+    deep_model = tmp_path_factory.mktemp("api") / "selector.json"
+    deep_model.write_text("[" * 1000 + "]" * 1000, encoding="utf-8")
     return SimpleNamespace(
+        deep_model=deep_model,
         corpus=corpus, table=table, vocab=vocab, cands=cands, selector=selector,
         index=build_index(corpus), example=Example(0, table, "the red cat sat"),
         generator=init_generator(vocab, config),
@@ -109,6 +113,7 @@ API_MISUSE = [
     pytest.param(lambda a: precision_at_k([1], {1}, 0), InvalidConfig, id="precision-k-zero"),
     pytest.param(lambda a: sign_test([1.0], [1.0]), AllTies, id="sign-test-all-ties"),
     pytest.param(lambda a: sign_test([], []), InvalidInput, id="sign-test-empty"),
+    pytest.param(lambda a: load_selector(a.deep_model), ParseError, id="load-selector-deep-json"),
 ]
 
 

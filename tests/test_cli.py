@@ -24,7 +24,7 @@ from prototext.selector import (
     write_augmented_dataset,
 )
 from prototext.synth import SyntheticSpec, synth_benchmark
-from prototext.tabledata import load_corpus, parse_tables_file
+from prototext.tabledata import decode_array, encode_array, load_corpus, parse_tables_file
 from prototext.tokenization import tokenize
 from prototext.vocab import Vocabulary
 
@@ -42,7 +42,8 @@ def tiny_generator_file(tmp_path, *content):
 
 @pytest.fixture(scope="module")
 def stage_files(tiny_bench, tmp_path_factory):
-    """Valid index, candidates, augmented and outputs files for the train split."""
+    """Valid index, candidates, augmented and outputs files for the train split, and its
+    tables and corpus files."""
     out = tmp_path_factory.mktemp("stages")
     corpus = load_corpus(tiny_bench["corpus"])
     train = parse_tables_file(tiny_bench["train_tables"])
@@ -54,7 +55,7 @@ def stage_files(tiny_bench, tmp_path_factory):
     write_candidate_sets(files["candidates"], cands)
     write_augmented_dataset(files["augmented"], records)
     write_outputs(files["outputs"], [(ex.id, tokenize(ex.reference)) for ex in train])
-    return {**files, "corpus": Path(tiny_bench["corpus"])}
+    return {**files, "corpus": Path(tiny_bench["corpus"]), "tables": Path(tiny_bench["train_tables"])}
 
 
 def _set(line, **fields):
@@ -179,6 +180,10 @@ def _non_utf8_text(lines):
     return 2
 
 
+# JSON nested deeper than the parser recurses
+DEEP_JSON = b"[" * 1000 + b"]" * 1000
+
+
 # Each breaks one line of a valid file and returns that line's number.
 MALFORMED_JSONL = [
     pytest.param("candidates", _set(1, candidates=5), id="candidates-not-a-list"),
@@ -257,6 +262,8 @@ MALFORMED_JSONL = [
     pytest.param("corpus", _repeat_first_line, id="corpus-repeated-id"),
     pytest.param("outputs", _set(1, output=5), id="outputs-output-not-text"),
     pytest.param("outputs", _set(2, table_id=True), id="outputs-table-id-true"),
+    *(pytest.param(kind, _replace(2, DEEP_JSON), id=f"{kind}-nested-1000-deep")
+      for kind in ("corpus", "tables", "candidates", "index", "augmented", "outputs")),
 ]
 
 
@@ -296,6 +303,8 @@ class TestExitCodes:
                           "--out", out],
             "outputs": ["eval", "--hyp", str(bad), "--ref", tiny_bench["train_tables"],
                         "--out", out],
+            "tables": ["eval", "--hyp", str(stage_files["outputs"]), "--ref", str(bad),
+                       "--out", out],
         }[kind]
         assert run_cli(*argv) == 2
         assert f"{bad}:line {line}" in capsys.readouterr().err
@@ -325,7 +334,9 @@ class TestExitCodes:
         assert run_cli("ablate", "--config", str(cfg)) == 1
 
     @pytest.mark.parametrize(
-        "content", ["{bad", "[1, 2]", '{"selector": {"margin": 1.0}}', '{"selector": 3}']
+        "content",
+        ["{bad", "[1, 2]", '{"selector": {"margin": 1.0}}', '{"selector": 3}',
+         pytest.param(DEEP_JSON.decode(), id="nested-1000-deep")],
     )
     def test_malformed_stage_config_is_config_error(
         self, tiny_bench, tmp_path, monkeypatch, capsys, content
@@ -564,15 +575,57 @@ def _ill_typed_tokens(text):
     return json.dumps(payload)
 
 
+def _retyped(where, new):
+    """A corruption that replaces the model file's value at ``where`` (keys joined by
+    dots) with ``new(that value)``."""
+
+    def corrupt(text):
+        payload = json.loads(text)
+        *outer, last = where.split(".")
+        part = payload
+        for key in outer:
+            part = part[key]
+        part[last] = new(part[last])
+        return json.dumps(payload)
+
+    return corrupt
+
+
+def _values(edit):
+    """``new`` for :func:`_retyped`: the array rule's ``edit(values)``, encoded again, so
+    that its shape and bytes agree."""
+    return lambda value: encode_array(edit(decode_array(value, "", len(value["shape"]))))
+
+
+def _first_value(x):
+    def edit(values):
+        values = values.copy()
+        values.flat[0] = x
+        return values
+
+    return _values(edit)
+
+
 def _narrow_selector_projection(text):
-    payload = json.loads(text)
-    payload["projection"] = payload["projection"][:-1]
-    return json.dumps(payload)
+    return _retyped("projection", _values(lambda values: values[:-1]))(text)
 
 
 def _narrow_generator_w_key(text):
+    return _retyped("params.w_key", _values(lambda values: values[:, :-1]))(text)
+
+
+def _deep_json(text):
+    return DEEP_JSON.decode()
+
+
+def _version_1(text):
+    """The same model in the layout of model-file version 1: every array a JSON float list."""
     payload = json.loads(text)
-    payload["params"]["w_key"] = [row[:-1] for row in payload["params"]["w_key"]]
+    for part in (payload, payload.get("params", {})):
+        for key, value in part.items():
+            if isinstance(value, dict) and "f64le" in value:
+                part[key] = decode_array(value, key, len(value["shape"])).tolist()
+    payload["version"] = 1
     return json.dumps(payload)
 
 
@@ -596,17 +649,6 @@ def _unknown_key(*where):
     return corrupt
 
 
-def _retyped(key, new):
-    """A corruption that replaces the model file's ``key`` with ``new(its value)``."""
-
-    def corrupt(text):
-        payload = json.loads(text)
-        payload[key] = new(payload[key])
-        return json.dumps(payload)
-
-    return corrupt
-
-
 def _last_token(new):
     """A corruption that replaces the last token with ``new(tokens)``; every shape still agrees."""
 
@@ -619,34 +661,63 @@ def _last_token(new):
 
 
 CORRUPTIONS = [
-    _truncate, _drop_tokens, _ill_typed_tokens, _unknown_key(),
+    _truncate, _drop_tokens, _ill_typed_tokens, _unknown_key(), _deep_json, _version_1,
     pytest.param(_last_token(lambda tokens: tokens[-2]), id="token-repeated"),
     pytest.param(_last_token(lambda tokens: 5), id="token-not-a-string"),
 ]
-# values that name a number without being one, or that fill a matrix with a bool
-NOT_NUMBERS = {
+# numbers and arrays that break their rule: the one integer rule, or the array rule's
+# keys, shape, byte count, base64 and finite values
+BROKEN_ARRAYS = {
     "generator": {
         "max_context-string": _retyped("max_context", str),
         "max_context-float": _retyped("max_context", float),
+        "w_key-float-lists": _retyped(
+            "params.w_key", lambda value: decode_array(value, "", 2).tolist()
+        ),
+        "w_key-extra-key": _retyped("params.w_key", lambda value: {**value, "dtype": "<f8"}),
+        "w_key-no-shape": _retyped("params.w_key", lambda value: {"f64le": value["f64le"]}),
+        "w_key-shape-1d": _retyped(
+            "params.w_key", lambda value: {**value, "shape": [value["shape"][0] ** 2]}
+        ),
+        "w_key-shape-disagrees": _retyped(
+            "params.w_key", lambda value: {**value, "shape": [value["shape"][0], 3]}
+        ),
+        "w_key-base64-character": _retyped(
+            "params.w_key", lambda value: {**value, "f64le": "!" + value["f64le"][1:]}
+        ),
+        "w_key-base64-unpadded": _retyped(
+            "params.w_key", lambda value: {**value, "f64le": value["f64le"].rstrip("=")[:-1]}
+        ),
+        "w_key-base64-number": _retyped("params.w_key", lambda value: {**value, "f64le": 0}),
+        "w_key-nan": _retyped("params.w_key", _first_value(float("nan"))),
+        "w_key-infinite": _retyped("params.w_key", _first_value(float("-inf"))),
     },
     "selector": {
         "bias-string": _retyped("bias", lambda _: "1e3"),
         "bias-bool": _retyped("bias", lambda _: True),
-        "projection-strings": _retyped("projection", lambda row: [str(x) for x in row]),
-        "embeddings-bool": _retyped("embeddings", lambda rows: [[True] + r[1:] for r in rows]),
+        "projection-strings": _retyped(
+            "projection", lambda value: {**value, "shape": [str(n) for n in value["shape"]]}
+        ),
+        "embeddings-bool": _retyped(
+            "embeddings", lambda value: {**value, "shape": [True, value["shape"][1]]}
+        ),
+        "embeddings-shape-disagrees": _retyped(
+            "embeddings", lambda value: {**value, "shape": [value["shape"][0] + 1, 3]}
+        ),
+        "bias-infinite": _retyped("bias", _first_value(float("inf"))),
     },
 }
 
 
-def not_numbers(kind):
-    return [pytest.param(corrupt, id=name) for name, corrupt in NOT_NUMBERS[kind].items()]
+def broken_arrays(kind):
+    return [pytest.param(corrupt, id=name) for name, corrupt in BROKEN_ARRAYS[kind].items()]
 
 
 class TestCorruptModelFiles:
     @pytest.mark.parametrize(
         "corrupt",
         CORRUPTIONS + [_narrow_generator_w_key, _rename_eos, _unknown_key("params")]
-        + not_numbers("generator"),
+        + broken_arrays("generator"),
     )
     def test_corrupt_generator_is_data_error(self, tiny_bench, tmp_path, capsys, corrupt):
         model = tiny_generator_file(tmp_path, "a", "b")
@@ -659,7 +730,7 @@ class TestCorruptModelFiles:
         assert str(model) in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "corrupt", CORRUPTIONS + [_narrow_selector_projection] + not_numbers("selector")
+        "corrupt", CORRUPTIONS + [_narrow_selector_projection] + broken_arrays("selector")
     )
     def test_corrupt_selector_is_data_error(self, tiny_bench, tmp_path, capsys, corrupt):
         vocab = Vocabulary.build([["a", "b"]])

@@ -562,8 +562,8 @@ def assert_decode_matches_reference(model, cond, max_len):
     forward_rows = []
     real_block, real_forward = generator._block, generator._forward
 
-    def recording_block(params, x0, k, v):
-        logits, cache = real_block(params, x0, k, v)
+    def recording_block(params, x0, k, v, *out):
+        logits, cache = real_block(params, x0, k, v, *out)
         block_ndims.append(x0.ndim)
         step_rows.append(np.atleast_2d(logits)[-1].copy())
         return logits, cache
@@ -715,6 +715,21 @@ class TestGenerateOutputs:
         assert outputs == [(0, real_decode(model, seen[0], max_len))]
 
 
+def test_reused_buffers_give_the_bits_of_fresh_ones():
+    """Gradients written into buffers that hold NaN, then a longer sequence's
+    gradients, have the bits of fresh ones, and so do both losses."""
+    vocab = plain_vocab(12)
+    model = randomized_model(vocab, small_config(), seed=3)
+    out = {key: np.full_like(value, np.nan) for key, value in model.params.items()}
+    work = np.full((3, 8, len(vocab)), np.nan)
+    for x_ids, y_ids, neg in (([1, 2, 3, 4, 5, 6], [7, 8, 9], [10]), ([1, 2], [7], [])):
+        lm, ca, fresh = loss_and_grads(model, x_ids, y_ids, neg, True, True)
+        lm_out, ca_out, given = loss_and_grads(model, x_ids, y_ids, neg, True, True, out, work)
+        assert given is out and (lm_out, ca_out) == (lm, ca)
+        for key in fresh:
+            assert given[key].tobytes() == fresh[key].tobytes(), key
+
+
 class TestGeneratorPersistence:
     def test_roundtrip_bit_identical(self, tmp_path):
         vocab = plain_vocab(12)
@@ -723,7 +738,7 @@ class TestGeneratorPersistence:
         save_generator(path, model)
         loaded = load_generator(path)
         for key in model.params:
-            assert np.array_equal(loaded.params[key], model.params[key])
+            assert loaded.params[key].tobytes() == model.params[key].tobytes()
         x_ids = [1, 2, 3]
         y_ids = [7, 8]
         assert losses_from_ids(loaded, x_ids, y_ids, [9]) == losses_from_ids(

@@ -142,6 +142,55 @@ def test_skipped_writes_match_the_dense_reference(run):
         assert_same_bits(opt, ref)
 
 
+# first moments across the exponent range: signed zeros, subnormals (the smallest
+# are fixed points of m -> fl(0.9 * m)), normals, the extremes, an infinity and a NaN
+MOMENT_SEEDS = [0.0, -0.0, 5e-324, -3 * 5e-324, 2.0**-1070, -(2.0**-1022), 1e-30, -1.0,
+                np.finfo(np.float64).max, -np.inf, np.nan]
+
+
+@st.composite
+def zero_streak_runs(draw):
+    """Parameters, first moments drawn from MOMENT_SEEDS, and phases of at most one
+    row-sparse step followed by a zero-gradient streak."""
+    n_rows = draw(st.integers(1, 6))
+    width = draw(st.integers(1, 3))
+    seeds = st.lists(st.sampled_from(MOMENT_SEEDS), min_size=n_rows * width + width,
+                     max_size=n_rows * width + width)
+    rows = st.frozensets(st.sampled_from(range(n_rows)))
+    phases = draw(st.lists(st.tuples(st.one_of(st.none(), rows), st.integers(1, 150)),
+                           min_size=1, max_size=4))
+    return (n_rows, width), draw(seeds), phases, draw(st.integers(0, 2**32 - 1))
+
+
+def _largest_moment(opt):
+    """max |m| over every group by a scan; a NaN anywhere makes it NaN."""
+    return float(np.max([np.max(np.abs(m), initial=0.0) for m in opt._m.values()]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(run=zero_streak_runs())
+def test_zero_gradient_streaks_carry_the_largest_moment_exactly(run):
+    """After each zero-gradient step the M that Adam carries without a scan is the scan's,
+    and params, m and v keep the bits of an Adam that writes every step."""
+    shape, seeds, phases, seed = run
+    rng = np.random.default_rng(seed)
+    n = shape[0] * shape[1]
+    m = {"emb": np.reshape(seeds[:n], shape), "w": np.array(seeds[n:])}
+    v = {key: np.abs(rng.normal(size=value.shape)) * 1e-4 for key, value in m.items()}
+    opt, ref = pair({"emb": rng.normal(size=shape), "w": rng.normal(size=shape[1])},
+                    0.05, m, v, t=20)
+    for row_set, streak in phases:
+        if row_set is not None:
+            rows = np.array(sorted(row_set), dtype=np.intp)
+            both(opt, ref, {"emb": rng.normal(size=(len(rows), shape[1])),
+                            "w": rng.normal(size=shape[1])}, {"emb": rows})
+        for _ in range(streak):
+            zero_step(opt, ref, shape[1])
+            top = _largest_moment(opt)
+            assert opt._top == top or (np.isnan(opt._top) and np.isnan(top))
+    assert_same_bits(opt, ref)
+
+
 def converged(p, shape=(3, 2), lr=0.05, t=50, m_value=1e-30):
     """A pair with parameters ``p`` (emb) and the same tiny first moment everywhere,
     a state whose next zero-gradient write moves nothing unless ``p`` forbids it."""

@@ -497,9 +497,9 @@ class TestSelectorPersistence:
         path = tmp_path / "selector.json"
         save_selector(path, model)
         loaded = load_selector(path)
-        assert np.array_equal(loaded.embeddings, model.embeddings)
-        assert np.array_equal(loaded.projection, model.projection)
-        assert loaded.bias == model.bias
+        assert loaded.embeddings.tobytes() == model.embeddings.tobytes()
+        assert loaded.projection.tobytes() == model.projection.tobytes()
+        assert np.float64(loaded.bias).tobytes() == np.float64(model.bias).tobytes()
         assert loaded.vocab.tokens == model.vocab.tokens
         for sent in negatives:
             assert score_pair(loaded, t, sent) == score_pair(model, t, sent)

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -30,7 +32,21 @@ class TestSpecValidation:
             SyntheticSpec(num_entities=100, vocab_size=100)
 
 
+# the default spec's files, which are the desk benchmark's inputs at seed 13
+DEFAULT_SPEC_SHA256 = {
+    "corpus": "2f239e0cdc16cd48272ccdcd7af7ae58fdf1a086c640343c69850cd399485a28",
+    "labels": "e15601f479cb24a013ce8419586f57b6acf395a871b88c4fa52adc7d42c0fe84",
+    "test_tables": "3d56853e0e043b45a4ba8bbee38bf38a21e6c24ad2ba0cb92f30e947f34ec3b0",
+    "train_tables": "8b03f0dd3e970f0fe5cbb20b32c2c574904ae5f180fccda5c62976d5ba2775c4",
+}
+
+
 class TestGeneratedShape:
+    def test_default_spec_files_are_pinned(self, tmp_path):
+        paths = synth_benchmark(SyntheticSpec(), tmp_path)
+        digests = {key: hashlib.sha256(Path(p).read_bytes()).hexdigest() for key, p in paths.items()}
+        assert digests == DEFAULT_SPEC_SHA256
+
     def test_default_spec_counts(self):
         bench = generate_benchmark(SyntheticSpec())
         assert len(bench.train_examples) == 50
@@ -118,6 +134,11 @@ class TestPlantedStructure:
             table_tokens = set(linearize_table(examples[tid].table))
             for sid in sids:
                 assert table_tokens & set(bench.corpus.get(sid).tokens)
+
+    def test_sentence_tokens_are_the_tokenizers(self):
+        bench = generate_benchmark(SyntheticSpec(num_entities=12, corpus_size=120, vocab_size=160))
+        for s in bench.corpus:
+            assert list(s.tokens) == tokenize(s.text)
 
     def test_relevance_ids_exist(self):
         bench = generate_benchmark(SyntheticSpec(num_entities=12, corpus_size=60, vocab_size=160))

@@ -1,9 +1,11 @@
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from prototext.errors import DataError, DuplicateId, InvalidTable, ParseError
 from prototext.generator import (
@@ -37,11 +39,15 @@ from prototext.tabledata import (
     Example,
     Sentence,
     Table,
+    decode_array,
+    encode_array,
     linearize_table,
     load_corpus,
     parse_tables_file,
+    read_model_file,
     write_corpus,
     write_jsonl,
+    write_model_file,
     write_tables_file,
 )
 from prototext.tokenization import tokenize
@@ -236,13 +242,18 @@ JSON_PIECES = [b'"', b"[", b"]", b"{", b"}", b",", b":", b"1", b"-", b"x", b"\xf
                b"null", b"true", b"1e999", b"[1]", b'"a"']
 
 
+# what a model file's base64 strings are made of, so that an edit inside one can keep it
+# base64 with other values, or break its padding or its byte count
+BASE64_PIECES = [b"A", b"/", b"+", b"9", b"=", b"==", b"AAAA", b"////"]
+
+
 @st.composite
-def corruptions(draw, kinds):
+def corruptions(draw, kinds, pieces=JSON_PIECES):
     kind = draw(st.sampled_from(sorted(kinds)))
     op = draw(st.sampled_from(["truncate", "overwrite", "insert"]))
     chunk = draw(st.one_of(
         st.binary(min_size=1, max_size=4),
-        st.lists(st.sampled_from(JSON_PIECES), min_size=1, max_size=3).map(b"".join),
+        st.lists(st.sampled_from(pieces), min_size=1, max_size=3).map(b"".join),
     ))
     return kind, op, draw(st.floats(0, 1)), chunk
 
@@ -292,7 +303,72 @@ def model_files(tmp_path_factory):
 
 
 @settings(max_examples=200, deadline=None)
-@given(case=corruptions(MODEL_LOADERS))
+@given(case=corruptions(MODEL_LOADERS, JSON_PIECES + BASE64_PIECES))
 def test_corrupted_model_file_loads_or_is_data_error(model_files, case):
     """Whatever bytes a model file holds, its loader returns or raises a DataError."""
     read_corrupted(*model_files, MODEL_LOADERS, case)
+
+
+# every float64 class the array rule must carry: signed zeros, subnormals, the
+# extremes and the normal range between them
+FLOAT64_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.0**-1022 - 2.0**-1074, 2.0**-1022,
+                 np.finfo(np.float64).max, -np.finfo(np.float64).max, 1.0, -1.0 / 3.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=arrays(
+        np.float64, array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5),
+        elements=st.one_of(st.sampled_from(FLOAT64_EDGES),
+                           st.floats(allow_nan=False, allow_infinity=False)),
+    ),
+    transpose=st.booleans(),
+)
+def test_array_rule_round_trips_every_bit(values, transpose):
+    """Through JSON text and back, an array keeps its shape and every bit, in C order
+    whatever the layout it was written from."""
+    values = values.T if transpose else values
+    back = decode_array(json.loads(json.dumps(encode_array(values))), "x", values.ndim)
+    assert back.dtype == np.float64 and back.shape == values.shape
+    assert back.tobytes() == values.tobytes()
+    assert back.flags.writeable
+
+
+THREE = encode_array(np.array([1.0, -0.0, 2.5]))
+BROKEN = [
+    pytest.param([1.0, -0.0, 2.5], "must be an object", id="float-list"),
+    pytest.param({**THREE, "dtype": "<f8"}, "must be an object", id="extra-key"),
+    pytest.param({"f64le": THREE["f64le"]}, "must be an object", id="no-shape"),
+    pytest.param({**THREE, "shape": 3}, "shape must be a list of 1", id="shape-not-a-list"),
+    pytest.param({**THREE, "shape": [3, 1]}, "shape must be a list of 1", id="shape-2d"),
+    pytest.param({**THREE, "shape": [3.0]}, "non-negative integer", id="shape-float"),
+    pytest.param({**THREE, "shape": [True]}, "non-negative integer", id="shape-bool"),
+    pytest.param({**THREE, "shape": [-3]}, "non-negative integer", id="shape-negative"),
+    pytest.param({**THREE, "shape": [4]}, "holds 24 bytes, shape [4] needs 32",
+                 id="shape-disagrees"),
+    pytest.param({**THREE, "f64le": None}, "must be a string", id="base64-null"),
+    pytest.param({**THREE, "f64le": "*" + THREE["f64le"][1:]}, "not base64",
+                 id="base64-character"),
+    pytest.param({**THREE, "f64le": THREE["f64le"][:-1]}, "not base64", id="base64-unpadded"),
+    pytest.param({**THREE, "f64le": THREE["f64le"][:-1] + "\u00e9"}, "not base64",
+                 id="base64-not-ascii"),
+    pytest.param({**THREE, "f64le": THREE["f64le"] + "\n"}, "not base64", id="base64-newline"),
+    pytest.param(encode_array(np.array([1.0, np.nan, 2.5])), "not finite", id="nan"),
+    pytest.param(encode_array(np.array([1.0, np.inf, 2.5])), "not finite", id="infinite"),
+]
+
+
+@pytest.mark.parametrize("value, message", BROKEN)
+def test_array_rule_rejections_are_parse_errors(value, message):
+    with pytest.raises(ParseError, match=re.escape(message)):
+        decode_array(value, "x", 1)
+
+
+def test_old_model_version_is_a_parse_error(tmp_path):
+    path = tmp_path / "model.json"
+    write_model_file(path, "selector", {"bias": 0.0})
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["version"] -= 1
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ParseError, match="not a recognized selector model file"):
+        read_model_file(path, "selector", ("bias",), dict)
