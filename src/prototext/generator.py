@@ -25,7 +25,9 @@ irrelevant prototype material.
 
 Inference (next_token_dist, decode_greedy) is read-only on the model and
 safe to run concurrently; training mutates the parameter arrays in a
-fixed single-threaded update order. Keys and values depend only on the
+fixed single-threaded update order, and a run takes every array of its
+steps' forward and backward passes from one StepBuffers, so a step
+reuses the arrays of the one before it. Keys and values depend only on the
 input embeddings, so the one forward pass embeds, projects keys and
 values at every position, then runs one block (attention, feed-forward,
 logits) on only the last rows, the ones its caller reads. Training runs
@@ -50,7 +52,7 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -204,12 +206,39 @@ def build_conditioning(
     return ConditioningInput(ids=tuple(ids), table_len=len(table_ids), prototype_spans=clipped)
 
 
+Buffers = Callable[..., np.ndarray]
+
+
+def _fresh(name: str, *shape: int) -> np.ndarray:
+    """A new array of ``shape``: the buffers of a call that holds none."""
+    return np.empty(shape)
+
+
+class StepBuffers:
+    """The arrays a training run holds for its steps' intermediates: one per
+    name, grown to the largest shape asked for. ``buffers(name, *shape)`` is a
+    C-contiguous float64 array of ``shape`` with stale contents, valid until
+    ``name`` is asked for again. After the first records of a run, a step
+    allocates no array whose size grows with its sequence, so the heap it
+    frees never shrinks and regrows from step to step."""
+
+    def __init__(self):
+        self._held: dict[str, np.ndarray] = {}
+
+    def __call__(self, name: str, *shape: int) -> np.ndarray:
+        size = math.prod(shape)
+        held = self._held.get(name)
+        if held is None or held.size < size:
+            held = self._held[name] = np.empty(size)
+        return held[:size].reshape(shape)
+
+
 def _block(
     params: dict[str, np.ndarray],
     x0: np.ndarray,
     k: np.ndarray,
     v: np.ndarray,
-    out: np.ndarray | None = None,
+    buffers: Buffers | None = None,
 ):
     """Attention, feed-forward and logits for the queries ``x0``.
 
@@ -217,39 +246,55 @@ def _block(
     ``x0`` is either a 2-D block whose rows are the last ``len(x0)`` of
     those positions, or one 1-D row, the last position. A single query
     row may attend to every key, so the causal mask is built only for a
-    block of more than one row. The logits go into ``out`` when it is
-    given, a C-contiguous array of their shape.
+    block of more than one row. Every array it returns comes from
+    ``buffers``, when it is given.
     """
-    q = x0 @ params["w_query"]
-    scores = (q @ k.T) / math.sqrt(x0.shape[-1])
+    lead, d, m = x0.shape[:-1], x0.shape[-1], len(k)
+    if buffers is None:  # numpy allocates each; decoding pays nothing more
+        outs = (None,) * 7
+    else:
+        widths = (("q", d), ("att", m), ("ctx", d), ("x1", d), ("a", 2 * d), ("x2", d),
+                  ("logits", params["w_out"].shape[1]))
+        outs = (buffers(name, *lead, width) for name, width in widths)
+    q_out, att_out, ctx_out, x1_out, a_out, x2_out, logits_out = outs
+    q = np.matmul(x0, params["w_query"], out=q_out)
+    att = np.matmul(q, k.T, out=att_out)
+    att /= math.sqrt(d)
     if x0.ndim == 2 and len(x0) > 1:
-        n, m = len(x0), len(k)
-        causal = np.tril(np.ones((n, m), dtype=bool), k=m - n)
-        scores = np.where(causal, scores, -np.inf)
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    expd = np.exp(shifted)
-    att = expd / expd.sum(axis=-1, keepdims=True)
-    ctx = att @ v
-    x1 = x0 + ctx @ params["w_attn_out"]
-    a = np.tanh(x1 @ params["w_ff_in"])
-    x2 = x1 + a @ params["w_ff_out"]
-    logits = np.matmul(x2, params["w_out"], out=out)
+        n = len(x0)
+        np.copyto(att, -np.inf, where=np.triu(np.ones((n, m), dtype=bool), k=m - n + 1))
+    # softmax in place: shift by the row maximum, exponentiate, normalize
+    att -= att.max(axis=-1, keepdims=True)
+    np.exp(att, out=att)
+    att /= att.sum(axis=-1, keepdims=True)
+    ctx = np.matmul(att, v, out=ctx_out)
+    x1 = np.matmul(ctx, params["w_attn_out"], out=x1_out)
+    x1 += x0
+    a = np.matmul(x1, params["w_ff_in"], out=a_out)
+    np.tanh(a, out=a)
+    x2 = np.matmul(a, params["w_ff_out"], out=x2_out)
+    x2 += x1
+    logits = np.matmul(x2, params["w_out"], out=logits_out)
     return logits, (q, att, ctx, x1, a, x2)
 
 
 def _forward(
-    params: dict[str, np.ndarray], ids: Sequence[int], rows: int, out: np.ndarray | None = None
+    params: dict[str, np.ndarray], ids: Sequence[int], rows: int, buffers: Buffers | None = None
 ):
-    """Logits of the last ``rows`` positions of ``ids``, into ``out`` when it is
-    given; keys and values come from every position. The one check of a
-    sequence's length."""
-    n = len(ids)
+    """Logits of the last ``rows`` positions of ``ids``; keys and values come
+    from every position, and every array from ``buffers``, when it is given.
+    The one check of a sequence's length."""
+    n, d = len(ids), params["tok_emb"].shape[1]
     if n > len(params["pos_emb"]):
         raise InputTooLong(f"sequence needs {n} positions, max_context is {len(params['pos_emb'])}")
-    x0 = params["tok_emb"][list(ids)] + params["pos_emb"][:n]
-    k = x0 @ params["w_key"]
-    v = x0 @ params["w_value"]
-    logits, (q, att, ctx, x1, a, x2) = _block(params, x0[n - rows :], k, v, out)
+    x0_out, k_out, v_out = (None,) * 3 if buffers is None else (
+        buffers(name, n, d) for name in ("x0", "k", "v"))
+    # mode "raise" keeps indexing's IndexError, at the cost of one transient copy
+    x0 = np.take(params["tok_emb"], ids, axis=0, out=x0_out)
+    x0 += params["pos_emb"][:n]
+    k = np.matmul(x0, params["w_key"], out=k_out)
+    v = np.matmul(x0, params["w_value"], out=v_out)
+    logits, (q, att, ctx, x1, a, x2) = _block(params, x0[n - rows :], k, v, buffers)
     return logits, (list(ids), x0, q, k, v, att, ctx, x1, a, x2)
 
 
@@ -257,41 +302,49 @@ def _backward(
     params: dict[str, np.ndarray],
     cache,
     d_logits: np.ndarray,
-    grads: dict[str, np.ndarray] | None = None,
+    buffers: Buffers = _fresh,
 ) -> dict[str, np.ndarray]:
     """Gradients from the block's ``(rows, V)`` ``d_logits``; keys and values
-    pass a gradient to every position, queries to the last ``rows``. They are
-    written into ``grads``, one C-contiguous array per parameter and of its
-    shape, whose old contents are overwritten; None allocates them."""
+    pass a gradient to every position, queries to the last ``rows``. Each
+    gradient, and each intermediate, is an array from ``buffers``, whose
+    old contents are overwritten."""
     ids, x0, q, k, v, att, ctx, x1, a, x2 = cache
     n, rows = len(ids), len(d_logits)
     d = params["tok_emb"].shape[1]
-    if grads is None:
-        grads = {key: np.empty_like(value) for key, value in params.items()}
+    grads = {key: buffers(f"grad {key}", *value.shape) for key, value in params.items()}
 
     np.matmul(x2.T, d_logits, out=grads["w_out"])
-    d_x2 = d_logits @ params["w_out"].T
+    d_x2 = np.matmul(d_logits, params["w_out"].T, out=buffers("d_x2", rows, d))
 
-    d_x1 = d_x2.copy()
-    d_a = d_x2 @ params["w_ff_out"].T
+    d_x1 = buffers("d_x1", rows, d)
+    np.copyto(d_x1, d_x2)
+    d_a = np.matmul(d_x2, params["w_ff_out"].T, out=buffers("d_a", rows, 2 * d))
     np.matmul(a.T, d_x2, out=grads["w_ff_out"])
-    d_u = d_a * (1.0 - a * a)
+    # d_u = d_a * (1 - a * a)
+    d_u = np.multiply(a, a, out=buffers("d_u", rows, 2 * d))
+    np.subtract(1.0, d_u, out=d_u)
+    d_u *= d_a
     np.matmul(x1.T, d_u, out=grads["w_ff_in"])
-    d_x1 += d_u @ params["w_ff_in"].T
+    d_x1 += np.matmul(d_u, params["w_ff_in"].T, out=buffers("rows_d", rows, d))
 
-    d_ctx = d_x1 @ params["w_attn_out"].T
+    d_ctx = np.matmul(d_x1, params["w_attn_out"].T, out=buffers("d_ctx", rows, d))
     np.matmul(ctx.T, d_x1, out=grads["w_attn_out"])
 
-    d_att = d_ctx @ v.T
-    d_v = att.T @ d_ctx
-    d_scores = att * (d_att - np.sum(d_att * att, axis=1, keepdims=True))
-    g = d_scores / math.sqrt(d)
-    d_q = g @ k
-    d_k = g.T @ q
-    d_x0 = np.zeros_like(x0)
-    d_x0[n - rows :] = d_x1 + d_q @ params["w_query"].T
-    d_x0 += d_k @ params["w_key"].T
-    d_x0 += d_v @ params["w_value"].T
+    d_att = np.matmul(d_ctx, v.T, out=buffers("d_att", rows, n))
+    d_v = np.matmul(att.T, d_ctx, out=buffers("d_v", n, d))
+    # g = att * (d_att - sum(d_att * att)) / sqrt(d)
+    g = np.multiply(d_att, att, out=buffers("g", rows, n))
+    np.subtract(d_att, g.sum(axis=1, keepdims=True), out=g)
+    g *= att
+    g /= math.sqrt(d)
+    d_q = np.matmul(g, k, out=buffers("d_q", rows, d))
+    d_k = np.matmul(g.T, q, out=buffers("d_k", n, d))
+    d_x0 = buffers("d_x0", n, d)
+    d_x0[: n - rows] = 0.0
+    np.add(d_x1, np.matmul(d_q, params["w_query"].T, out=buffers("rows_d", rows, d)),
+           out=d_x0[n - rows :])
+    d_x0 += np.matmul(d_k, params["w_key"].T, out=buffers("n_d", n, d))
+    d_x0 += np.matmul(d_v, params["w_value"].T, out=buffers("n_d", n, d))
     np.matmul(x0[n - rows :].T, d_q, out=grads["w_query"])
     np.matmul(x0.T, d_k, out=grads["w_key"])
     np.matmul(x0.T, d_v, out=grads["w_value"])
@@ -318,25 +371,23 @@ def _forward_losses(
     x_ids: Sequence[int],
     y_ids: Sequence[int],
     negative_ids: Sequence[int],
-    work: np.ndarray | None = None,
+    buffers: Buffers = _fresh,
 ):
     """Forward pass and both loss terms for one id-level sequence pair.
 
     The block runs on the last ``len(y_ids) + 1`` rows; all but the last
     predict a target. Also returns what the backward pass needs: the
     logits and forward cache, the target rows' log-probabilities and
-    probabilities, the target ids and the sorted negative ids. Those three
-    arrays of rows are slices of ``work``, a ``(3, rows, V)`` float64 array
-    with at least ``len(y_ids) + 1`` rows, or of a fresh one when it is None.
+    probabilities, the target ids and the sorted negative ids. Every array
+    of rows comes from ``buffers``.
     """
     if len(y_ids) == 0:
         raise InvalidConfig("target sequence must be non-empty")
-    rows = len(y_ids) + 1
-    if work is None:
-        work = np.empty((3, rows, len(model.vocab)))
-    logits, cache = _forward(model.params, list(x_ids) + list(y_ids), rows, work[0, :rows])
-    logp = _log_softmax(logits[:-1], work[1, : rows - 1], work[2, : rows - 1])
-    probs = np.exp(logp, out=work[2, : rows - 1])
+    rows, vocab_size = len(y_ids) + 1, len(model.vocab)
+    logits, cache = _forward(model.params, list(x_ids) + list(y_ids), rows, buffers)
+    probs = buffers("probs", rows - 1, vocab_size)
+    logp = _log_softmax(logits[:-1], buffers("logp", rows - 1, vocab_size), probs)
+    np.exp(logp, out=probs)
     targets = np.asarray(list(y_ids))
     lm = float(-logp[np.arange(len(y_ids)), targets].sum())
     neg = sorted(set(int(t) for t in negative_ids))
@@ -364,21 +415,20 @@ def loss_and_grads(
     negative_ids: Sequence[int],
     include_lm: bool,
     include_ca: bool,
-    out: dict[str, np.ndarray] | None = None,
-    work: np.ndarray | None = None,
+    buffers: Buffers = _fresh,
 ) -> tuple[float, float, dict[str, np.ndarray]]:
     """Both loss terms plus exact gradients of the selected combination.
 
     The gradient dict corresponds to ``include_lm * L_LM +
     include_ca * L_CA``, which lets either objective be checked in
     isolation. With no negatives ``L_CA`` is 0.0 and adds no gradient.
-    The gradients are written into ``out`` and it is returned, when it is
-    given: one C-contiguous float64 array per parameter, of its shape.
-    ``work`` is the scratch of :func:`_forward_losses`. Given both, a call
-    allocates no array of ``V`` columns or of a parameter's size.
+    The gradients, and every array of the forward and backward pass, come
+    from ``buffers``: fresh arrays by default, or a :class:`StepBuffers`
+    that a training run holds, so that a step reuses the arrays of the one
+    before it.
     """
     lm, ca, (logits, cache, logp, probs, targets, neg) = _forward_losses(
-        model, x_ids, y_ids, negative_ids, work
+        model, x_ids, y_ids, negative_ids, buffers
     )
     # logits and logp are spent: their rows take d_logits and a temporary
     d_logits = logits
@@ -392,7 +442,7 @@ def loss_and_grads(
         coef = np.where(one_minus > CA_CLAMP, probs[:, neg] / one_minus, 0.0)
         d_rows[:, neg] += coef
         d_rows -= np.multiply(probs, coef.sum(axis=1, keepdims=True), out=logp)
-    return lm, ca, _backward(model.params, cache, d_logits, out)
+    return lm, ca, _backward(model.params, cache, d_logits, buffers)
 
 
 # The earlier name of the one loss entry point, kept for the acceptance tests.
@@ -611,8 +661,8 @@ def train_generator(
 
     A record's prototypes are clipped to the positions its target leaves in
     ``max_context``; a record whose <bos>, table and target alone do not fit is
-    skipped with a warning. Every step writes its gradients, and its logits and
-    probabilities, into arrays held for the whole run. Returns the model and mean
+    skipped with a warning. Every step writes its gradients and intermediates into
+    arrays held for the whole run (:class:`StepBuffers`). Returns the model and mean
     per-record loss for each epoch.
     """
     if len(dataset) == 0:
@@ -635,10 +685,7 @@ def train_generator(
         return model, []
 
     opt = Adam(model.params, lr=config.learning_rate)
-    # one gradient set and one scratch of target rows for the run: every step
-    # overwrites them
-    grads = {key: np.empty_like(value) for key, value in model.params.items()}
-    work = np.empty((3, max(len(y_ids) for _, y_ids, _ in prepared) + 1, len(vocab)))
+    buffers = StepBuffers()
     epoch_losses: list[float] = []
     for epoch in range(config.epochs):
         order = np.random.default_rng([config.seed, epoch]).permutation(len(prepared))
@@ -646,7 +693,7 @@ def train_generator(
         for idx in order:
             x_ids, y_ids, neg = prepared[int(idx)]
             neg = neg if config.ca_enabled else ()
-            lm, ca, _ = loss_and_grads(model, x_ids, y_ids, neg, True, True, grads, work)
+            lm, ca, grads = loss_and_grads(model, x_ids, y_ids, neg, True, True, buffers)
             opt.step(grads)
             total += lm + ca
         epoch_losses.append(total / len(prepared))

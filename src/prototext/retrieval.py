@@ -25,7 +25,6 @@ from .tabledata import (
     Example,
     Table,
     json_int,
-    json_numbers,
     read_jsonl,
     unique_id,
     write_jsonl,
@@ -257,7 +256,10 @@ def load_index(path: str | Path) -> InvertedIndex:
         if record.get("format") != INDEX_FORMAT or record.get("version") != INDEX_VERSION:
             raise ParseError("not a recognized index file")
         doc_count = json_int(record["doc_count"], "doc_count")
-        header.update(doc_count=doc_count, avgdl=float(json_numbers(record["avgdl"], "avgdl", 0)))
+        avgdl = record["avgdl"]
+        if type(avgdl) not in (int, float):  # a JSON true or false is a bool, not a number
+            raise ParseError(f"avgdl must be a JSON number, got {avgdl!r}")
+        header.update(doc_count=doc_count, avgdl=float(avgdl))
 
     def parse_lengths(record: dict) -> None:
         seen: set[int] = set()

@@ -239,7 +239,8 @@ def decode_array(value, name: str, ndim: int) -> np.ndarray:
     """The float64 array that :func:`encode_array` wrote as ``value``, with ``ndim``
     dimensions. Anything else is a ParseError naming ``name``: another key, a shape that
     is not ``ndim`` non-negative integers or disagrees with the byte count, base64 that
-    is not valid (RFC 4648, padded), or a value that is not finite."""
+    is not valid (RFC 4648, padded, nothing after the padding), or a value that is not
+    finite."""
     if not isinstance(value, dict) or set(value) != {"shape", "f64le"}:
         raise ParseError(f"{name} must be an object with the keys 'shape' and 'f64le' alone")
     shape = value["shape"]
@@ -250,9 +251,14 @@ def decode_array(value, name: str, ndim: int) -> np.ndarray:
     if not isinstance(text, str):
         raise ParseError(f"{name} f64le must be a string")
     try:
-        raw = binascii.a2b_base64(text, strict_mode=True)
+        raw = binascii.a2b_base64(text)
     except ValueError as exc:  # binascii.Error, or a character outside ASCII
         raise ParseError(f"{name} f64le is not base64: {exc}") from None
+    # The decoder skips characters outside the alphabet, a stray '=' and whatever
+    # follows the padding; a text holds none of them exactly when it is as long as
+    # the padded encoding of its bytes. (Its strict mode needs Python 3.11.)
+    if len(text) != 4 * -(-len(raw) // 3):
+        raise ParseError(f"{name} f64le is not base64: {len(text)} characters for {len(raw)} bytes")
     size = 8 * math.prod(shape)
     if len(raw) != size:
         raise ParseError(f"{name} holds {len(raw)} bytes, shape {shape} needs {size}")
@@ -260,16 +266,6 @@ def decode_array(value, name: str, ndim: int) -> np.ndarray:
     if not np.isfinite(array).all():
         raise ParseError(f"{name} holds a value that is not finite")
     return array
-
-
-def json_numbers(value, name: str, ndim: int) -> np.ndarray:
-    """``value`` as a float64 array, by the one number rule for the numbers of the
-    index file: ``ndim`` levels of regular lists (none for a scalar) holding JSON
-    numbers alone; a bool, a string or a ragged list is a ParseError naming ``name``."""
-    cells = np.array(value, dtype=object)
-    if cells.ndim != ndim or not set(map(type, cells.flat)) <= {int, float}:
-        raise ParseError(f"{name} must be {ndim}-dimensional JSON numbers")
-    return cells.astype(np.float64)
 
 
 def json_int(value, name: str) -> int:

@@ -26,7 +26,7 @@ from prototext.vocab import Vocabulary
 @pytest.fixture(scope="module")
 def api(tmp_path_factory):
     """Small, valid objects of every stage, for the probes to misuse one argument at a time,
-    and a model file of JSON nested 1,000 deep."""
+    and a model file of JSON nested 100,000 deep, past every Python's parser limit."""
     corpus = Corpus([Sentence.from_text(i, t) for i, t in enumerate(
         ["the red cat sat", "a blue dog ran", "the cat ran far"])])
     table = Table.from_pairs([("name", "cat"), ("colour", "red")])
@@ -36,7 +36,7 @@ def api(tmp_path_factory):
     selector = SelectorModel(vocab=vocab, embeddings=np.zeros((len(vocab), 2)),
                              projection=np.ones(2), bias=0.0)
     deep_model = tmp_path_factory.mktemp("api") / "selector.json"
-    deep_model.write_text("[" * 1000 + "]" * 1000, encoding="utf-8")
+    deep_model.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
     return SimpleNamespace(
         deep_model=deep_model,
         corpus=corpus, table=table, vocab=vocab, cands=cands, selector=selector,

@@ -13,6 +13,7 @@ from prototext.errors import InputTooLong, InvalidConfig, InvalidInput
 from prototext.generator import (
     ConditioningInput,
     GeneratorTrainConfig,
+    StepBuffers,
     build_conditioning,
     ca_loss,
     component_loss_and_grads,
@@ -716,16 +717,22 @@ class TestGenerateOutputs:
 
 
 def test_reused_buffers_give_the_bits_of_fresh_ones():
-    """Gradients written into buffers that hold NaN, then a longer sequence's
-    gradients, have the bits of fresh ones, and so do both losses."""
+    """Held buffers, each filled with NaN whenever it is handed out and reused by
+    a shorter sequence after a longer one, give the bits of fresh arrays: in
+    both losses and every gradient. So no step reads what it did not write."""
     vocab = plain_vocab(12)
     model = randomized_model(vocab, small_config(), seed=3)
-    out = {key: np.full_like(value, np.nan) for key, value in model.params.items()}
-    work = np.full((3, 8, len(vocab)), np.nan)
+    held = StepBuffers()
+
+    def stale(name, *shape):
+        array = held(name, *shape)
+        array.fill(np.nan)
+        return array
+
     for x_ids, y_ids, neg in (([1, 2, 3, 4, 5, 6], [7, 8, 9], [10]), ([1, 2], [7], [])):
         lm, ca, fresh = loss_and_grads(model, x_ids, y_ids, neg, True, True)
-        lm_out, ca_out, given = loss_and_grads(model, x_ids, y_ids, neg, True, True, out, work)
-        assert given is out and (lm_out, ca_out) == (lm, ca)
+        lm_held, ca_held, given = loss_and_grads(model, x_ids, y_ids, neg, True, True, stale)
+        assert (lm_held, ca_held) == (lm, ca)
         for key in fresh:
             assert given[key].tobytes() == fresh[key].tobytes(), key
 

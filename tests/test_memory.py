@@ -1,6 +1,7 @@
 """Memory guards on the generator, measured with tracemalloc (numpy reports its
 array buffers to it): model files are written and read without a per-value
-Python object, and a warmed-up training epoch allocates no parameter-sized array."""
+Python object, and a warmed-up training epoch allocates no parameter-sized array
+and holds every array that grows with a record's sequence."""
 
 import logging
 import tracemalloc
@@ -64,14 +65,8 @@ class _EpochRises(logging.Handler):
         tracemalloc.reset_peak()
 
 
-def test_warm_training_epoch_allocates_no_parameter_sized_array(records, traced):
-    # a long context makes pos_emb the largest group, far above what one
-    # record's forward and backward hold at a time; a fresh gradient set
-    # per step, or Adam temporaries per group, would exceed it
-    dataset, vocab = records
-    config = GeneratorTrainConfig(epochs=3, dim=32, max_context=2048)
-    sizes = {key: p.nbytes for key, p in init_generator(vocab, config).params.items()}
-    assert max(sizes, key=sizes.get) == "pos_emb"
+def _epoch_rises(dataset, config, vocab) -> list[int]:
+    """train_generator under ``_EpochRises``: the traced peak's rise in each epoch."""
     log = logging.getLogger(generator.__name__)
     level = log.level
     rises = _EpochRises()
@@ -83,4 +78,34 @@ def test_warm_training_epoch_allocates_no_parameter_sized_array(records, traced)
         log.removeHandler(rises)
         log.setLevel(level)
     assert len(rises.rises) == config.epochs
-    assert max(rises.rises[1:]) < sizes["pos_emb"], (rises.rises, sizes)
+    return rises.rises
+
+
+def test_warm_training_epoch_allocates_no_parameter_sized_array(records, traced):
+    # a long context makes pos_emb the largest group, far above what one
+    # record's forward and backward hold at a time; a fresh gradient set
+    # per step, or Adam temporaries per group, would exceed it
+    dataset, vocab = records
+    config = GeneratorTrainConfig(epochs=3, dim=32, max_context=2048)
+    sizes = {key: p.nbytes for key, p in init_generator(vocab, config).params.items()}
+    assert max(sizes, key=sizes.get) == "pos_emb"
+    rises = _epoch_rises(dataset, config, vocab)
+    assert max(rises[1:]) < sizes["pos_emb"], (rises, sizes)
+
+
+def test_warm_training_step_holds_its_sequence_sized_arrays(records, traced):
+    # A step's arrays of (positions, dim) and (rows, V) come from the run's
+    # StepBuffers; the one transient left is np.take's copy of the
+    # embeddings. A dozen such arrays freed at each step, as when every step
+    # allocated them, let glibc trim and regrow the heap on every step.
+    dataset, vocab = records
+    config = GeneratorTrainConfig(epochs=3)
+    longest = max(
+        len(x_ids) + len(y_ids)
+        for x_ids, y_ids, _ in filter(None, (
+            generator._record_ids(vocab, record, config.max_context) for record in dataset
+        ))
+    )
+    sequence_bytes = 8 * longest * config.dim
+    rises = _epoch_rises(dataset, config, vocab)
+    assert max(rises[1:]) < 2 * sequence_bytes, (rises, sequence_bytes)

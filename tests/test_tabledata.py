@@ -335,6 +335,7 @@ def test_array_rule_round_trips_every_bit(values, transpose):
 
 
 THREE = encode_array(np.array([1.0, -0.0, 2.5]))
+ONE = encode_array(np.array([1.0]))  # padded: 8 bytes are 12 base64 characters, one '='
 BROKEN = [
     pytest.param([1.0, -0.0, 2.5], "must be an object", id="float-list"),
     pytest.param({**THREE, "dtype": "<f8"}, "must be an object", id="extra-key"),
@@ -352,7 +353,15 @@ BROKEN = [
     pytest.param({**THREE, "f64le": THREE["f64le"][:-1]}, "not base64", id="base64-unpadded"),
     pytest.param({**THREE, "f64le": THREE["f64le"][:-1] + "\u00e9"}, "not base64",
                  id="base64-not-ascii"),
+    # each of these five decodes, leniently, to the right number of bytes
     pytest.param({**THREE, "f64le": THREE["f64le"] + "\n"}, "not base64", id="base64-newline"),
+    pytest.param({**ONE, "f64le": ONE["f64le"] + "="}, "not base64", id="base64-excess-padding"),
+    pytest.param({**ONE, "f64le": ONE["f64le"] + "AAAA"}, "not base64",
+                 id="base64-data-after-padding"),
+    pytest.param({**THREE, "f64le": THREE["f64le"][:8] + "!" + THREE["f64le"][8:]}, "not base64",
+                 id="base64-inner-character"),
+    pytest.param({**THREE, "f64le": THREE["f64le"][:8] + "=" + THREE["f64le"][8:]}, "not base64",
+                 id="base64-inner-padding"),
     pytest.param(encode_array(np.array([1.0, np.nan, 2.5])), "not finite", id="nan"),
     pytest.param(encode_array(np.array([1.0, np.inf, 2.5])), "not finite", id="infinite"),
 ]
