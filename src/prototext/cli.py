@@ -231,9 +231,7 @@ def build_parser() -> _Parser:
 
     p = sub("synth", _cmd_synth, "generate the synthetic benchmark files", "--seed", "--out-dir")
     p.add_argument("--entities", type=int, dest="num_entities")
-    p.add_argument("--attributes", type=int, dest="attributes_per_entity")
     p.add_argument("--corpus-size", type=int)
-    p.add_argument("--distractor-ratio", type=float)
     p.add_argument("--vocab-size", type=int)
 
     p = sub("index", _cmd_index, "build an inverted index from a corpus file")
@@ -309,23 +307,17 @@ def main(argv=None) -> int:
             return 1
         args.handler(args)
         return 0
-    except (UsageError, InvalidConfig) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except StageError as exc:
-        cause = exc.cause
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # noqa: BLE001 - every failure maps to an exit code
+        cause = exc.cause if isinstance(exc, StageError) else exc
         if isinstance(cause, (UsageError, InvalidConfig)):
-            return 1
-        if isinstance(cause, DataError):
-            return 2
-        return 3
-    except Exception as exc:  # noqa: BLE001 - last-resort mapping to exit code 3
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
+            code, kind = 1, "error"
+        elif isinstance(cause, DataError):
+            code, kind = 2, "data error"
+        else:
+            code, kind = 3, "internal error"
+        # a failed stage's message names the stage; its cause sets the exit code alone
+        print(f"{kind if cause is exc else 'error'}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -7,6 +7,9 @@ data problems, and everything else.
 
 from __future__ import annotations
 
+from functools import cache
+from typing import get_args, get_type_hints
+
 
 class PrototextError(Exception):
     """Base class for all errors raised by this package."""
@@ -18,6 +21,25 @@ class UsageError(PrototextError):
 
 class InvalidConfig(PrototextError):
     """A configuration value violates its documented constraints."""
+
+
+def check_type(name: str, kind, value) -> None:
+    """The one type rule of a config field: InvalidConfig naming ``name`` unless ``value``
+    is exactly of type ``kind``, save that an int does for a float and None does for an
+    optional field."""
+    if type(value) not in (get_args(kind) or ((float, int) if kind is float else (kind,))):
+        kind_name = getattr(kind, "__name__", kind)
+        raise InvalidConfig(f"config field {name} must be {kind_name}, not {type(value).__name__}")
+
+
+# a config class's field types, resolved once per class
+_field_types = cache(get_type_hints)
+
+
+def check_fields(config) -> None:
+    """:func:`check_type` on every field of the config dataclass instance ``config``."""
+    for name, kind in _field_types(type(config)).items():
+        check_type(name, kind, getattr(config, name))
 
 
 class DataError(PrototextError):

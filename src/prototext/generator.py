@@ -56,14 +56,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidConfig, InputTooLong, InvalidInput, ParseError
+from .errors import InvalidConfig, InputTooLong, InvalidInput, ParseError, check_fields
 from .optim import Adam
 from .selector import AugmentedRecord
 from .tabledata import (
     Table, decode_array, encode_array, json_int, known_keys, read_jsonl, read_model_file, unique_id,
     write_jsonl, write_model_file,
 )
-from .tokenization import RESERVED_TOKENS, tokenize
+from .tokenization import EOS, RESERVED_TOKENS, tokenize
 from .vocab import Vocabulary
 
 log = logging.getLogger(__name__)
@@ -94,6 +94,7 @@ class GeneratorTrainConfig:
     ca_enabled: bool = True
 
     def __post_init__(self):
+        check_fields(self)
         if self.learning_rate <= 0:
             raise InvalidConfig("learning rate must be positive")
         if self.epochs < 0:
@@ -547,6 +548,9 @@ def decode_greedy(model: GeneratorModel, cond: ConditioningInput, max_len: int) 
             f"conditioning ({n}) plus max_len ({max_len}) minus one exceeds "
             f"max_context {model.max_context}"
         )
+    if EOS not in model.vocab:
+        raise InvalidInput(f"the model's vocabulary lacks {EOS}")
+    eos = model.vocab.eos_id
     params = model.params
     logits, (_, _, _, k, v, *_) = _forward(params, cond.ids, 1)
     row = logits[0]
@@ -554,7 +558,6 @@ def decode_greedy(model: GeneratorModel, cond: ConditioningInput, max_len: int) 
     values = np.empty((model.max_context, model.dim))
     keys[:n], values[:n] = k, v
     out: list[str] = []
-    eos = model.vocab.eos_id
     for pos in range(n - 1, n + max_len - 1):
         if pos >= n:
             x = params["tok_emb"][nxt] + params["pos_emb"][pos]

@@ -38,10 +38,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
-from typing import Iterable, Sequence, get_args, get_type_hints
+from typing import Iterable, Sequence, get_type_hints
 
 from . import blas
-from .errors import AllTies, InvalidConfig, StageError
+from .errors import AllTies, InvalidConfig, StageError, check_fields, check_type
 from .evaluation import EvalReport, evaluate_pairs, precision_at_k, sign_test
 from .generator import (
     GeneratorTrainConfig,
@@ -95,8 +95,7 @@ class PipelineConfig:
     generator: GeneratorTrainConfig = field(default_factory=GeneratorTrainConfig)
 
     def __post_init__(self):
-        for name, kind in get_type_hints(PipelineConfig).items():
-            _check_type(name, kind, getattr(self, name))
+        check_fields(self)
         if self.variant not in VARIANTS:
             raise InvalidConfig(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if not (self.m >= self.n >= 0):
@@ -117,21 +116,12 @@ class PipelineConfig:
 RUN_SET = ("variant", "labels_path", "selector.seed", "generator.seed", "generator.ca_enabled")
 
 
-def _check_type(name: str, kind, value) -> None:
-    """The one type rule of a config field: InvalidConfig naming ``name`` unless ``value``
-    is exactly of type ``kind``, save that an int does for a float and None does for an
-    optional field."""
-    if type(value) not in (get_args(kind) or ((float, int) if kind is float else (kind,))):
-        kind_name = getattr(kind, "__name__", kind)
-        raise InvalidConfig(f"config field {name} must be {kind_name}, not {type(value).__name__}")
-
-
 def typed_config(cls, raw, where: str = "", **overrides):
     """The config dataclass ``cls`` read from ``raw``, the JSON object of a config file or,
     with ``where``, of its section ``where``. A field whose type is a dataclass is a
     section, read the same way. Each override that is not None goes on top. Every key met
     is InvalidConfig naming its dotted field if ``cls`` lacks it, if its value breaks
-    :func:`_check_type`, or if RUN_SET names it."""
+    :func:`~prototext.errors.check_type`, or if RUN_SET names it."""
     if not isinstance(raw, dict):
         raise InvalidConfig(f"config {f'section {where}' if where else 'file'} must be an object")
     hints = get_type_hints(cls)
@@ -144,7 +134,7 @@ def typed_config(cls, raw, where: str = "", **overrides):
         if dataclasses.is_dataclass(kind):
             value = typed_config(kind, value, name)
         else:
-            _check_type(name, kind, value)
+            check_type(name, kind, value)
         if name in RUN_SET:
             raise InvalidConfig(f"config field {name} cannot be set: the command sets or ignores it")
         values[key] = value
@@ -170,7 +160,6 @@ def load_config(path: str | Path, **overrides) -> PipelineConfig:
 @dataclass(frozen=True)
 class PipelineResult:
     report: EvalReport
-    report_path: str
     artifact_paths: dict[str, str]
 
 
@@ -289,11 +278,7 @@ def run_pipeline(config: PipelineConfig, *, shared: _Shared | None = None) -> Pi
         config.variant, config.seed, config.n, report.bleu4, report.rouge4_f,
         perf_counter() - start,
     )
-    return PipelineResult(
-        report=report,
-        report_path=paths["report"],
-        artifact_paths=paths,
-    )
+    return PipelineResult(report=report, artifact_paths=paths)
 
 
 # What a forked worker of _run_all runs: its parent's configs and shared work.

@@ -43,7 +43,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InvalidConfig, InvalidInput, InsufficientNegatives, ParseError
+from .errors import InvalidConfig, InvalidInput, InsufficientNegatives, ParseError, check_fields
 from .optim import Adam
 from .retrieval import CandidateSet
 from .tabledata import (
@@ -81,10 +81,6 @@ class SelectorModel:
         ):
             raise InvalidConfig("selector parameters must be finite")
 
-    @property
-    def dim(self) -> int:
-        return self.embeddings.shape[1]
-
 
 @dataclass(frozen=True)
 class SelectorTrainConfig:
@@ -95,6 +91,7 @@ class SelectorTrainConfig:
     dim: int = 32
 
     def __post_init__(self):
+        check_fields(self)
         if self.k < 1:
             raise InvalidConfig(f"k must be >= 1, got {self.k}")
         if self.learning_rate <= 0:

@@ -5,7 +5,7 @@ entity has a unique two-word name, a unique origin and genre, and an era
 drawn from a small shared pool. Every entity gets one reference
 sentence plus a few related corpus sentences that reuse its values in
 the same factual register as the references (most of them without the
-name). The rest of the corpus is distractors: short noise-register
+name). The other half of the corpus is distractors: short noise-register
 sentences that copy the exact origin/genre of some entity, so they
 overlap that entity's table heavily while being about nothing.
 
@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidConfig
+from .errors import InvalidConfig, check_fields
 from .tabledata import (
     Corpus,
     Example,
@@ -47,6 +47,8 @@ _SYLLABLES = [c + v for c in _CONSONANTS for v in _VOWELS]
 
 _N_ERAS = 6
 _MIN_NOISE_WORDS = 12
+# The share of the corpus that is distractors, rounded half to even.
+_DISTRACTOR_SHARE = 0.5
 
 # Each entity adopts one closing phrase, reused by its reference and its
 # related corpus sentences. The phrases are built from shared register
@@ -65,19 +67,14 @@ _TAILS = (
 @dataclass(frozen=True)
 class SyntheticSpec:
     num_entities: int = 50
-    attributes_per_entity: int = 4
     corpus_size: int = 500
-    distractor_ratio: float = 0.5
     vocab_size: int = 500
     seed: int = 13
 
     def __post_init__(self):
+        check_fields(self)
         if self.num_entities < 1 or self.corpus_size < 1 or self.vocab_size < 1:
             raise InvalidConfig("entity, corpus, and vocabulary sizes must be positive")
-        if not 2 <= self.attributes_per_entity <= 4:
-            raise InvalidConfig("attributes_per_entity must be between 2 and 4")
-        if not 0.0 <= self.distractor_ratio < 1.0:
-            raise InvalidConfig("distractor_ratio must lie in [0, 1)")
         if self.seed < 0:
             raise InvalidConfig("seed must be a non-negative integer")
         total = self.num_entities + self.num_test_entities
@@ -150,45 +147,30 @@ def _build_entities(
     return entities, eras, noise_words
 
 
-def _table_for(entity: _Entity, attrs: int) -> Table:
-    pairs = [("name", entity.name)]
-    extras = [("origin", entity.origin), ("genre", entity.genre), ("era", entity.era)]
-    pairs.extend(extras[: attrs - 1])
-    return Table.from_pairs(pairs)
-
-
-def _reference_templates(attrs: int) -> tuple[str, ...]:
-    if attrs == 2:
-        return (
-            "{name} is a {genre} act {tail}",
-            "{name} performs {genre} music {tail}",
-        )
-    return (
-        "{name} is a {genre} act from {origin} {tail}",
-        "the {genre} act {name} comes from {origin} {tail}",
-        "{name} comes from {origin} and performs {genre} music {tail}",
+def _table_for(entity: _Entity) -> Table:
+    return Table.from_pairs(
+        [("name", entity.name), ("origin", entity.origin),
+         ("genre", entity.genre), ("era", entity.era)]
     )
 
 
-def _related_templates(attrs: int) -> tuple[str, ...]:
-    # index 0 is the only named variant. The register vocabulary is a
-    # subset of the reference templates' (so relatedness is learnable)
-    # and eras never appear here: with names, origins, and genres unique
-    # per entity, a related sentence shares no token with any foreign
-    # table and can only be retrieved for its own entity.
-    if attrs >= 3:
-        return (
-            "{name} comes from {origin} and performs {genre} music {tail}",
-            "the {genre} act from {origin} performs music {tail}",
-            "the act from {origin} performs {genre} music {tail}",
-            "a {genre} act comes from {origin} {tail}",
-        )
-    return (
-        "{name} performs {genre} music {tail}",
-        "a {genre} act performs music {tail}",
-        "the act performs {genre} music {tail}",
-    )
+_REFERENCE_TEMPLATES = (
+    "{name} is a {genre} act from {origin} {tail}",
+    "the {genre} act {name} comes from {origin} {tail}",
+    "{name} comes from {origin} and performs {genre} music {tail}",
+)
 
+# index 0 is the only named variant. The register vocabulary is a
+# subset of the reference templates' (so relatedness is learnable)
+# and eras never appear here: with names, origins, and genres unique
+# per entity, a related sentence shares no token with any foreign
+# table and can only be retrieved for its own entity.
+_RELATED_TEMPLATES = (
+    "{name} comes from {origin} and performs {genre} music {tail}",
+    "the {genre} act from {origin} performs music {tail}",
+    "the act from {origin} performs {genre} music {tail}",
+    "a {genre} act comes from {origin} {tail}",
+)
 
 _DISTRACTOR_TEMPLATES = (
     "{noise} rumors about {genre} {origin} markets",
@@ -210,16 +192,15 @@ def _fill(template: str, entity: _Entity, noise: str = "") -> str:
 
 
 def _related_sentence(
-    sid: int, entity: _Entity, attrs: int, reference: list[str], rng: np.random.Generator
+    sid: int, entity: _Entity, reference: list[str], rng: np.random.Generator
 ) -> Sentence:
     """A related sentence of ``entity`` whose tokens differ from its ``reference``'s."""
-    templates = _related_templates(attrs)
-    idx = int(rng.integers(0, len(templates)))
-    text = _fill(templates[idx], entity)
+    idx = int(rng.integers(0, len(_RELATED_TEMPLATES)))
+    text = _fill(_RELATED_TEMPLATES[idx], entity)
     tokens = tokenize(text)
     if tokens == reference:
         # never plant the exact reference in the corpus
-        text = _fill(templates[(idx + 1) % len(templates)], entity)
+        text = _fill(_RELATED_TEMPLATES[(idx + 1) % len(_RELATED_TEMPLATES)], entity)
         tokens = tokenize(text)
     return Sentence(sid, text, tuple(tokens))
 
@@ -254,15 +235,12 @@ def _distractor_sentence(
 def generate_benchmark(spec: SyntheticSpec) -> SyntheticBenchmark:
     rng = np.random.default_rng(spec.seed)
     entities, eras, noise_words = _build_entities(spec, rng)
-    attrs = spec.attributes_per_entity
-
-    ref_templates = _reference_templates(attrs)
     examples = []
     for i, entity in enumerate(entities):
-        template = ref_templates[int(rng.integers(0, len(ref_templates)))]
-        examples.append(Example(i, _table_for(entity, attrs), _fill(template, entity)))
+        template = _REFERENCE_TEMPLATES[int(rng.integers(0, len(_REFERENCE_TEMPLATES)))]
+        examples.append(Example(i, _table_for(entity), _fill(template, entity)))
 
-    n_distractors = round(spec.corpus_size * spec.distractor_ratio)
+    n_distractors = round(spec.corpus_size * _DISTRACTOR_SHARE)
     n_relevant = spec.corpus_size - n_distractors
     assignments = [("relevant", i % len(entities)) for i in range(n_relevant)]
     assignments += [("distractor", -1)] * n_distractors
@@ -274,7 +252,7 @@ def generate_benchmark(spec: SyntheticSpec) -> SyntheticBenchmark:
     for sid, slot in enumerate(order):
         kind, owner = assignments[int(slot)]
         if kind == "relevant":
-            sentences.append(_related_sentence(sid, entities[owner], attrs, references[owner], rng))
+            sentences.append(_related_sentence(sid, entities[owner], references[owner], rng))
             relevance[owner].append(sid)
         else:
             text = _distractor_sentence(entities, eras, noise_words, rng)

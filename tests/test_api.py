@@ -42,6 +42,7 @@ def api(tmp_path_factory):
         corpus=corpus, table=table, vocab=vocab, cands=cands, selector=selector,
         index=build_index(corpus), example=Example(0, table, "the red cat sat"),
         generator=init_generator(vocab, config),
+        eosless_generator=init_generator(Vocabulary.from_tokens(["cat", "red"]), config),
         cond=ConditioningInput(ids=(vocab.bos_id,), table_len=0, prototype_spans=()),
     )
 
@@ -71,6 +72,8 @@ API_MISUSE = [
                  id="decode-past-context"),
     pytest.param(lambda a: decode_greedy(a.generator, _cond(), 2), InvalidInput,
                  id="decode-empty-conditioning"),
+    pytest.param(lambda a: decode_greedy(a.eosless_generator, _cond(0), 2), InvalidInput,
+                 id="decode-vocabulary-without-eos"),
     pytest.param(lambda a: next_token_dist(a.generator, _cond(-1), []), InvalidInput,
                  id="next-token-id-negative"),
     pytest.param(lambda a: check_decode_len("3", 12, "max_len"), InvalidConfig,

@@ -33,6 +33,11 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def read_jsonl(path):
+    with open(path, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh if line.strip()]
+
+
 def tiny_generator_file(tmp_path, *content):
     path = tmp_path / "generator.json"
     config = GeneratorTrainConfig(dim=4, max_context=16)
@@ -549,10 +554,11 @@ def test_readme_flag_table_matches_parser():
 @pytest.mark.parametrize(
     "command, cls, unread",
     [("train-selector", SelectorTrainConfig, set()),
-     ("train-generator", GeneratorTrainConfig, {"max_decode_len"})],
+     ("train-generator", GeneratorTrainConfig, {"max_decode_len"}),
+     ("synth", SyntheticSpec, set())],
 )
 def test_every_train_config_field_has_a_flag(command, cls, unread):
-    """Flags are a stage command's one way in, so a field without one is out of reach."""
+    """Flags are a command's one way in to its config, so a field without one is out of reach."""
     dests = {action.dest for action in _command_parsers()[command]._actions}
     assert {f.name for f in dataclasses.fields(cls)} - dests == unread
 
@@ -784,7 +790,7 @@ class TestStageCommands:
             )
             == 0
         )
-        records = [json.loads(l) for l in open(cands) if l.strip()]
+        records = read_jsonl(cands)
         assert len(records) == 12
         assert all(len(r["candidates"]) <= 50 for r in records)
 
@@ -815,7 +821,7 @@ class TestStageCommands:
             )
             == 0
         )
-        aug_records = [json.loads(l) for l in open(augmented) if l.strip()]
+        aug_records = read_jsonl(augmented)
         assert all(len(r["prototype_ids"]) <= 3 for r in aug_records)
 
         generator = tmp_path / "generator.json"
@@ -860,7 +866,7 @@ class TestStageCommands:
         assert payload["n"] == 12
 
     def test_eval_compare_adds_sign_test(self, tiny_bench, tmp_path, capsys):
-        examples = [json.loads(l) for l in open(tiny_bench["train_tables"])]
+        examples = read_jsonl(tiny_bench["train_tables"])
         hyp_a = tmp_path / "a.jsonl"
         hyp_b = tmp_path / "b.jsonl"
         with open(hyp_a, "w") as fa, open(hyp_b, "w") as fb:
@@ -884,7 +890,7 @@ class TestStageCommands:
 
 
 def _reference_outputs(tables_path):
-    examples = [json.loads(l) for l in open(tables_path) if l.strip()]
+    examples = read_jsonl(tables_path)
     return [json.dumps({"table_id": ex["id"], "output": ex["reference"]}) for ex in examples]
 
 

@@ -31,6 +31,7 @@ from prototext.selector import (
     train_selector,
     training_triples,
 )
+from prototext.synth import SyntheticSpec
 from prototext.tabledata import load_corpus, parse_tables_file
 
 
@@ -38,10 +39,14 @@ from prototext.tabledata import load_corpus, parse_tables_file
 WRONG_VALUES = {int: [True, 2.5, None], float: [True, "0.1", None], str: [5, ["x"], None],
                 bool: [1, None]}
 
+# The config classes by section: the sections of a pipeline config file, then synth's spec.
+CONFIG_FILE_SECTIONS = {"": PipelineConfig, "selector": SelectorTrainConfig,
+                        "generator": GeneratorTrainConfig}
+SECTIONS = {**CONFIG_FILE_SECTIONS, "synth": SyntheticSpec}
 
-def wrong_typed_fields():
-    for cls, section in ((PipelineConfig, ""), (SelectorTrainConfig, "selector"),
-                         (GeneratorTrainConfig, "generator")):
+
+def wrong_typed_fields(sections=CONFIG_FILE_SECTIONS):
+    for section, cls in sections.items():
         for key, kind in get_type_hints(cls).items():
             if dataclasses.is_dataclass(kind):
                 continue
@@ -120,12 +125,12 @@ class TestConfig:
         with pytest.raises(InvalidConfig, match=rf"config field {re.escape(name)} must be"):
             typed_config(PipelineConfig, raw)
 
-    @pytest.mark.parametrize(
-        "name, value", [p for p in wrong_typed_fields() if "." not in p.values[0]]
-    )
+    @pytest.mark.parametrize("name, value", list(wrong_typed_fields(SECTIONS)))
     def test_wrong_typed_field_rejected_in_python_api(self, tiny_config, name, value):
-        with pytest.raises(InvalidConfig, match=rf"config field {re.escape(name)} must be"):
-            tiny_config(**{name: value})
+        section, _, key = name.rpartition(".")
+        build = SECTIONS[section] if section else tiny_config
+        with pytest.raises(InvalidConfig, match=rf"config field {re.escape(key)} must be"):
+            build(**{key: value})
 
     @pytest.mark.parametrize("name", [name for name in pipeline.RUN_SET if "." in name])
     def test_section_field_a_run_sets_rejected_in_python_api(self, tiny_config, name):
@@ -186,7 +191,7 @@ class TestRunPipeline:
             "report",
         ):
             assert Path(result.artifact_paths[key]).exists(), key
-        report = json.loads(Path(result.report_path).read_text())
+        report = json.loads(Path(result.artifact_paths["report"]).read_text())
         assert report["variant"] == "RET_PS_CA"
         assert 0.0 <= report["bleu4"] <= 1.0
         assert report["pair_count"] == 5

@@ -15,18 +15,6 @@ from prototext.tokenization import tokenize
 
 
 class TestSpecValidation:
-    def test_distractor_ratio_bounds(self):
-        with pytest.raises(InvalidConfig):
-            SyntheticSpec(distractor_ratio=1.0)
-        with pytest.raises(InvalidConfig):
-            SyntheticSpec(distractor_ratio=-0.1)
-
-    def test_attribute_range(self):
-        with pytest.raises(InvalidConfig):
-            SyntheticSpec(attributes_per_entity=1)
-        with pytest.raises(InvalidConfig):
-            SyntheticSpec(attributes_per_entity=5)
-
     def test_vocab_must_cover_entities(self):
         with pytest.raises(InvalidConfig):
             SyntheticSpec(num_entities=100, vocab_size=100)
@@ -109,16 +97,6 @@ class TestGeneratedShape:
 
 
 class TestPlantedStructure:
-    def test_zero_distractor_ratio_labels_everything(self):
-        spec = SyntheticSpec(
-            num_entities=12, corpus_size=60, vocab_size=160, distractor_ratio=0.0
-        )
-        bench = generate_benchmark(spec)
-        labeled = set()
-        for ids in bench.relevance.values():
-            labeled.update(ids)
-        assert labeled == {s.id for s in bench.corpus}
-
     def test_references_never_in_corpus(self):
         bench = generate_benchmark(SyntheticSpec(num_entities=12, corpus_size=120, vocab_size=160))
         corpus_token_seqs = {tuple(s.tokens) for s in bench.corpus}
