@@ -1,12 +1,15 @@
 """Command-line interface.
 
-Subcommands mirror the pipeline stages (``index``, ``retrieve``,
+Subcommands mirror the pipeline stages (``retrieve``,
 ``train-selector``, ``select``, ``train-generator``, ``generate``,
 ``eval``) plus the experiment drivers (``synth``, ``ablate``,
-``sweep-n``). Each setting has one way in. A stage command takes its
-settings as flags alone, one per field of its config dataclass, whose
-dest is the field it sets. ``ablate`` and ``sweep-n`` read a pipeline
-config file, on which ``--out-dir`` (and ``sweep-n --seed``) go.
+``sweep-n``). ``retrieve`` indexes the corpus it reads, so no command
+reads or writes an index file; the ``index.jsonl`` that a pipeline run
+writes is a record that no command reads. Each setting has one way in.
+A stage command takes its settings as flags alone, one per field of its
+config dataclass, whose dest is the field it sets. ``ablate`` and
+``sweep-n`` read a pipeline config file, on which ``--out-dir`` (and
+``sweep-n --seed``) go.
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 internal
 error.
 """
@@ -45,14 +48,7 @@ from .pipeline import (
     run_ablation,
     sweep_n,
 )
-from .retrieval import (
-    build_index,
-    load_index,
-    read_candidate_sets,
-    retrieve_candidates,
-    save_index,
-    write_candidate_sets,
-)
+from .retrieval import build_index, read_candidate_sets, retrieve_candidates, write_candidate_sets
 from .selector import (
     SelectorTrainConfig,
     load_selector,
@@ -103,17 +99,9 @@ def _cmd_synth(args) -> None:
         print(f"{kind}: {path}")
 
 
-def _cmd_index(args) -> None:
-    corpus = load_corpus(args.corpus)
-    index = build_index(corpus)
-    save_index(args.out, index)
-    print(f"indexed {index.doc_count} sentences -> {args.out}")
-
-
 def _cmd_retrieve(args) -> None:
-    index = load_index(args.index)
     corpus = load_corpus(args.corpus)
-    sets = retrieve_candidates(index, parse_tables_file(args.tables), args.m, corpus)
+    sets = retrieve_candidates(build_index(corpus), parse_tables_file(args.tables), args.m, corpus)
     write_candidate_sets(args.out, list(sets.values()))
     print(f"retrieved candidates for {len(sets)} tables -> {args.out}")
 
@@ -234,15 +222,10 @@ def build_parser() -> _Parser:
     p.add_argument("--corpus-size", type=int)
     p.add_argument("--vocab-size", type=int)
 
-    p = sub("index", _cmd_index, "build an inverted index from a corpus file")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--out", required=True)
-
     p = sub("retrieve", _cmd_retrieve, "retrieve top-m candidates for each table")
-    p.add_argument("--index", required=True)
     p.add_argument("--tables", required=True)
     p.add_argument("--m", type=int, default=PipelineConfig.m)
-    p.add_argument("--corpus", required=True, help="corpus file, for the reference-leakage filter")
+    p.add_argument("--corpus", required=True, help="corpus file: indexed, and read by the leakage filter")
     p.add_argument("--out", required=True)
 
     p = sub("train-selector", _cmd_train_selector, "train the prototype selector", "--seed")

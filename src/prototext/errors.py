@@ -32,6 +32,12 @@ def check_type(name: str, kind, value) -> None:
         raise InvalidConfig(f"config field {name} must be {kind_name}, not {type(value).__name__}")
 
 
+def check_int(value, name: str) -> None:
+    """InvalidConfig naming ``name`` unless ``value`` is an int (a bool is not)."""
+    if type(value) is not int:
+        raise InvalidConfig(f"{name} must be an int, not {type(value).__name__}")
+
+
 # a config class's field types, resolved once per class
 _field_types = cache(get_type_hints)
 

@@ -56,7 +56,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidConfig, InputTooLong, InvalidInput, ParseError, check_fields
+from .errors import InvalidConfig, InputTooLong, InvalidInput, ParseError, check_fields, check_int
 from .optim import Adam
 from .selector import AugmentedRecord
 from .tabledata import (
@@ -188,6 +188,7 @@ def build_conditioning(
     The table segment is never truncated; if <bos> plus the linearized
     table alone exceed the budget the input is rejected.
     """
+    check_int(max_len, "max_len")
     table_ids = vocab.ids(table.tokens)
     ids = [vocab.bos_id] + table_ids
     if len(ids) > max_len:
@@ -507,12 +508,6 @@ def _check_ids(model: GeneratorModel, cond: ConditioningInput) -> None:
             raise InvalidInput(f"conditioning id {i!r} is not a vocabulary id in [0, {v})")
 
 
-def _check_int(value, name: str) -> None:
-    """InvalidConfig naming ``name`` unless ``value`` is an int (a bool is not)."""
-    if type(value) is not int:
-        raise InvalidConfig(f"{name} must be an int, not {type(value).__name__}")
-
-
 def next_token_dist(
     model: GeneratorModel,
     cond: ConditioningInput,
@@ -538,7 +533,7 @@ def decode_greedy(model: GeneratorModel, cond: ConditioningInput, max_len: int) 
     row: its embedding read by index, its key and value written into the
     cache, and ``_block`` run on that row over the cache.
     """
-    _check_int(max_len, "max_len")
+    check_int(max_len, "max_len")
     if max_len < 1:
         raise InvalidConfig(f"max_len must be >= 1, got {max_len}")
     _check_ids(model, cond)
@@ -574,7 +569,7 @@ def decode_greedy(model: GeneratorModel, cond: ConditioningInput, max_len: int) 
 def check_decode_len(max_len: int, max_context: int, name: str) -> None:
     """The one decode-length rule: InvalidConfig naming ``name`` unless
     ``1 <= max_len < max_context``, so the conditioning keeps two or more positions."""
-    _check_int(max_len, name)
+    check_int(max_len, name)
     if not 1 <= max_len < max_context:
         raise InvalidConfig(
             f"{name} must be in [1, {max_context - 1}] for max_context {max_context}, got {max_len}"

@@ -3,7 +3,10 @@
 A pipeline run executes index -> retrieve -> leakage filter -> prototype
 selection -> generator training -> greedy decoding -> evaluation, and
 writes every intermediate artifact into its output directory so each
-stage can also be driven standalone through the CLI. System variants:
+later stage can also be driven standalone through the CLI. The one
+exception is ``index.jsonl``: a record of the run's index that no
+command reads, since ``retrieve`` indexes the corpus it is given.
+System variants:
 
 * ``BASE``       conditions the generator on the table alone;
 * ``RET``        feeds the top-n candidates in raw BM25 order;

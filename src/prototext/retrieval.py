@@ -19,7 +19,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .errors import InvalidConfig, ParseError, UnknownDocument
+from .errors import InvalidConfig, ParseError, UnknownDocument, check_int
 from .tabledata import (
     Corpus,
     Example,
@@ -30,21 +30,6 @@ from .tabledata import (
     write_jsonl,
 )
 from .tokenization import RESERVED_TOKENS, tokenize
-
-__all__ = [
-    "K1",
-    "B",
-    "Posting",
-    "InvertedIndex",
-    "CandidateSet",
-    "build_index",
-    "bm25_score",
-    "retrieve",
-    "filter_leakage",
-    "retrieve_candidates",
-    "save_index",
-    "load_index",
-]
 
 K1 = 1.2
 B = 0.75
@@ -161,6 +146,7 @@ def retrieve(index: InvertedIndex, table: Table, m: int, *, table_id: int = 0) -
     Term-at-a-time accumulation in query order; per-document sums are
     therefore bit-identical to :func:`bm25_score` on the same query.
     """
+    check_int(m, "m")
     if m < 1:
         raise InvalidConfig(f"m must be >= 1, got {m}")
     acc: dict[int, float] = {}
@@ -197,6 +183,7 @@ def retrieve_candidates(
 ) -> dict[int, CandidateSet]:
     """Each example's top-m candidates by table id, in example order, leakage-filtered
     against the example's reference."""
+    check_int(m, "m")
     return {
         ex.id: filter_leakage(retrieve(index, ex.table, m, table_id=ex.id), corpus, ex.reference)
         for ex in examples

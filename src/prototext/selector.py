@@ -43,7 +43,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InvalidConfig, InvalidInput, InsufficientNegatives, ParseError, check_fields
+from .errors import (
+    InvalidConfig, InvalidInput, InsufficientNegatives, ParseError, check_fields, check_int,
+)
 from .optim import Adam
 from .retrieval import CandidateSet
 from .tabledata import (
@@ -329,6 +331,7 @@ def select_top_n(
     maximizing subset is exactly the top-n individual scores; ties break
     toward the lower sentence id.
     """
+    check_int(n, "n")
     if n < 1:
         raise InvalidConfig(f"n must be >= 1, got {n}")
     sids = candidates.ids()
@@ -354,6 +357,7 @@ def select_prototypes(
     n is 0, gets no prototypes; the generator then conditions on the
     table alone.
     """
+    check_int(n, "n")
     if n < 0:
         raise InvalidConfig(f"n must be >= 0, got {n}")
     records: list[AugmentedRecord] = []

@@ -111,13 +111,6 @@ class Corpus:
             self._by_id[s.id] = s
         self.sentences: tuple[Sentence, ...] = tuple(self._by_id.values())
 
-    @classmethod
-    def _from_unique(cls, by_id: dict[int, Sentence]) -> "Corpus":
-        """The corpus of ``by_id``'s sentences in insertion order, ids already checked."""
-        corpus = cls.__new__(cls)
-        corpus._by_id, corpus.sentences = by_id, tuple(by_id.values())
-        return corpus
-
     def __len__(self) -> int:
         return len(self.sentences)
 
@@ -319,7 +312,7 @@ def load_corpus(path: str | Path) -> Corpus:
             raise ParseError("'text' must be a string")
         return Sentence.from_text(rid, text)
 
-    return Corpus._from_unique({s.id: s for s in read_jsonl(path, parse)})
+    return Corpus(read_jsonl(path, parse))
 
 
 def write_tables_file(path: str | Path, examples: Iterable[Example]) -> None:

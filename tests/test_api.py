@@ -14,7 +14,9 @@ from prototext.generator import (
     ConditioningInput, GeneratorTrainConfig, build_conditioning, check_decode_len,
     decode_greedy, generate_outputs, init_generator, next_token_dist, train_generator,
 )
-from prototext.retrieval import CandidateSet, bm25_score, build_index, filter_leakage, retrieve
+from prototext.retrieval import (
+    CandidateSet, bm25_score, build_index, filter_leakage, retrieve, retrieve_candidates,
+)
 from prototext.selector import (
     SelectorModel, SelectorTrainConfig, load_selector, margin_loss, select_prototypes,
     select_top_n, train_selector, training_triples,
@@ -82,6 +84,8 @@ API_MISUSE = [
                  id="generate-max-len-at-context"),
     pytest.param(lambda a: build_conditioning(a.table, [], a.vocab, 2), InputTooLong,
                  id="conditioning-table-past-budget"),
+    pytest.param(lambda a: build_conditioning(a.table, [], a.vocab, 20.5), InvalidConfig,
+                 id="conditioning-max-len-float"),
     pytest.param(lambda a: train_generator([], GeneratorTrainConfig(epochs=1), a.vocab),
                  InvalidConfig, id="train-generator-no-records"),
     pytest.param(lambda a: GeneratorTrainConfig(learning_rate=0.0), InvalidConfig,
@@ -98,12 +102,20 @@ API_MISUSE = [
                  id="margin-loss-no-negatives"),
     pytest.param(lambda a: select_top_n(a.selector, a.table, a.cands, a.corpus, 0),
                  InvalidConfig, id="select-top-n-zero"),
+    pytest.param(lambda a: select_top_n(a.selector, a.table, a.cands, a.corpus, 1.5),
+                 InvalidConfig, id="select-top-n-float"),
     pytest.param(lambda a: select_prototypes([a.example], {0: a.cands}, a.corpus, -1),
                  InvalidConfig, id="select-prototypes-negative-n"),
+    pytest.param(lambda a: select_prototypes([a.example], {0: a.cands}, a.corpus, 1.5),
+                 InvalidConfig, id="select-prototypes-float-n"),
     pytest.param(lambda a: select_top_n(a.selector, a.table, CandidateSet(0, ((99, 1.0),)),
                                         a.corpus, 1),
                  UnknownDocument, id="select-unknown-sentence"),
     pytest.param(lambda a: retrieve(a.index, a.table, 0), InvalidConfig, id="retrieve-m-zero"),
+    pytest.param(lambda a: retrieve(a.index, a.table, 2.5), InvalidConfig, id="retrieve-m-float"),
+    pytest.param(lambda a: retrieve(a.index, a.table, True), InvalidConfig, id="retrieve-m-bool"),
+    pytest.param(lambda a: retrieve_candidates(a.index, [a.example], 2.5, a.corpus),
+                 InvalidConfig, id="retrieve-candidates-m-float"),
     pytest.param(lambda a: bm25_score(a.index, ["cat"], 99), UnknownDocument,
                  id="bm25-unknown-document"),
     pytest.param(lambda a: filter_leakage(CandidateSet(0, ((99, 1.0),)), a.corpus, "x"),
@@ -114,6 +126,7 @@ API_MISUSE = [
     pytest.param(lambda a: bleu4([["a"]], []), InvalidInput, id="bleu-unpaired"),
     pytest.param(lambda a: evaluate_pairs([["a"]], []), InvalidInput, id="evaluate-unpaired"),
     pytest.param(lambda a: precision_at_k([1], {1}, 0), InvalidConfig, id="precision-k-zero"),
+    pytest.param(lambda a: precision_at_k([1], {1}, 1.5), InvalidConfig, id="precision-k-float"),
     pytest.param(lambda a: sign_test([1.0], [1.0]), AllTies, id="sign-test-all-ties"),
     pytest.param(lambda a: sign_test([], []), InvalidInput, id="sign-test-empty"),
     pytest.param(lambda a: load_selector(a.deep_model), ParseError, id="load-selector-deep-json"),

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,10 +13,10 @@ import pytest
 
 from prototext import cli, pipeline
 from prototext.cli import build_parser, main
-from prototext.errors import DataError
+from prototext.errors import DataError, ParseError, UsageError
 from prototext.generator import GeneratorTrainConfig, init_generator, save_generator, write_outputs
 from prototext.pipeline import RUN_SET
-from prototext.retrieval import build_index, retrieve, save_index, write_candidate_sets
+from prototext.retrieval import build_index, load_index, retrieve, save_index, write_candidate_sets
 from prototext.selector import (
     SelectorModel,
     SelectorTrainConfig,
@@ -290,9 +291,8 @@ def _reader_argv(kind, bad, tiny_bench, stage_files, out):
     """The command line of a stage that reads ``bad`` as its ``kind`` file."""
     bad, out = str(bad), str(out)
     return {
-        "corpus": ["index", "--corpus", bad, "--out", out],
-        "index": ["retrieve", "--index", bad, "--tables", tiny_bench["test_tables"],
-                  "--corpus", tiny_bench["corpus"], "--out", out],
+        "corpus": ["retrieve", "--corpus", bad, "--tables", tiny_bench["test_tables"],
+                   "--out", out],
         "candidates": ["train-selector", "--corpus", tiny_bench["corpus"],
                        "--tables", tiny_bench["train_tables"], "--candidates", bad,
                        "--out", out],
@@ -306,6 +306,22 @@ def _reader_argv(kind, bad, tiny_bench, stage_files, out):
     }[kind]
 
 
+def _data_error(kind, bad, tiny_bench, stage_files, tmp_path, capsys):
+    """The message of the data error that reading ``bad`` as a ``kind`` file raises. A
+    command that reads it must exit 2 and write nothing. No command reads an index file,
+    so that one goes through its reader, ``retrieval.load_index``."""
+    if kind == "index":
+        with pytest.raises(ParseError) as caught:
+            load_index(bad)
+        return str(caught.value)
+    out = tmp_path / "out"
+    assert run_cli(*_reader_argv(kind, bad, tiny_bench, stage_files, out)) == 2
+    assert not out.exists()
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("data error: ")
+    return last[len("data error: "):]
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("kind, edit", MALFORMED_JSONL)
     def test_malformed_jsonl_line_is_data_error(
@@ -315,11 +331,8 @@ class TestExitCodes:
         lines = stage_files[kind].read_bytes().splitlines()
         line = edit(lines)
         bad.write_bytes(b"\n".join(lines) + b"\n")
-        out = tmp_path / "out"
-        argv = _reader_argv(kind, bad, tiny_bench, stage_files, out)
-        assert run_cli(*argv) == 2
-        assert f"{bad}:line {line}" in capsys.readouterr().err
-        assert not Path(out).exists()
+        message = _data_error(kind, bad, tiny_bench, stage_files, tmp_path, capsys)
+        assert message.startswith(f"{bad}:line {line}: ")
 
     @pytest.mark.parametrize("kind", READERS)
     def test_deeply_nested_record_is_data_error(
@@ -329,28 +342,30 @@ class TestExitCodes:
         lines = stage_files[kind].read_bytes().splitlines()
         lines[1] = DEEP_JSON
         bad.write_bytes(b"\n".join(lines) + b"\n")
-        out = tmp_path / "out"
-        assert run_cli(*_reader_argv(kind, bad, tiny_bench, stage_files, out)) == 2
-        assert f"{bad}:line 2: record nests JSON too deeply" in capsys.readouterr().err
-        assert not out.exists()
+        message = _data_error(kind, bad, tiny_bench, stage_files, tmp_path, capsys)
+        assert message.startswith(f"{bad}:line 2: record nests JSON too deeply")
 
     def test_unknown_command_is_usage_error(self, capsys):
         assert run_cli("frobnicate") == 1
 
     def test_missing_required_flag_is_usage_error(self, capsys):
-        assert run_cli("index", "--corpus", "x.jsonl") == 1
+        assert run_cli("retrieve", "--corpus", "x.jsonl") == 1
 
-    def test_malformed_data_is_data_error(self, tmp_path, capsys):
+    def test_malformed_data_is_data_error(self, tiny_bench, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("{not json\n", encoding="utf-8")
-        out = tmp_path / "index.jsonl"
-        assert run_cli("index", "--corpus", str(bad), "--out", str(out)) == 2
+        out = tmp_path / "cands.jsonl"
+        code = run_cli("retrieve", "--corpus", str(bad), "--tables", tiny_bench["test_tables"],
+                       "--out", str(out))
+        assert code == 2
 
-    def test_unreadable_input_is_internal_error(self, tmp_path, capsys):
+    def test_unreadable_input_is_internal_error(self, tiny_bench, tmp_path, capsys):
         # a directory where a file is expected trips an OSError, not a
         # parse failure
-        out = tmp_path / "index.jsonl"
-        assert run_cli("index", "--corpus", str(tmp_path), "--out", str(out)) == 3
+        out = tmp_path / "cands.jsonl"
+        code = run_cli("retrieve", "--corpus", str(tmp_path), "--tables", tiny_bench["test_tables"],
+                       "--out", str(out))
+        assert code == 3
 
     def test_bad_config_value_is_config_error(self, tiny_bench, tmp_path, capsys):
         cfg = tmp_path / "config.json"
@@ -443,18 +458,15 @@ class TestExitCodes:
         assert "generator.max_decode_len must be in [1, 255]" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
-    def test_corrupt_index_lengths_line_is_data_error(self, tiny_bench, tmp_path, capsys):
+    def test_corrupt_index_lengths_line_is_data_error(
+        self, tiny_bench, stage_files, tmp_path, capsys
+    ):
         index = tmp_path / "index.jsonl"
-        assert run_cli("index", "--corpus", tiny_bench["corpus"], "--out", str(index)) == 0
-        lines = index.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines = stage_files["index"].read_text(encoding="utf-8").splitlines(keepends=True)
         lines[1] = lines[1][: len(lines[1]) // 2] + "\n"
         index.write_text("".join(lines), encoding="utf-8")
-        code = run_cli(
-            "retrieve", "--index", str(index), "--tables", tiny_bench["test_tables"],
-            "--corpus", tiny_bench["corpus"], "--out", str(tmp_path / "cands.jsonl"),
-        )
-        assert code == 2
-        assert f"{index}:line 2" in capsys.readouterr().err
+        message = _data_error("index", index, tiny_bench, stage_files, tmp_path, capsys)
+        assert message.startswith(f"{index}:line 2: ")
 
     @pytest.mark.parametrize("max_len", ["0", "16", "300"])
     def test_generate_max_len_outside_context_is_config_error(
@@ -474,8 +486,7 @@ class TestExitCodes:
 # Every command with one argv that would parse; the handlers never run.
 STAGE_ARGV = {
     "synth": ["--out-dir", "d"],
-    "index": ["--corpus", "c", "--out", "o"],
-    "retrieve": ["--index", "i", "--tables", "t", "--corpus", "c", "--out", "o"],
+    "retrieve": ["--tables", "t", "--corpus", "c", "--out", "o"],
     "train-selector": ["--corpus", "c", "--tables", "t", "--candidates", "k", "--out", "o"],
     "select": ["--model", "m", "--corpus", "c", "--tables", "t", "--candidates", "k", "--out", "o"],
     "train-generator": ["--dataset", "a", "--tables", "t", "--corpus", "c", "--out", "o"],
@@ -484,11 +495,13 @@ STAGE_ARGV = {
     "ablate": ["--config", "c"],
 }
 FLAG_VALUES = {
-    "--config": "config.json", "--seed": "9", "--out-dir": "elsewhere", "--max-decode-len": "3"
+    "--config": "config.json", "--seed": "9", "--out-dir": "elsewhere", "--max-decode-len": "3",
+    "--index": "index.jsonl",
 }
 UNREAD_FLAGS = [
-    *((command, flag) for command in ("index", "retrieve", "select", "generate", "eval")
+    *((command, flag) for command in ("retrieve", "select", "generate", "eval")
       for flag in ("--config", "--seed", "--out-dir")),
+    ("retrieve", "--index"),
     ("synth", "--config"),
     ("train-selector", "--config"),
     ("train-selector", "--out-dir"),
@@ -561,6 +574,21 @@ def test_every_train_config_field_has_a_flag(command, cls, unread):
     """Flags are a command's one way in to its config, so a field without one is out of reach."""
     dests = {action.dest for action in _command_parsers()[command]._actions}
     assert {f.name for f in dataclasses.fields(cls)} - dests == unread
+
+
+def test_readme_command_lines_parse():
+    """Every ``prototext ...`` line of README's code blocks, backslash continuations joined,
+    parses, and between them they show every command; no handler runs."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = "\n".join(readme.split("```")[1::2]).replace("\\\n", " ").splitlines()
+    argvs = [shlex.split(line, comments=True)[1:] for line in lines
+             if line.startswith("prototext ")]
+    assert {argv[0] for argv in argvs} == set(_command_parsers())
+    for argv in argvs:
+        try:
+            build_parser().parse_args(argv)
+        except UsageError as exc:
+            pytest.fail(f"prototext {shlex.join(argv)}: {exc}")
 
 
 def test_readme_run_set_matches_pipeline():
@@ -774,15 +802,11 @@ class TestCorruptModelFiles:
 
 
 class TestStageCommands:
-    def test_index_retrieve_select_eval_chain(self, tiny_bench, tmp_path, capsys):
-        index = tmp_path / "index.jsonl"
-        assert run_cli("index", "--corpus", tiny_bench["corpus"], "--out", str(index)) == 0
-
+    def test_retrieve_select_eval_chain(self, tiny_bench, tmp_path, capsys):
         cands = tmp_path / "cands.jsonl"
         assert (
             run_cli(
                 "retrieve",
-                "--index", str(index),
                 "--tables", tiny_bench["train_tables"],
                 "--corpus", tiny_bench["corpus"],
                 "--m", "50",
@@ -1029,7 +1053,6 @@ class TestPipelineCommands:
         assert (
             run_cli(
                 "retrieve",
-                "--index", paths["index"],
                 "--tables", tiny_bench["train_tables"],
                 "--corpus", tiny_bench["corpus"],
                 "--m", "100",
