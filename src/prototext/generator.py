@@ -60,7 +60,7 @@ from .errors import InvalidConfig, InputTooLong, InvalidInput, ParseError, check
 from .optim import Adam
 from .selector import AugmentedRecord
 from .tabledata import (
-    Table, decode_array, encode_array, json_int, known_keys, read_jsonl, read_model_file, unique_id,
+    Table, decode_array, encode_array, known_keys, read_jsonl, read_model_file, unique_id,
     write_jsonl, write_model_file,
 )
 from .tokenization import EOS, RESERVED_TOKENS, tokenize
@@ -124,7 +124,6 @@ class ConditioningInput:
 @dataclass(frozen=True)
 class GeneratorModel:
     vocab: Vocabulary
-    max_context: int
     params: dict[str, np.ndarray]
 
     def __post_init__(self):
@@ -134,6 +133,8 @@ class GeneratorModel:
         tok_emb = self.params["tok_emb"]
         if tok_emb.ndim != 2 or tok_emb.shape[0] != len(self.vocab) or tok_emb.shape[1] < 1:
             raise InvalidConfig("token embedding must be a (vocabulary size, dim >= 1) matrix")
+        if self.params["pos_emb"].ndim != 2 or self.max_context < 2:
+            raise InvalidConfig("position embedding must be a (max_context >= 2, dim) matrix")
         expected = param_shapes(len(self.vocab), tok_emb.shape[1], self.max_context)
         for key in PARAM_KEYS:
             if self.params[key].shape != expected[key]:
@@ -147,6 +148,10 @@ class GeneratorModel:
     @property
     def dim(self) -> int:
         return self.params["tok_emb"].shape[1]
+
+    @property
+    def max_context(self) -> int:
+        return len(self.params["pos_emb"])
 
 
 def param_shapes(v: int, d: int, max_context: int) -> dict[str, tuple[int, int]]:
@@ -174,7 +179,7 @@ def init_generator(vocab: Vocabulary, config: GeneratorTrainConfig) -> Generator
         key: rng.uniform(-0.1, 0.1, size=shape) for key, shape in shapes.items() if key != "w_out"
     }
     params["w_out"] = np.zeros(shapes["w_out"])
-    return GeneratorModel(vocab=vocab, max_context=config.max_context, params=params)
+    return GeneratorModel(vocab=vocab, params=params)
 
 
 def build_conditioning(
@@ -701,7 +706,6 @@ def train_generator(
 
 def save_generator(path: str | Path, model: GeneratorModel) -> None:
     payload = {
-        "max_context": model.max_context,
         "tokens": list(model.vocab.tokens),
         "params": {key: encode_array(model.params[key]) for key in PARAM_KEYS},
     }
@@ -716,8 +720,6 @@ def load_generator(path: str | Path) -> GeneratorModel:
             raise ParseError(f"generator vocabulary lacks {missing}")
         known_keys(payload["params"], PARAM_KEYS, "params")
         params = {key: decode_array(value, key, 2) for key, value in payload["params"].items()}
-        return GeneratorModel(
-            vocab=vocab, max_context=json_int(payload["max_context"], "max_context"), params=params
-        )
+        return GeneratorModel(vocab=vocab, params=params)
 
-    return read_model_file(path, "generator", ("max_context", "tokens", "params"), build)
+    return read_model_file(path, "generator", ("tokens", "params"), build)

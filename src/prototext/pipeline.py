@@ -101,8 +101,8 @@ class PipelineConfig:
         check_fields(self)
         if self.variant not in VARIANTS:
             raise InvalidConfig(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if not (self.m >= self.n >= 0):
-            raise InvalidConfig(f"need m >= n >= 0, got m={self.m}, n={self.n}")
+        if not (self.m >= 1 and self.m >= self.n >= 0):
+            raise InvalidConfig(f"need m >= 1 and m >= n >= 0, got m={self.m}, n={self.n}")
         if self.seed < 0:
             raise InvalidConfig("seed must be a non-negative integer")
         gen = self.generator

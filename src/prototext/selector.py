@@ -5,7 +5,7 @@ token embeddings over the concatenated sequence
 
     [table.tokens; <sep>; sentence]
 
-and applying a linear projection: ``f = w . mean(E[tokens]) + b``. Every
+and applying a linear projection: ``f = w . mean(E[tokens])``. Every
 pair, in scoring, selection and training alike, goes through one id
 builder (``_pair_ids``) and one pooling function (``_pooled_rows``), so
 a pair's score has the same bits whichever path computed it. It is
@@ -15,19 +15,19 @@ must outscore each of k sampled negative candidates by a margin of 1,
     L = sum_j max(0, 1 - f(T, y) + f(T, R_j)),
 
 with gradients computed analytically (the hinge subgradient at exactly
-zero slack is taken to be 0). Training is deterministic for a fixed
-seed: embeddings start uniform in (-0.1, 0.1), projection and bias at
-zero, updates use Adam, and the k negatives are resampled every epoch
-from a per-epoch seeded generator. The bias cancels inside every hinge
-term, so it has no gradient and stays at zero. A step's embedding
-gradient is nonzero only on the rows of the tokens in its active hinge
-terms; it is computed and handed to Adam on those rows alone, which
-gives the same bits as the dense gradient. A step whose every hinge
-term is met has no rows and a zero projection gradient; Adam still
-decays its moments, but skips the parameter write when it can prove
-the write moves nothing (:mod:`prototext.optim`), which it does for
-most steps of a converged run, with the same bits. ``train_selector``
-logs how many steps that was.
+zero slack is taken to be 0). A constant offset on the scores would
+cancel inside every hinge term and move no ranking, so f has none.
+Training is deterministic for a fixed seed: embeddings start uniform in
+(-0.1, 0.1), the projection at zero, updates use Adam, and the k
+negatives are resampled every epoch from a per-epoch seeded generator. A
+step's embedding gradient is nonzero only on the rows of the tokens in
+its active hinge terms; it is computed and handed to Adam on those rows
+alone, which gives the same bits as the dense gradient. A step whose
+every hinge term is met has no rows and a zero projection gradient; Adam
+still decays its moments, but skips the parameter write when it can
+prove the write moves nothing (:mod:`prototext.optim`), which it does
+for most steps of a converged run, with the same bits.
+``train_selector`` logs how many steps that was.
 
 Scoring and selection never mutate the model, so a trained model can be
 shared across threads; training runs single-threaded on its own arrays.
@@ -60,12 +60,11 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class SelectorModel:
-    """Mean-pooled embedding scorer: ``f = w . h + b``."""
+    """Mean-pooled embedding scorer: ``f = w . h``."""
 
     vocab: Vocabulary
     embeddings: np.ndarray  # (V, d) float64
     projection: np.ndarray  # (d,) float64
-    bias: float
 
     def __post_init__(self):
         if UNK not in self.vocab or SEP not in self.vocab:
@@ -76,11 +75,7 @@ class SelectorModel:
             raise InvalidConfig("embedding dimension must be >= 1")
         if self.projection.shape != (self.embeddings.shape[1],):
             raise InvalidConfig("projection width does not match the embedding dimension")
-        if not (
-            np.all(np.isfinite(self.embeddings))
-            and np.all(np.isfinite(self.projection))
-            and np.isfinite(self.bias)
-        ):
+        if not (np.all(np.isfinite(self.embeddings)) and np.all(np.isfinite(self.projection))):
             raise InvalidConfig("selector parameters must be finite")
 
 
@@ -108,8 +103,7 @@ class SelectorTrainConfig:
 
 @dataclass(frozen=True)
 class SelectorGradients:
-    """Gradients of the margin loss; the bias has none, since it cancels
-    inside every hinge term."""
+    """Gradients of the margin loss, one array per parameter."""
 
     embeddings: np.ndarray
     projection: np.ndarray
@@ -162,25 +156,19 @@ def encode_pair(model: SelectorModel, table: Table, sentence: Sequence[str]) -> 
     return _pooled_rows(model.embeddings, _pair_ids(model.vocab, table, [sentence]))[0]
 
 
-def _score(w: np.ndarray, b: float, h: np.ndarray) -> float:
-    # the same BLAS dot and the same double add as float(w @ h + b), with
-    # less overhead per call
-    return float(w.dot(h)) + b
-
-
 def score_pair(model: SelectorModel, table: Table, sentence: Sequence[str]) -> float:
-    return _score(model.projection, model.bias, encode_pair(model, table, sentence))
+    return float(model.projection.dot(encode_pair(model, table, sentence)))
 
 
 def _hinge_terms(
-    emb: np.ndarray, w: np.ndarray, b: float, ids: Sequence[Sequence[int]]
+    emb: np.ndarray, w: np.ndarray, ids: Sequence[Sequence[int]]
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Pooled reference, pooled negatives (one row each) and the slack of each negative,
     from the pair ids of the reference followed by those of the negatives."""
     pooled = _pooled_rows(emb, ids)
     h_y, h_negs = pooled[0], pooled[1:]
-    f_y = _score(w, b, h_y)
-    slacks = [1.0 - f_y + _score(w, b, h_j) for h_j in h_negs]
+    f_y = float(w.dot(h_y))
+    slacks = [1.0 - f_y + float(w.dot(h_j)) for h_j in h_negs]
     return h_y, h_negs, slacks
 
 
@@ -201,24 +189,23 @@ def margin_loss(
 ) -> float:
     """Summed hinge loss of the reference against each negative."""
     ids = _margin_ids(model, table, reference, negatives)
-    _, _, slacks = _hinge_terms(model.embeddings, model.projection, model.bias, ids)
+    _, _, slacks = _hinge_terms(model.embeddings, model.projection, ids)
     return sum(max(0.0, s) for s in slacks)
 
 
 def _loss_and_grads(
-    emb: np.ndarray, w: np.ndarray, b: float, ids: Sequence[Sequence[int]]
+    emb: np.ndarray, w: np.ndarray, ids: Sequence[Sequence[int]]
 ) -> tuple[float, tuple[np.ndarray, np.ndarray], np.ndarray]:
     """Hinge loss plus analytic gradients w.r.t. embeddings and projection, from the
     pair ids of the reference followed by those of the negatives.
 
-    The bias gradient is identically zero because b cancels inside every
-    slack term. The embedding gradient for vocabulary row v is
-    ``c_v * w`` where c_v accumulates occurrence/length weights over the
-    active hinge sequences; it is returned as ``(rows, values)``, the
-    rows with ``c_v != 0`` in increasing order and their gradient rows.
-    Every other row of the gradient is zero.
+    The embedding gradient for vocabulary row v is ``c_v * w`` where c_v
+    accumulates occurrence/length weights over the active hinge
+    sequences; it is returned as ``(rows, values)``, the rows with
+    ``c_v != 0`` in increasing order and their gradient rows. Every other
+    row of the gradient is zero.
     """
-    h_y, h_negs, slacks = _hinge_terms(emb, w, b, ids)
+    h_y, h_negs, slacks = _hinge_terms(emb, w, ids)
     ids_y, *ids_negs = ids
     loss = 0.0
     d_w = np.zeros_like(w)
@@ -243,7 +230,7 @@ def margin_loss_grad(
 ) -> SelectorGradients:
     """Exact gradients of :func:`margin_loss` for every parameter group."""
     ids = _margin_ids(model, table, reference, negatives)
-    _, (rows, values), d_w = _loss_and_grads(model.embeddings, model.projection, model.bias, ids)
+    _, (rows, values), d_w = _loss_and_grads(model.embeddings, model.projection, ids)
     d_emb = np.zeros_like(model.embeddings)
     d_emb[rows] = values
     return SelectorGradients(embeddings=d_emb, projection=d_w)
@@ -299,7 +286,6 @@ def train_selector(
     w = np.zeros(config.dim)
 
     references = [tokenize(ref) for _, ref, _ in examples]
-    # the bias has no gradient (SelectorGradients), so Adam would keep it at 0.0
     opt = Adam({"emb": emb, "w": w}, lr=config.learning_rate)
     epoch_losses: list[float] = []
     for epoch in range(config.epochs):
@@ -309,13 +295,13 @@ def train_selector(
             picks = ep_rng.choice(len(cands), size=config.k, replace=False)
             negatives = [corpus.get(cands.entries[p][0]).tokens for p in picks]
             ids = _pair_ids(vocab, table, [reference, *negatives])
-            loss, (rows, d_emb), d_w = _loss_and_grads(emb, w, 0.0, ids)
+            loss, (rows, d_emb), d_w = _loss_and_grads(emb, w, ids)
             opt.step({"emb": d_emb, "w": d_w}, rows={"emb": rows})
             total += loss
         epoch_losses.append(total / len(examples))
         log.info("selector epoch %d mean loss %.6f", epoch, epoch_losses[-1])
     log.info("selector: %d of %d Adam steps moved no parameter", opt.skipped, opt.t)
-    return SelectorModel(vocab=vocab, embeddings=emb, projection=w, bias=0.0), epoch_losses
+    return SelectorModel(vocab=vocab, embeddings=emb, projection=w), epoch_losses
 
 
 def select_top_n(
@@ -337,7 +323,7 @@ def select_top_n(
     sids = candidates.ids()
     ids = _pair_ids(model.vocab, table, [corpus.get(sid).tokens for sid in sids])
     pooled = _pooled_rows(model.embeddings, ids)
-    scored = [(sid, _score(model.projection, model.bias, h)) for sid, h in zip(sids, pooled)]
+    scored = [(sid, float(model.projection.dot(h))) for sid, h in zip(sids, pooled)]
     scored.sort(key=lambda e: (-e[1], e[0]))
     return CandidateSet(table_id=candidates.table_id, entries=tuple(scored[:n]))
 
@@ -433,7 +419,6 @@ def save_selector(path: str | Path, model: SelectorModel) -> None:
         "tokens": list(model.vocab.tokens),
         "embeddings": encode_array(model.embeddings),
         "projection": encode_array(model.projection),
-        "bias": encode_array(model.bias),
     }
     write_model_file(path, "selector", payload)
 
@@ -444,7 +429,6 @@ def load_selector(path: str | Path) -> SelectorModel:
             vocab=Vocabulary.from_tokens(payload["tokens"]),
             embeddings=decode_array(payload["embeddings"], "embeddings", 2),
             projection=decode_array(payload["projection"], "projection", 1),
-            bias=float(decode_array(payload["bias"], "bias", 0)),
         )
 
-    return read_model_file(path, "selector", ("tokens", "embeddings", "projection", "bias"), build)
+    return read_model_file(path, "selector", ("tokens", "embeddings", "projection"), build)

@@ -42,7 +42,7 @@ from .tokenization import ATTR_DELIM, PAIR_DELIM, tokenize
 
 T = TypeVar("T")
 
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 
 
 @dataclass(frozen=True)

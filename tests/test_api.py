@@ -36,7 +36,7 @@ def api(tmp_path_factory):
     config = GeneratorTrainConfig(epochs=0, dim=4, max_context=12, max_decode_len=4)
     cands = CandidateSet(0, ((0, 2.0), (2, 1.0)))
     selector = SelectorModel(vocab=vocab, embeddings=np.zeros((len(vocab), 2)),
-                             projection=np.ones(2), bias=0.0)
+                             projection=np.ones(2))
     deep_model = tmp_path_factory.mktemp("api") / "selector.json"
     deep_model.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
     return SimpleNamespace(

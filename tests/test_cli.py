@@ -458,6 +458,13 @@ class TestExitCodes:
         assert "generator.max_decode_len must be in [1, 255]" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
+    def test_m_zero_fails_before_any_stage(self, tiny_bench, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        write_pipeline_config(tiny_bench, m=0, n=0)
+        assert run_cli("ablate", "--config", "config.json", "--variants", "BASE,RET") == 1
+        assert "need m >= 1" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
     def test_corrupt_index_lengths_line_is_data_error(
         self, tiny_bench, stage_files, tmp_path, capsys
     ):
@@ -669,6 +676,11 @@ def _narrow_generator_w_key(text):
     return _retyped("params.w_key", _values(lambda values: values[:, :-1]))(text)
 
 
+def _one_position_generator(text):
+    """A generator whose ``pos_emb`` keeps one row: a context too short for any decode."""
+    return _retyped("params.pos_emb", _values(lambda values: values[:1]))(text)
+
+
 def _deep_json(text):
     return DEEP_JSON.decode()
 
@@ -681,6 +693,18 @@ def _version_1(text):
             if isinstance(value, dict) and "f64le" in value:
                 part[key] = decode_array(value, key, len(value["shape"])).tolist()
     payload["version"] = 1
+    return json.dumps(payload)
+
+
+def _version_2(text):
+    """The same model in the layout of model-file version 2: a selector also stores its
+    ``bias`` (always 0.0), a generator its ``max_context`` (the rows of ``pos_emb``)."""
+    payload = json.loads(text)
+    if "params" in payload:
+        payload["max_context"] = payload["params"]["pos_emb"]["shape"][0]
+    else:
+        payload["bias"] = encode_array(0.0)
+    payload["version"] = 2
     return json.dumps(payload)
 
 
@@ -716,7 +740,7 @@ def _last_token(new):
 
 
 CORRUPTIONS = [
-    _truncate, _drop_tokens, _ill_typed_tokens, _unknown_key(), _deep_json, _version_1,
+    _truncate, _drop_tokens, _ill_typed_tokens, _unknown_key(), _deep_json, _version_1, _version_2,
     pytest.param(_last_token(lambda tokens: tokens[-2]), id="token-repeated"),
     pytest.param(_last_token(lambda tokens: 5), id="token-not-a-string"),
 ]
@@ -724,8 +748,6 @@ CORRUPTIONS = [
 # keys, shape, byte count, base64 and finite values
 BROKEN_ARRAYS = {
     "generator": {
-        "max_context-string": _retyped("max_context", str),
-        "max_context-float": _retyped("max_context", float),
         "w_key-float-lists": _retyped(
             "params.w_key", lambda value: decode_array(value, "", 2).tolist()
         ),
@@ -748,8 +770,6 @@ BROKEN_ARRAYS = {
         "w_key-infinite": _retyped("params.w_key", _first_value(float("-inf"))),
     },
     "selector": {
-        "bias-string": _retyped("bias", lambda _: "1e3"),
-        "bias-bool": _retyped("bias", lambda _: True),
         "projection-strings": _retyped(
             "projection", lambda value: {**value, "shape": [str(n) for n in value["shape"]]}
         ),
@@ -759,7 +779,6 @@ BROKEN_ARRAYS = {
         "embeddings-shape-disagrees": _retyped(
             "embeddings", lambda value: {**value, "shape": [value["shape"][0] + 1, 3]}
         ),
-        "bias-infinite": _retyped("bias", _first_value(float("inf"))),
     },
 }
 
@@ -771,7 +790,8 @@ def broken_arrays(kind):
 class TestCorruptModelFiles:
     @pytest.mark.parametrize(
         "corrupt",
-        CORRUPTIONS + [_narrow_generator_w_key, _rename_eos, _unknown_key("params")]
+        CORRUPTIONS
+        + [_narrow_generator_w_key, _one_position_generator, _rename_eos, _unknown_key("params")]
         + broken_arrays("generator"),
     )
     def test_corrupt_generator_is_data_error(self, tiny_bench, tmp_path, capsys, corrupt):
@@ -790,7 +810,7 @@ class TestCorruptModelFiles:
     def test_corrupt_selector_is_data_error(self, tiny_bench, tmp_path, capsys, corrupt):
         vocab = Vocabulary.build([["a", "b"]])
         model = tmp_path / "selector.json"
-        save_selector(model, SelectorModel(vocab, np.ones((len(vocab), 3)), np.ones(3), 0.0))
+        save_selector(model, SelectorModel(vocab, np.ones((len(vocab), 3)), np.ones(3)))
         model.write_text(corrupt(model.read_text()), encoding="utf-8")
         code = run_cli(
             "select", "--model", str(model), "--corpus", tiny_bench["corpus"],

@@ -84,6 +84,11 @@ class TestConfig:
         with pytest.raises(InvalidConfig):
             tiny_config(m=2, n=3)
 
+    def test_m_zero_rejected(self, tiny_config):
+        # retrieve needs m >= 1, so the config is rejected where it is built
+        with pytest.raises(InvalidConfig, match="need m >= 1"):
+            tiny_config(m=0, n=0)
+
     def test_unknown_field_rejected(self):
         with pytest.raises(InvalidConfig):
             typed_config(PipelineConfig, {"corpus_path": "x", "zzz": 1})

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import logging
@@ -35,12 +34,11 @@ def table_of(*pairs):
     return Table.from_pairs(pairs)
 
 
-def model_with(vocab, emb, w, b=0.0):
+def model_with(vocab, emb, w):
     return SelectorModel(
         vocab=vocab,
         embeddings=np.asarray(emb, dtype=np.float64),
         projection=np.asarray(w, dtype=np.float64),
-        bias=float(b),
     )
 
 
@@ -93,11 +91,6 @@ class TestEncodePair:
 
 
 class TestScorePair:
-    def test_zero_projection_returns_bias(self):
-        vocab = Vocabulary.build([["x"]])
-        model = model_with(vocab, np.ones((len(vocab), 3)), np.zeros(3), b=0.7)
-        assert score_pair(model, table_of(("a", "b")), ["x"]) == 0.7
-
     def test_direct_arithmetic(self):
         vocab = Vocabulary.build([["x"]])
         emb = np.tile([1.0, -1.0], (len(vocab), 1))
@@ -107,7 +100,7 @@ class TestScorePair:
     def test_bit_identical_recomputation(self):
         rng = np.random.default_rng(2)
         vocab = Vocabulary.build([[f"w{i}" for i in range(10)]])
-        model = model_with(vocab, rng.normal(size=(len(vocab), 8)), rng.normal(size=8), b=0.3)
+        model = model_with(vocab, rng.normal(size=(len(vocab), 8)), rng.normal(size=8))
         t = table_of(("name", "w1 w2"), ("genre", "w3"))
         s = ["w4", "w5", "w9"]
         assert score_pair(model, t, s) == score_pair(model, t, s)
@@ -149,12 +142,8 @@ def random_selector_setup(rng, v_total=50, d=8, k=5):
     content = [f"w{i}" for i in range(v_total - 6)]
     vocab = Vocabulary.build([content])
     assert len(vocab) == v_total
-    model = model_with(
-        vocab,
-        rng.normal(size=(v_total, d)) * 0.5,
-        rng.normal(size=d) * 0.5,
-        b=float(rng.normal()),
-    )
+    model = model_with(vocab, rng.normal(size=(v_total, d)) * 0.5, rng.normal(size=d) * 0.5)
+    rng.normal()  # a bias the model no longer has; still drawn, so the draws after it stay put
     words = lambda n: [content[i] for i in rng.integers(0, len(content), size=n)]
     t = Table.from_pairs([(" ".join(words(1)), " ".join(words(2))) for _ in range(2)])
     reference = words(int(rng.integers(2, 7)))
@@ -169,17 +158,6 @@ class TestMarginLossGrad:
         assert not g.embeddings.any()
         assert not g.projection.any()
 
-    def test_bias_gradient_always_zero(self):
-        # b cancels inside every hinge, so no gradient depends on it and
-        # SelectorGradients carries none for it
-        model, t = token_score_model({"y0": 0.0, "n1": 2.0})
-        g = margin_loss_grad(model, t, ["y0"], [["n1"]])
-        shifted = margin_loss_grad(dataclasses.replace(model, bias=17.5), t, ["y0"], [["n1"]])
-        assert not hasattr(g, "bias")
-        assert g.projection.any()
-        assert np.array_equal(g.projection, shifted.projection)
-        assert np.array_equal(g.embeddings, shifted.embeddings)
-
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_finite_differences(self, seed):
         rng = np.random.default_rng(100 + seed)
@@ -193,14 +171,6 @@ class TestMarginLossGrad:
         fd_w = central_diff(loss, model.projection)
         assert max_rel_error(analytic.embeddings, fd_emb) < 1e-4
         assert max_rel_error(analytic.projection, fd_w) < 1e-4
-
-    def test_bias_finite_difference_is_zero(self):
-        rng = np.random.default_rng(7)
-        model, t, reference, negatives = random_selector_setup(rng)
-        eps = 1e-5
-        hi = margin_loss(dataclasses.replace(model, bias=model.bias + eps), t, reference, negatives)
-        lo = margin_loss(dataclasses.replace(model, bias=model.bias - eps), t, reference, negatives)
-        assert abs((hi - lo) / (2 * eps)) < 1e-7
 
 
 def tiny_training_setup(n_examples=6, n_cands=8):
@@ -227,8 +197,7 @@ def tiny_training_setup(n_examples=6, n_cands=8):
 
 def textbook_selector_run(corpus, examples, config):
     """The selector's training as the textbook writes it: the dense np.outer gradient
-    of every row, and Adam decaying and writing every row of every group, bias
-    included. Returns the vocabulary, the parameters and the epoch losses."""
+    of every row, and Adam decaying and writing every row of every group. Returns the vocabulary, the parameters and the epoch losses."""
     vocab = Vocabulary.build(
         [s.tokens for s in corpus]
         + [linearize_table(t) for t, _, _ in examples]
@@ -238,9 +207,8 @@ def textbook_selector_run(corpus, examples, config):
     params = {
         "emb": rng.uniform(-0.1, 0.1, size=(len(vocab), config.dim)),
         "w": np.zeros(config.dim),
-        "b": np.zeros(1),
     }
-    emb, w, b = params["emb"], params["w"], params["b"]
+    emb, w = params["emb"], params["w"]
     m = {k: np.zeros_like(p) for k, p in params.items()}
     v = {k: np.zeros_like(p) for k, p in params.items()}
     beta1, beta2, eps, lr = 0.9, 0.999, 1e-8, config.learning_rate
@@ -258,17 +226,17 @@ def textbook_selector_run(corpus, examples, config):
                 for p in picks
             ]
             mean = lambda ids: emb[sorted(ids)].mean(axis=0)
-            f_y = float(w @ mean(ids_y) + b[0])
+            f_y = float(w @ mean(ids_y))
             loss, coeff, d_w = 0.0, np.zeros(len(vocab)), np.zeros(config.dim)
             for ids_j in ids_negs:
-                slack = 1.0 - f_y + float(w @ mean(ids_j) + b[0])
+                slack = 1.0 - f_y + float(w @ mean(ids_j))
                 if slack <= 0.0:
                     continue
                 loss += slack
                 d_w += mean(ids_j) - mean(ids_y)
                 np.add.at(coeff, ids_j, 1.0 / len(ids_j))
                 np.add.at(coeff, ids_y, -1.0 / len(ids_y))
-            grads = {"emb": np.outer(coeff, w), "w": d_w, "b": np.zeros(1)}
+            grads = {"emb": np.outer(coeff, w), "w": d_w}
             t += 1
             for k, p in params.items():
                 m[k] = beta1 * m[k] + (1.0 - beta1) * grads[k]
@@ -288,7 +256,6 @@ class TestTrainSelector:
         model, losses = train_selector(examples, corpus, config)
         assert losses == []
         assert not model.projection.any()
-        assert model.bias == 0.0
         assert np.all(np.abs(model.embeddings) < 0.1)
 
     def test_deterministic_under_seed(self):
@@ -299,7 +266,6 @@ class TestTrainSelector:
         assert l1 == l2
         assert np.array_equal(m1.embeddings, m2.embeddings)
         assert np.array_equal(m1.projection, m2.projection)
-        assert m1.bias == m2.bias
 
     def test_loss_decreases_on_learnable_task(self):
         corpus, examples = tiny_training_setup()
@@ -316,7 +282,6 @@ class TestTrainSelector:
         assert losses == ref_losses
         assert model.embeddings.tobytes() == params["emb"].tobytes()
         assert model.projection.tobytes() == params["w"].tobytes()
-        assert model.bias == params["b"][0] == 0.0
 
     def test_matches_textbook_dense_loop_through_skipped_writes(self, caplog):
         # long enough for the margins to be met and Adam to skip writes that
@@ -412,7 +377,7 @@ class TestSelectTopN:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         dim = data.draw(st.integers(1, 40))
         emb, w = rng.normal(size=(len(vocab), dim)), rng.normal(size=dim)
-        model, t = model_with(vocab, emb, w, b=rng.normal()), table_of(*pairs)
+        model, t = model_with(vocab, emb, w), table_of(*pairs)
         sentences = [Sentence.from_text(i, text) for i, text in enumerate(texts)]
         corpus = Corpus(sentences)
         cands = CandidateSet(0, tuple((s.id, 1.0) for s in sentences))
@@ -420,15 +385,6 @@ class TestSelectTopN:
         assert len(got) == len(sentences)
         for sid, score in got.entries:
             assert score == score_pair(model, t, corpus.get(sid).tokens)
-
-    def test_bias_shift_leaves_selection_unchanged(self):
-        rng = np.random.default_rng(9)
-        values = {f"c{i}": float(rng.normal()) for i in range(6)}
-        model, t = token_score_model(values)
-        corpus, cands = scored_candidates(list(values))
-        shifted = dataclasses.replace(model, bias=model.bias + 17.5)
-        assert select_top_n(model, t, cands, corpus, 3).ids() == \
-            select_top_n(shifted, t, cands, corpus, 3).ids()
 
 
 class TestAugmentedDataset:
@@ -499,7 +455,6 @@ class TestSelectorPersistence:
         loaded = load_selector(path)
         assert loaded.embeddings.tobytes() == model.embeddings.tobytes()
         assert loaded.projection.tobytes() == model.projection.tobytes()
-        assert np.float64(loaded.bias).tobytes() == np.float64(model.bias).tobytes()
         assert loaded.vocab.tokens == model.vocab.tokens
         for sent in negatives:
             assert score_pair(loaded, t, sent) == score_pair(model, t, sent)

@@ -293,7 +293,7 @@ def model_files(tmp_path_factory):
     out = tmp_path_factory.mktemp("models")
     vocab = Vocabulary.build([["ada", "bob"]])
     emb = np.arange(2.0 * len(vocab)).reshape(-1, 2) / 7
-    save_selector(out / "selector", SelectorModel(vocab, emb, np.array([0.5, -1.25]), 0.0))
+    save_selector(out / "selector", SelectorModel(vocab, emb, np.array([0.5, -1.25])))
     save_generator(out / "generator", init_generator(vocab, GeneratorTrainConfig(dim=2, max_context=3)))
     valid = {}
     for kind, load in MODEL_LOADERS.items():
@@ -375,9 +375,9 @@ def test_array_rule_rejections_are_parse_errors(value, message):
 
 def test_old_model_version_is_a_parse_error(tmp_path):
     path = tmp_path / "model.json"
-    write_model_file(path, "selector", {"bias": 0.0})
+    write_model_file(path, "selector", {"tokens": []})
     payload = json.loads(path.read_text(encoding="utf-8"))
     payload["version"] -= 1
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(ParseError, match="not a recognized selector model file"):
-        read_model_file(path, "selector", ("bias",), dict)
+        read_model_file(path, "selector", ("tokens",), dict)
