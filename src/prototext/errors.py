@@ -32,20 +32,25 @@ def check_type(name: str, kind, value) -> None:
         raise InvalidConfig(f"config field {name} must be {kind_name}, not {type(value).__name__}")
 
 
-def check_int(value, name: str) -> None:
-    """InvalidConfig naming ``name`` unless ``value`` is an int (a bool is not)."""
-    if type(value) is not int:
-        raise InvalidConfig(f"{name} must be an int, not {type(value).__name__}")
+def check_int(value, name: str, low: int) -> None:
+    """The one bound rule of a count or size, an API argument or a config field alike:
+    InvalidConfig naming ``name`` and ``low`` unless ``value`` is an int (a bool is not)
+    of at least ``low``."""
+    if type(value) is not int or value < low:
+        raise InvalidConfig(f"{name} must be an int >= {low}, got {value!r}")
 
 
 # a config class's field types, resolved once per class
 _field_types = cache(get_type_hints)
 
 
-def check_fields(config) -> None:
-    """:func:`check_type` on every field of the config dataclass instance ``config``."""
+def check_fields(config, **low: int) -> None:
+    """:func:`check_type` on every field of the config dataclass instance ``config``, then
+    :func:`check_int` on each field that ``low`` names, with its lower bound."""
     for name, kind in _field_types(type(config)).items():
         check_type(name, kind, getattr(config, name))
+    for name, bound in low.items():
+        check_int(getattr(config, name), f"config field {name}", bound)
 
 
 class DataError(PrototextError):

@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import AllTies, InvalidConfig, InvalidInput, check_int
+from .errors import AllTies, InvalidInput, check_int
 
 TokenSeq = Sequence[str]
 
@@ -107,9 +107,7 @@ def precision_at_k(selected: Sequence[int], relevant: set[int], k: int) -> float
 
     Always divides by k, even when fewer than k items were selected.
     """
-    check_int(k, "k")
-    if k < 1:
-        raise InvalidConfig(f"k must be >= 1, got {k}")
+    check_int(k, "k", 1)
     hits = sum(1 for sid in selected[:k] if sid in relevant)
     return hits / k
 

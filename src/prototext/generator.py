@@ -94,15 +94,9 @@ class GeneratorTrainConfig:
     ca_enabled: bool = True
 
     def __post_init__(self):
-        check_fields(self)
+        check_fields(self, epochs=0, seed=0, dim=1, max_context=2, max_decode_len=1)
         if self.learning_rate <= 0:
-            raise InvalidConfig("learning rate must be positive")
-        if self.epochs < 0:
-            raise InvalidConfig("epochs must be >= 0")
-        if self.dim < 1 or self.max_context < 2:
-            raise InvalidConfig("model size fields must be positive")
-        if self.seed < 0:
-            raise InvalidConfig("seed must be a non-negative integer")
+            raise InvalidConfig(f"config field learning_rate must be > 0, got {self.learning_rate}")
 
 
 @dataclass(frozen=True)
@@ -193,7 +187,7 @@ def build_conditioning(
     The table segment is never truncated; if <bos> plus the linearized
     table alone exceed the budget the input is rejected.
     """
-    check_int(max_len, "max_len")
+    check_int(max_len, "max_len", 1)
     table_ids = vocab.ids(table.tokens)
     ids = [vocab.bos_id] + table_ids
     if len(ids) > max_len:
@@ -538,9 +532,7 @@ def decode_greedy(model: GeneratorModel, cond: ConditioningInput, max_len: int) 
     row: its embedding read by index, its key and value written into the
     cache, and ``_block`` run on that row over the cache.
     """
-    check_int(max_len, "max_len")
-    if max_len < 1:
-        raise InvalidConfig(f"max_len must be >= 1, got {max_len}")
+    check_int(max_len, "max_len", 1)
     _check_ids(model, cond)
     n = len(cond.ids)
     if n + max_len - 1 > model.max_context:
@@ -574,8 +566,8 @@ def decode_greedy(model: GeneratorModel, cond: ConditioningInput, max_len: int) 
 def check_decode_len(max_len: int, max_context: int, name: str) -> None:
     """The one decode-length rule: InvalidConfig naming ``name`` unless
     ``1 <= max_len < max_context``, so the conditioning keeps two or more positions."""
-    check_int(max_len, name)
-    if not 1 <= max_len < max_context:
+    check_int(max_len, name, 1)
+    if max_len >= max_context:
         raise InvalidConfig(
             f"{name} must be in [1, {max_context - 1}] for max_context {max_context}, got {max_len}"
         )

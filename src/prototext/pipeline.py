@@ -98,13 +98,11 @@ class PipelineConfig:
     generator: GeneratorTrainConfig = field(default_factory=GeneratorTrainConfig)
 
     def __post_init__(self):
-        check_fields(self)
+        check_fields(self, m=1, n=0, seed=0)
         if self.variant not in VARIANTS:
             raise InvalidConfig(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if not (self.m >= 1 and self.m >= self.n >= 0):
-            raise InvalidConfig(f"need m >= 1 and m >= n >= 0, got m={self.m}, n={self.n}")
-        if self.seed < 0:
-            raise InvalidConfig("seed must be a non-negative integer")
+        if self.n > self.m:
+            raise InvalidConfig(f"need n <= m, got m={self.m}, n={self.n}")
         gen = self.generator
         check_decode_len(gen.max_decode_len, gen.max_context, "generator.max_decode_len")
         for name in RUN_SET:
@@ -124,7 +122,8 @@ def typed_config(cls, raw, where: str = "", **overrides):
     with ``where``, of its section ``where``. A field whose type is a dataclass is a
     section, read the same way. Each override that is not None goes on top. Every key met
     is InvalidConfig naming its dotted field if ``cls`` lacks it, if its value breaks
-    :func:`~prototext.errors.check_type`, or if RUN_SET names it."""
+    :func:`~prototext.errors.check_type`, or if RUN_SET names it; an error the built class
+    raises, a bound it checks included, is InvalidConfig prefixed ``bad config {where}:``."""
     if not isinstance(raw, dict):
         raise InvalidConfig(f"config {f'section {where}' if where else 'file'} must be an object")
     hints = get_type_hints(cls)
@@ -144,7 +143,7 @@ def typed_config(cls, raw, where: str = "", **overrides):
     values.update((key, value) for key, value in overrides.items() if value is not None)
     try:
         return cls(**values)
-    except TypeError as exc:
+    except (TypeError, InvalidConfig) as exc:
         raise InvalidConfig(f"bad config {where or 'file'}: {exc}") from None
 
 

@@ -19,7 +19,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .errors import InvalidConfig, ParseError, UnknownDocument, check_int
+from .errors import ParseError, UnknownDocument, check_int
 from .tabledata import (
     Corpus,
     Example,
@@ -146,9 +146,7 @@ def retrieve(index: InvertedIndex, table: Table, m: int, *, table_id: int = 0) -
     Term-at-a-time accumulation in query order; per-document sums are
     therefore bit-identical to :func:`bm25_score` on the same query.
     """
-    check_int(m, "m")
-    if m < 1:
-        raise InvalidConfig(f"m must be >= 1, got {m}")
+    check_int(m, "m", 1)
     acc: dict[int, float] = {}
     for term in table_query(table):
         posting = index.postings.get(term)
@@ -183,7 +181,7 @@ def retrieve_candidates(
 ) -> dict[int, CandidateSet]:
     """Each example's top-m candidates by table id, in example order, leakage-filtered
     against the example's reference."""
-    check_int(m, "m")
+    check_int(m, "m", 1)
     return {
         ex.id: filter_leakage(retrieve(index, ex.table, m, table_id=ex.id), corpus, ex.reference)
         for ex in examples

@@ -88,17 +88,9 @@ class SelectorTrainConfig:
     dim: int = 32
 
     def __post_init__(self):
-        check_fields(self)
-        if self.k < 1:
-            raise InvalidConfig(f"k must be >= 1, got {self.k}")
+        check_fields(self, k=1, epochs=0, seed=0, dim=1)
         if self.learning_rate <= 0:
-            raise InvalidConfig("learning rate must be positive")
-        if self.epochs < 0:
-            raise InvalidConfig("epochs must be >= 0")
-        if self.dim < 1:
-            raise InvalidConfig("embedding dimension must be >= 1")
-        if self.seed < 0:
-            raise InvalidConfig("seed must be a non-negative integer")
+            raise InvalidConfig(f"config field learning_rate must be > 0, got {self.learning_rate}")
 
 
 @dataclass(frozen=True)
@@ -317,9 +309,7 @@ def select_top_n(
     maximizing subset is exactly the top-n individual scores; ties break
     toward the lower sentence id.
     """
-    check_int(n, "n")
-    if n < 1:
-        raise InvalidConfig(f"n must be >= 1, got {n}")
+    check_int(n, "n", 1)
     sids = candidates.ids()
     ids = _pair_ids(model.vocab, table, [corpus.get(sid).tokens for sid in sids])
     pooled = _pooled_rows(model.embeddings, ids)
@@ -343,9 +333,7 @@ def select_prototypes(
     n is 0, gets no prototypes; the generator then conditions on the
     table alone.
     """
-    check_int(n, "n")
-    if n < 0:
-        raise InvalidConfig(f"n must be >= 0, got {n}")
+    check_int(n, "n", 0)
     records: list[AugmentedRecord] = []
     for ex in examples:
         cands = candidates_by_table_id.get(ex.id)
@@ -383,8 +371,8 @@ def write_augmented_dataset(path: str | Path, records: Iterable[AugmentedRecord]
 
 
 def read_augmented_dataset(path: str | Path, examples: Sequence[Example]) -> list[AugmentedRecord]:
-    """Join an augmented-dataset file with its tables file; a missing reference is the table's,
-    a repeated ``table_id``, or an id repeated within one ``prototype_ids``, a ParseError."""
+    """Join an augmented-dataset file with its tables file; a repeated ``table_id``, or an id
+    repeated within one ``prototype_ids``, is a ParseError."""
     by_id = {ex.id: ex for ex in examples}
     seen: set[int] = set()
 
@@ -395,7 +383,7 @@ def read_augmented_dataset(path: str | Path, examples: Sequence[Example]) -> lis
         pids: set[int] = set()
         prototype_ids = tuple(unique_id(i, "prototype id", pids) for i in record["prototype_ids"])
         prototypes = record["prototypes"]
-        reference = record.get("reference", example.reference)
+        reference = record["reference"]
         if type(prototypes) is not list or not all(
             isinstance(text, str) for text in (reference, *prototypes)
         ):

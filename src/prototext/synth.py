@@ -72,11 +72,7 @@ class SyntheticSpec:
     seed: int = 13
 
     def __post_init__(self):
-        check_fields(self)
-        if self.num_entities < 1 or self.corpus_size < 1 or self.vocab_size < 1:
-            raise InvalidConfig("entity, corpus, and vocabulary sizes must be positive")
-        if self.seed < 0:
-            raise InvalidConfig("seed must be a non-negative integer")
+        check_fields(self, num_entities=1, corpus_size=1, vocab_size=1, seed=0)
         total = self.num_entities + self.num_test_entities
         required = 6 * total + 2 * _N_ERAS + _MIN_NOISE_WORDS
         if self.vocab_size < required:

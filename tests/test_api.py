@@ -21,6 +21,8 @@ from prototext.selector import (
     SelectorModel, SelectorTrainConfig, load_selector, margin_loss, select_prototypes,
     select_top_n, train_selector, training_triples,
 )
+from prototext.pipeline import PipelineConfig
+from prototext.synth import SyntheticSpec
 from prototext.tabledata import Corpus, Example, Sentence, Table
 from prototext.vocab import Vocabulary
 
@@ -138,3 +140,46 @@ def test_api_misuse_is_a_named_error(api, call, error):
     assert issubclass(error, PrototextError)
     with pytest.raises(error):
         call(api)
+
+
+def _config(cls, **fields):
+    """A config of class ``cls`` with ``fields`` set; a PipelineConfig also gets its paths."""
+    paths = dict(corpus_path="c", train_tables_path="t", test_tables_path="s", out_dir="o")
+    return cls(**(paths if cls is PipelineConfig else {}), **fields)
+
+
+CONFIG_BOUNDS = {
+    PipelineConfig: {"m": 1, "n": 0, "seed": 0},
+    SelectorTrainConfig: {"k": 1, "epochs": 0, "seed": 0, "dim": 1},
+    GeneratorTrainConfig: {"epochs": 0, "seed": 0, "dim": 1, "max_context": 2,
+                           "max_decode_len": 1},
+    SyntheticSpec: {"num_entities": 1, "corpus_size": 1, "vocab_size": 1, "seed": 0},
+}
+
+# (call on the fixture with one count, the name the error gives it, its lower bound):
+# every bounded config field, then every count argument of the Python API
+BOUNDS = [
+    *(pytest.param(lambda a, v, cls=cls, field=field: _config(cls, **{field: v}),
+                   f"config field {field}", low, id=f"{cls.__name__}-{field}")
+      for cls, fields in CONFIG_BOUNDS.items() for field, low in fields.items()),
+    pytest.param(lambda a, v: retrieve(a.index, a.table, v), "m", 1, id="retrieve"),
+    pytest.param(lambda a, v: retrieve_candidates(a.index, [a.example], v, a.corpus), "m", 1,
+                 id="retrieve_candidates"),
+    pytest.param(lambda a, v: select_top_n(a.selector, a.table, a.cands, a.corpus, v), "n", 1,
+                 id="select_top_n"),
+    pytest.param(lambda a, v: select_prototypes([a.example], {0: a.cands}, a.corpus, v), "n", 0,
+                 id="select_prototypes"),
+    pytest.param(lambda a, v: precision_at_k([1], {1}, v), "k", 1, id="precision_at_k"),
+    pytest.param(lambda a, v: decode_greedy(a.generator, a.cond, v), "max_len", 1,
+                 id="decode_greedy"),
+    pytest.param(lambda a, v: build_conditioning(a.table, [], a.vocab, v), "max_len", 1,
+                 id="build_conditioning"),
+    pytest.param(lambda a, v: check_decode_len(v, 12, "max_len"), "max_len", 1,
+                 id="check_decode_len"),
+]
+
+
+@pytest.mark.parametrize("call, name, low", BOUNDS)
+def test_count_below_its_bound_is_named(api, call, name, low):
+    with pytest.raises(InvalidConfig, match=f"^{name} must be an int >= {low}, got {low - 1}$"):
+        call(api, low - 1)

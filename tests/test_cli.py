@@ -177,6 +177,13 @@ def _edit_at(line, path, value):
     return edit
 
 
+def _misspelt_reference(lines):
+    record = json.loads(lines[1])
+    record["referense"] = record.pop("reference")
+    lines[1] = json.dumps(record).encode()
+    return 2
+
+
 def _repeat_first(items):
     return items[:1] * 2 + items[2:]
 
@@ -231,6 +238,7 @@ MALFORMED_JSONL = [
     ),
     pytest.param("augmented", _set(1, table_id=[1]), id="augmented-table-id-list"),
     pytest.param("augmented", _repeat_first_line, id="augmented-repeated-table-id"),
+    pytest.param("augmented", _misspelt_reference, id="augmented-no-reference"),
     pytest.param(
         "augmented", _edit_at(1, ("prototype_ids", 0), lambda sid: sid + 0.5),
         id="augmented-prototype-id-float",
@@ -462,7 +470,7 @@ class TestExitCodes:
         monkeypatch.chdir(tmp_path)
         write_pipeline_config(tiny_bench, m=0, n=0)
         assert run_cli("ablate", "--config", "config.json", "--variants", "BASE,RET") == 1
-        assert "need m >= 1" in capsys.readouterr().err
+        assert "config field m must be an int >= 1, got 0" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     def test_corrupt_index_lengths_line_is_data_error(

@@ -511,7 +511,7 @@ class TestDecodeGreedy:
 
     @pytest.mark.parametrize("max_len", [0, -5])
     def test_decode_len_below_one_rejected(self, max_len):
-        with pytest.raises(InvalidConfig, match="max_len must be >= 1"):
+        with pytest.raises(InvalidConfig, match=f"max_len must be an int >= 1, got {max_len}"):
             decode_greedy(tiny_uniform_model(), bare_cond(0), max_len=max_len)
 
     def test_empty_conditioning_rejected(self):
@@ -674,7 +674,8 @@ class TestGenerateOutputs:
     def test_decode_len_outside_context_rejected(self, max_len):
         records = make_records(["ada", "bob", "cid", "dee"])
         model = randomized_model(vocab_of(records), small_config(max_context=16), seed=1)
-        with pytest.raises(InvalidConfig, match=r"max_len must be in \[1, 15\]"):
+        match = r"max_len must be in \[1, 15\]" if max_len else "max_len must be an int >= 1, got 0"
+        with pytest.raises(InvalidConfig, match=match):
             generator.generate_outputs(model, records, max_len)
 
     @pytest.mark.parametrize("max_len", [2.5, True, "3"])

@@ -86,7 +86,7 @@ class TestConfig:
 
     def test_m_zero_rejected(self, tiny_config):
         # retrieve needs m >= 1, so the config is rejected where it is built
-        with pytest.raises(InvalidConfig, match="need m >= 1"):
+        with pytest.raises(InvalidConfig, match="config field m must be an int >= 1, got 0"):
             tiny_config(m=0, n=0)
 
     def test_unknown_field_rejected(self):
@@ -148,9 +148,18 @@ class TestConfig:
 
     @pytest.mark.parametrize("max_context, max_decode_len", [(32, 32), (32, 40), (256, 0)])
     def test_decode_len_outside_context_rejected(self, tiny_config, max_context, max_decode_len):
-        generator = GeneratorTrainConfig(max_context=max_context, max_decode_len=max_decode_len)
-        with pytest.raises(InvalidConfig, match="generator.max_decode_len must be in"):
+        # below 1 the section rejects it; past the context the pipeline does
+        match = ("generator.max_decode_len must be in" if max_decode_len
+                 else "config field max_decode_len must be an int >= 1, got 0")
+        with pytest.raises(InvalidConfig, match=match):
+            generator = GeneratorTrainConfig(max_context=max_context, max_decode_len=max_decode_len)
             tiny_config(generator=generator)
+
+    @pytest.mark.parametrize("section", ["selector", "generator"])
+    def test_bound_error_names_its_section(self, section):
+        message = f"bad config {section}: config field epochs must be an int >= 0, got -1"
+        with pytest.raises(InvalidConfig, match=f"^{message}$"):
+            typed_config(PipelineConfig, {"corpus_path": "x", section: {"epochs": -1}})
 
     def test_labels_path_rejected(self):
         with pytest.raises(InvalidConfig, match="config field labels_path cannot be set"):

@@ -440,9 +440,10 @@ class TestReadAugmentedDataset:
     def test_prototype_count_mismatch_rejected(self, tmp_path):
         ex = Example(0, table_of(("name", "x")), "x ref")
         path = tmp_path / "augmented.jsonl"
-        record = {"table_id": 0, "prototype_ids": [1, 2], "prototypes": ["only one"]}
+        record = {"table_id": 0, "prototype_ids": [1, 2], "prototypes": ["only one"],
+                  "reference": "x ref"}
         path.write_text(json.dumps(record) + "\n", encoding="utf-8")
-        with pytest.raises(ParseError, match="line 1"):
+        with pytest.raises(ParseError, match="line 1: 2 prototype_ids but 1 prototypes"):
             read_augmented_dataset(path, [ex])
 
 
