@@ -72,14 +72,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# The flags some commands share; each command declares only those it reads.
-_SHARED_FLAGS = {
-    "--config": dict(required=True, help="JSON pipeline config file; explicit flags override it"),
-    "--seed": dict(type=int, help="global random seed"),
-    "--out-dir": dict(help="output directory"),
-}
-
-
 def int_list(text: str) -> list[int]:
     """Comma-separated integers; argparse makes the ValueError of a bad item a usage error."""
     return [int(item) for item in text.split(",")]
@@ -92,8 +84,6 @@ def _given(args, cls) -> dict:
 
 
 def _cmd_synth(args) -> None:
-    if not args.out_dir:
-        raise UsageError("synth requires --out-dir")
     paths = synth_benchmark(SyntheticSpec(**_given(args, SyntheticSpec)), args.out_dir)
     for kind, path in paths.items():
         print(f"{kind}: {path}")
@@ -210,14 +200,14 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="prototext", description=__doc__)
     subs = parser.add_subparsers(dest="command", metavar="command")
 
-    def sub(name, handler, help_text, *shared_flags):
+    def sub(name, handler, help_text):
         p = subs.add_parser(name, help=help_text, allow_abbrev=False)
-        for flag in shared_flags:
-            p.add_argument(flag, **_SHARED_FLAGS[flag])
         p.set_defaults(handler=handler)
         return p
 
-    p = sub("synth", _cmd_synth, "generate the synthetic benchmark files", "--seed", "--out-dir")
+    p = sub("synth", _cmd_synth, "generate the synthetic benchmark files")
+    p.add_argument("--seed", type=int, help="synthetic-world seed")
+    p.add_argument("--out-dir", required=True, help="output directory")
     p.add_argument("--entities", type=int, dest="num_entities")
     p.add_argument("--corpus-size", type=int)
     p.add_argument("--vocab-size", type=int)
@@ -228,7 +218,8 @@ def build_parser() -> _Parser:
     p.add_argument("--corpus", required=True, help="corpus file: indexed, and read by the leakage filter")
     p.add_argument("--out", required=True)
 
-    p = sub("train-selector", _cmd_train_selector, "train the prototype selector", "--seed")
+    p = sub("train-selector", _cmd_train_selector, "train the prototype selector")
+    p.add_argument("--seed", type=int, help="selector seed; a pipeline run of seed s uses s + 1")
     p.add_argument("--corpus", required=True)
     p.add_argument("--tables", required=True)
     p.add_argument("--candidates", required=True)
@@ -246,7 +237,8 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, default=PipelineConfig.n)
     p.add_argument("--out", required=True)
 
-    p = sub("train-generator", _cmd_train_generator, "train the conditional generator", "--seed")
+    p = sub("train-generator", _cmd_train_generator, "train the conditional generator")
+    p.add_argument("--seed", type=int, help="generator seed; a pipeline run of seed s uses s + 2")
     p.add_argument("--dataset", required=True, help="augmented dataset JSONL")
     p.add_argument("--tables", required=True)
     p.add_argument("--corpus", required=True, help="corpus file, for the shared vocabulary")
@@ -270,11 +262,16 @@ def build_parser() -> _Parser:
     p.add_argument("--compare", help="second hypothesis file for a sign test")
     p.add_argument("--out", required=True)
 
-    p = sub("ablate", _cmd_ablate, "run the system-variant ladder", "--config", "--out-dir")
+    p = sub("ablate", _cmd_ablate, "run the system-variant ladder")
+    p.add_argument("--config", required=True, help="JSON pipeline config file; flags override it")
+    p.add_argument("--out-dir", help="output directory; overrides the config's out_dir")
     p.add_argument("--variants", help="comma-separated subset of " + ",".join(VARIANTS))
     p.add_argument("--seeds", type=int_list, help="comma-separated seeds (default: config seed)")
 
-    p = sub("sweep-n", _cmd_sweep_n, "sweep the prototype count", "--config", "--seed", "--out-dir")
+    p = sub("sweep-n", _cmd_sweep_n, "sweep the prototype count")
+    p.add_argument("--config", required=True, help="JSON pipeline config file; flags override it")
+    p.add_argument("--seed", type=int, help="seed; overrides the config's seed")
+    p.add_argument("--out-dir", help="output directory; overrides the config's out_dir")
     p.add_argument("--n-values", type=int_list, required=True, help="comma-separated n values")
 
     return parser

@@ -87,15 +87,13 @@ def rouge4_f(hypothesis: TokenSeq, reference: TokenSeq) -> float:
 
 
 def evaluate_pairs(hypotheses: Sequence[TokenSeq], references: Sequence[TokenSeq]) -> EvalReport:
-    """Bundle corpus BLEU-4 and mean ROUGE-4 F over aligned pairs."""
-    if len(hypotheses) != len(references):
-        raise InvalidInput(
-            f"got {len(hypotheses)} hypotheses for {len(references)} references"
-        )
+    """Bundle corpus BLEU-4 and mean ROUGE-4 F over aligned pairs; :func:`bleu4` checks
+    that they pair up."""
+    corpus_bleu = bleu4(hypotheses, references)
     per_rouge = tuple(rouge4_f(h, r) for h, r in zip(hypotheses, references))
     mean_rouge = sum(per_rouge) / len(per_rouge) if per_rouge else 0.0
     return EvalReport(
-        bleu4=bleu4(hypotheses, references),
+        bleu4=corpus_bleu,
         rouge4_f=mean_rouge,
         per_example_rouge4=per_rouge,
         pair_count=len(hypotheses),

@@ -26,8 +26,9 @@ irrelevant prototype material.
 Inference (next_token_dist, decode_greedy) is read-only on the model and
 safe to run concurrently; training mutates the parameter arrays in a
 fixed single-threaded update order, and a run takes every array of its
-steps' forward and backward passes from one StepBuffers, so a step
-reuses the arrays of the one before it. Keys and values depend only on the
+steps' forward and backward passes from one StepBuffers (of
+:mod:`prototext.optim`, whose Adam takes its temporaries from its own),
+so a step reuses the arrays of the one before it. Keys and values depend only on the
 input embeddings, so the one forward pass embeds, projects keys and
 values at every position, then runs one block (attention, feed-forward,
 logits) on only the last rows, the ones its caller reads. Training runs
@@ -57,7 +58,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvalidConfig, InputTooLong, InvalidInput, ParseError, check_fields, check_int
-from .optim import Adam
+from .optim import Adam, StepBuffers
 from .selector import AugmentedRecord
 from .tabledata import (
     Table, decode_array, encode_array, known_keys, read_jsonl, read_model_file, unique_id,
@@ -213,25 +214,6 @@ Buffers = Callable[..., np.ndarray]
 def _fresh(name: str, *shape: int) -> np.ndarray:
     """A new array of ``shape``: the buffers of a call that holds none."""
     return np.empty(shape)
-
-
-class StepBuffers:
-    """The arrays a training run holds for its steps' intermediates: one per
-    name, grown to the largest shape asked for. ``buffers(name, *shape)`` is a
-    C-contiguous float64 array of ``shape`` with stale contents, valid until
-    ``name`` is asked for again. After the first records of a run, a step
-    allocates no array whose size grows with its sequence, so the heap it
-    frees never shrinks and regrows from step to step."""
-
-    def __init__(self):
-        self._held: dict[str, np.ndarray] = {}
-
-    def __call__(self, name: str, *shape: int) -> np.ndarray:
-        size = math.prod(shape)
-        held = self._held.get(name)
-        if held is None or held.size < size:
-            held = self._held[name] = np.empty(size)
-        return held[:size].reshape(shape)
 
 
 def _block(

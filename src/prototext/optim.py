@@ -46,9 +46,9 @@ with a nonzero gradient forgets ``M``, and the next zero-gradient step
 scans again.
 
 The moment updates and the write run in place and on two temporaries
-taken from one scratch buffer, allocated once and sized to the largest
-group, in the same operations and order as on fresh arrays: a step
-allocates no array of a group's size.
+held in a :class:`StepBuffers`, grown to the largest group, in the same
+operations and order as on fresh arrays: a step allocates no array of a
+group's size.
 """
 
 from __future__ import annotations
@@ -57,6 +57,26 @@ import math
 from typing import Mapping
 
 import numpy as np
+
+
+class StepBuffers:
+    """The arrays a training run holds for its steps' intermediates: one per
+    name, grown to the largest shape asked for. ``buffers(name, *shape)`` is a
+    C-contiguous float64 array of ``shape`` with stale contents, valid until
+    ``name`` is asked for again. After the first records of a run, a step
+    allocates no array whose size grows with its sequence, so the heap it
+    frees never shrinks and regrows from step to step."""
+
+    def __init__(self):
+        self._held: dict[str, np.ndarray] = {}
+
+    def __call__(self, name: str, *shape: int) -> np.ndarray:
+        size = math.prod(shape)
+        held = self._held.get(name)
+        if held is None or held.size < size:
+            held = self._held[name] = np.empty(size)
+        return held[:size].reshape(shape)
+
 
 # The standard moment decay rates and denominator guard; no caller sets them.
 BETA1 = 0.9
@@ -90,7 +110,7 @@ class Adam:
         self.t = 0
         self._m = {k: np.zeros_like(v) for k, v in params.items()}
         self._v = {k: np.zeros_like(v) for k, v in params.items()}
-        self._scratch = np.empty((2, max((v.size for v in params.values()), default=0)))
+        self._buffers = StepBuffers()
         self._skipped = 0
         # P of the module docstring, kept while no write and no nonzero
         # gradient has happened since it was taken
@@ -130,8 +150,8 @@ class Adam:
             m *= BETA1
             v *= BETA2
             if r is None:
-                # m += (1 - BETA1) * g and v += (1 - BETA2) * g**2, in scratch
-                t, _ = self._temps(p.shape)
+                # m += (1 - BETA1) * g and v += (1 - BETA2) * g**2, on a temporary
+                t = self._buffers("step", *p.shape)
                 np.multiply(g, 1.0 - BETA1, out=t)
                 m += t
                 np.square(g, out=t)
@@ -150,15 +170,10 @@ class Adam:
                 self._write(p, self._m[name], self._v[name], bc1, bc2)
         self._floor = None
 
-    def _temps(self, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """Two scratch arrays of ``shape``, valid until the next call."""
-        size = math.prod(shape)
-        return self._scratch[0, :size].reshape(shape), self._scratch[1, :size].reshape(shape)
-
     def _write(self, p: np.ndarray, m: np.ndarray, v: np.ndarray, bc1: float, bc2: float) -> None:
         # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), in that order,
         # on two temporaries
-        step, denom = self._temps(p.shape)
+        step, denom = self._buffers("step", *p.shape), self._buffers("denom", *p.shape)
         np.divide(m, bc1, out=step)
         step *= self.lr
         np.divide(v, bc2, out=denom)

@@ -14,7 +14,7 @@ System variants:
 * ``RET_PS_CA``  additionally enables the content-aware loss.
 
 ``ablate`` and ``sweep-n`` read their config through :func:`load_config`,
-the one config-file reader and type rule.
+the one config-file reader; each config class checks its own fields.
 
 Runs are deterministic: given the same configuration and input files,
 every report and model file is byte-identical across reruns, core counts
@@ -44,7 +44,7 @@ from time import perf_counter
 from typing import Iterable, Sequence, get_type_hints
 
 from . import blas
-from .errors import AllTies, InvalidConfig, StageError, check_fields, check_type
+from .errors import AllTies, InvalidConfig, StageError, check_fields
 from .evaluation import EvalReport, evaluate_pairs, precision_at_k, sign_test
 from .generator import (
     GeneratorTrainConfig,
@@ -120,10 +120,10 @@ RUN_SET = ("variant", "labels_path", "selector.seed", "generator.seed", "generat
 def typed_config(cls, raw, where: str = "", **overrides):
     """The config dataclass ``cls`` read from ``raw``, the JSON object of a config file or,
     with ``where``, of its section ``where``. A field whose type is a dataclass is a
-    section, read the same way. Each override that is not None goes on top. Every key met
-    is InvalidConfig naming its dotted field if ``cls`` lacks it, if its value breaks
-    :func:`~prototext.errors.check_type`, or if RUN_SET names it; an error the built class
-    raises, a bound it checks included, is InvalidConfig prefixed ``bad config {where}:``."""
+    section, read the same way. Each override that is not None goes on top. A key is
+    InvalidConfig naming its dotted field if ``cls`` lacks it or if RUN_SET names it. The
+    built class checks each value's type and bound itself; its error is InvalidConfig
+    prefixed ``bad config {where}:`` (``file`` at the top level)."""
     if not isinstance(raw, dict):
         raise InvalidConfig(f"config {f'section {where}' if where else 'file'} must be an object")
     hints = get_type_hints(cls)
@@ -132,14 +132,10 @@ def typed_config(cls, raw, where: str = "", **overrides):
         name = f"{where}.{key}" if where else key
         if key not in hints:
             raise InvalidConfig(f"unknown config field {name}")
-        kind = hints[key]
-        if dataclasses.is_dataclass(kind):
-            value = typed_config(kind, value, name)
-        else:
-            check_type(name, kind, value)
         if name in RUN_SET:
             raise InvalidConfig(f"config field {name} cannot be set: the command sets or ignores it")
-        values[key] = value
+        kind = hints[key]
+        values[key] = typed_config(kind, value, name) if dataclasses.is_dataclass(kind) else value
     values.update((key, value) for key, value in overrides.items() if value is not None)
     try:
         return cls(**values)
@@ -335,21 +331,18 @@ def run_ablation(
     """
     if len(variants) < 2 or len(set(variants)) < len(variants):
         raise InvalidConfig(f"ablation needs two or more distinct variants, got {list(variants)}")
-    for v in variants:
-        if v not in VARIANTS:
-            raise InvalidConfig(f"unknown variant {v!r}")
     seeds = list(seeds) if seeds else [config.seed]
     if len(set(seeds)) < len(seeds):
         raise InvalidConfig(f"seeds repeat: {seeds}")
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    plan = [
+    plan = [  # building each run's config checks its variant
         dataclasses.replace(
             config, variant=variant, seed=seed, out_dir=str(out / f"{variant.lower()}-seed{seed}")
         )
         for variant in variants
         for seed in seeds
     ]
+    out.mkdir(parents=True, exist_ok=True)
     results = iter(_run_all(plan))
     runs = {variant: [next(results) for _ in seeds] for variant in variants}
 
@@ -392,17 +385,14 @@ def sweep_n(config: PipelineConfig, n_values: Sequence[int]) -> dict:
     """Prototype-count sweep for the full variant under a shared seed."""
     if not n_values or len(set(n_values)) < len(n_values):
         raise InvalidConfig(f"sweep needs one or more distinct n values, got {list(n_values)}")
-    for n in n_values:
-        if n < 1:
-            raise InvalidConfig("n must be >= 1 (the BASE variant covers n = 0)")
-        if n > config.m:
-            raise InvalidConfig(f"n={n} exceeds m={config.m}")
+    if min(n_values) < 1:
+        raise InvalidConfig("n must be >= 1 (the BASE variant covers n = 0)")
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    plan = [
+    plan = [  # building each run's config checks n <= m
         dataclasses.replace(config, variant="RET_PS_CA", n=n, out_dir=str(out / f"n{n}"))
         for n in n_values
     ]
+    out.mkdir(parents=True, exist_ok=True)
     rows = [
         {"n": n, "bleu4": r.report.bleu4, "rouge4_f": r.report.rouge4_f}
         for n, r in zip(n_values, _run_all(plan))

@@ -328,16 +328,18 @@ def select_prototypes(
     """Choose up to n prototypes per example, one record per example.
 
     Without a model the candidates keep their BM25 order; with one, the
-    n best-scoring candidates are chosen by :func:`select_top_n`. A
-    table whose candidate set is missing or empty, and every table when
-    n is 0, gets no prototypes; the generator then conditions on the
-    table alone.
+    n best-scoring candidates are chosen by :func:`select_top_n`. With
+    n > 0, a table without a candidate set is InvalidInput; one whose set
+    is empty, and every table when n is 0, gets no prototypes, and the
+    generator then conditions on the table alone.
     """
     check_int(n, "n", 0)
     records: list[AugmentedRecord] = []
     for ex in examples:
         cands = candidates_by_table_id.get(ex.id)
-        if n == 0 or cands is None or len(cands) == 0:
+        if n > 0 and cands is None:
+            raise InvalidInput(f"no candidates for table {ex.id}")
+        if n == 0 or len(cands) == 0:
             chosen: tuple[int, ...] = ()
         elif model is None:
             chosen = tuple(cands.ids()[:n])

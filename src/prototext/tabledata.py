@@ -284,8 +284,8 @@ def parse_tables_file(path: str | Path) -> list[Example]:
     def parse(record: dict) -> Example:
         rid = unique_id(record.get("id"), "id", seen)
         pairs = record.get("pairs")
-        if not isinstance(pairs, list) or not pairs:
-            raise ParseError("'pairs' must be a non-empty array")
+        if not isinstance(pairs, list):
+            raise ParseError("'pairs' must be an array")
         for p in pairs:
             if not isinstance(p, list) or len(p) != 2 or not all(isinstance(x, str) for x in p):
                 raise ParseError("each pair must be a [attribute, value] string pair")

@@ -7,7 +7,7 @@ pure function of the token set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .tokenization import BOS, EOS, RESERVED_TOKENS, SEP, UNK
@@ -15,8 +15,19 @@ from .tokenization import BOS, EOS, RESERVED_TOKENS, SEP, UNK
 
 @dataclass(frozen=True)
 class Vocabulary:
+    """Distinct string tokens; it builds and checks its ``{token: id}`` ``index`` itself."""
+
     tokens: tuple[str, ...]
-    index: dict[str, int]
+    index: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        toks = tuple(self.tokens)
+        index = {t: i for i, t in enumerate(toks)}
+        if len(index) < len(toks) or not all(type(t) is str for t in toks):
+            bad = next(t for i, t in enumerate(toks) if type(t) is not str or index[t] != i)
+            raise ValueError(f"vocabulary token {bad!r} repeats or is not a string")
+        object.__setattr__(self, "tokens", toks)
+        object.__setattr__(self, "index", index)
 
     @classmethod
     def build(cls, token_streams: Iterable[Iterable[str]]) -> "Vocabulary":
@@ -24,17 +35,11 @@ class Vocabulary:
         for stream in token_streams:
             content.update(stream)
         content -= set(RESERVED_TOKENS)
-        tokens = tuple(RESERVED_TOKENS) + tuple(sorted(content))
-        return cls(tokens=tokens, index={t: i for i, t in enumerate(tokens)})
+        return cls(tuple(RESERVED_TOKENS) + tuple(sorted(content)))
 
     @classmethod
     def from_tokens(cls, tokens: Iterable[str]) -> "Vocabulary":
-        toks = tuple(tokens)
-        index = {t: i for i, t in enumerate(toks)}
-        if len(index) < len(toks) or not all(type(t) is str for t in toks):
-            bad = next(t for i, t in enumerate(toks) if type(t) is not str or index[t] != i)
-            raise ValueError(f"vocabulary token {bad!r} repeats or is not a string")
-        return cls(tokens=toks, index=index)
+        return cls(tuple(tokens))
 
     def __len__(self) -> int:
         return len(self.tokens)

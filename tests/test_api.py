@@ -98,6 +98,8 @@ API_MISUSE = [
                                           SelectorTrainConfig(k=3)),
                  InsufficientNegatives, id="train-selector-too-few-candidates"),
     pytest.param(lambda a: SelectorTrainConfig(k=0), InvalidConfig, id="selector-config-k-zero"),
+    pytest.param(lambda a: SelectorTrainConfig(learning_rate=0), InvalidConfig,
+                 id="selector-config-learning-rate-zero"),
     pytest.param(lambda a: training_triples([a.example], {}), InvalidInput,
                  id="triples-missing-candidates"),
     pytest.param(lambda a: margin_loss(a.selector, a.table, ["cat"], []), InvalidConfig,
@@ -110,6 +112,8 @@ API_MISUSE = [
                  InvalidConfig, id="select-prototypes-negative-n"),
     pytest.param(lambda a: select_prototypes([a.example], {0: a.cands}, a.corpus, 1.5),
                  InvalidConfig, id="select-prototypes-float-n"),
+    pytest.param(lambda a: select_prototypes([a.example], {}, a.corpus, 1), InvalidInput,
+                 id="select-prototypes-missing-candidates"),
     pytest.param(lambda a: select_top_n(a.selector, a.table, CandidateSet(0, ((99, 1.0),)),
                                         a.corpus, 1),
                  UnknownDocument, id="select-unknown-sentence"),

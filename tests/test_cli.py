@@ -15,7 +15,7 @@ from prototext import cli, pipeline
 from prototext.cli import build_parser, main
 from prototext.errors import DataError, ParseError, UsageError
 from prototext.generator import GeneratorTrainConfig, init_generator, save_generator, write_outputs
-from prototext.pipeline import RUN_SET
+from prototext.pipeline import RUN_SET, run_pipeline
 from prototext.retrieval import build_index, load_index, retrieve, save_index, write_candidate_sets
 from prototext.selector import (
     SelectorModel,
@@ -239,6 +239,7 @@ MALFORMED_JSONL = [
     pytest.param("augmented", _set(1, table_id=[1]), id="augmented-table-id-list"),
     pytest.param("augmented", _repeat_first_line, id="augmented-repeated-table-id"),
     pytest.param("augmented", _misspelt_reference, id="augmented-no-reference"),
+    pytest.param("augmented", _set(1, table_id=99999), id="augmented-unknown-table-id"),
     pytest.param(
         "augmented", _edit_at(1, ("prototype_ids", 0), lambda sid: sid + 0.5),
         id="augmented-prototype-id-float",
@@ -275,6 +276,10 @@ MALFORMED_JSONL = [
         id="index-term-frequency-float",
     ),
     pytest.param("corpus", _non_utf8_text, id="corpus-not-utf8"),
+    pytest.param("corpus", _set(2, text=5), id="corpus-text-not-a-string"),
+    pytest.param("tables", _set(2, pairs=[["name"]]), id="tables-pair-not-a-pair"),
+    pytest.param("tables", _set(2, pairs=[]), id="tables-no-pairs"),
+    pytest.param("tables", _set(2, pairs={"name": "x"}), id="tables-pairs-an-object"),
     pytest.param("corpus", _repeat_first_line, id="corpus-repeated-id"),
     pytest.param("outputs", _set(1, output=5), id="outputs-output-not-text"),
     pytest.param("outputs", _set(2, table_id=True), id="outputs-table-id-true"),
@@ -557,10 +562,6 @@ def _readme_flag_table():
     return table
 
 
-# Required flags that the command's handler checks, not argparse.
-HANDLER_REQUIRED = {"synth": {"--out-dir"}}
-
-
 def _command_parsers():
     return next(
         a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
@@ -575,7 +576,6 @@ def test_readme_flag_table_matches_parser():
         actions = [a for a in parser._actions if "--help" not in a.option_strings]
         flags = {flag for a in actions for flag in a.option_strings}
         required = {a.option_strings[0] for a in actions if a.required}
-        required |= HANDLER_REQUIRED.get(command, set())
         assert table[command] == (required, flags - required), command
 
 
@@ -627,6 +627,36 @@ def test_train_selector_without_candidates_for_a_table_is_data_error(
     assert code == 2
     assert f"no candidates for table {missing}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_select_without_candidates_for_a_table_is_data_error(
+    tiny_bench, stage_files, tmp_path, capsys
+):
+    # the candidates are the train split's; no test table has any
+    vocab = Vocabulary.build([["a", "b"]])
+    model = tmp_path / "selector.json"
+    save_selector(model, SelectorModel(vocab, np.ones((len(vocab), 3)), np.ones(3)))
+    missing = parse_tables_file(tiny_bench["test_tables"])[0].id
+    out = tmp_path / "augmented.jsonl"
+    code = run_cli(
+        "select", "--model", str(model), "--corpus", tiny_bench["corpus"],
+        "--tables", tiny_bench["test_tables"], "--candidates", str(stage_files["candidates"]),
+        "--out", str(out),
+    )
+    assert code == 2
+    assert f"data error: no candidates for table {missing}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_command_writes_synth_benchmark_files(tmp_path, capsys):
+    argv = ["--entities", "12", "--corpus-size", "120", "--vocab-size", "160", "--seed", "5"]
+    assert run_cli("synth", *argv, "--out-dir", str(tmp_path / "cli")) == 0
+    spec = SyntheticSpec(num_entities=12, corpus_size=120, vocab_size=160, seed=5)
+    expected = synth_benchmark(spec, tmp_path / "api")
+    assert sorted(p.name for p in (tmp_path / "cli").iterdir()) == sorted(
+        Path(path).name for path in expected.values())
+    for path in expected.values():
+        assert (tmp_path / "cli" / Path(path).name).read_bytes() == Path(path).read_bytes()
 
 
 def _truncate(text):
@@ -687,6 +717,12 @@ def _narrow_generator_w_key(text):
 def _one_position_generator(text):
     """A generator whose ``pos_emb`` keeps one row: a context too short for any decode."""
     return _retyped("params.pos_emb", _values(lambda values: values[:1]))(text)
+
+
+def _drop_w_key(text):
+    payload = json.loads(text)
+    del payload["params"]["w_key"]
+    return json.dumps(payload)
 
 
 def _deep_json(text):
@@ -799,7 +835,8 @@ class TestCorruptModelFiles:
     @pytest.mark.parametrize(
         "corrupt",
         CORRUPTIONS
-        + [_narrow_generator_w_key, _one_position_generator, _rename_eos, _unknown_key("params")]
+        + [_narrow_generator_w_key, _one_position_generator, _rename_eos, _unknown_key("params"),
+           _drop_w_key]
         + broken_arrays("generator"),
     )
     def test_corrupt_generator_is_data_error(self, tiny_bench, tmp_path, capsys, corrupt):
@@ -939,6 +976,43 @@ class TestStageCommands:
         payload = json.loads(report.read_text())
         assert payload["bleu4"] == pytest.approx(1.0)
         assert payload["sign_test"]["rouge4_sign_test_p"] == pytest.approx(2 * 0.5 ** 12, abs=1e-12)
+
+    def test_eval_compare_of_identical_files_has_no_p_value(self, tiny_bench, tmp_path, capsys):
+        hyp = tmp_path / "hyp.jsonl"
+        hyp.write_text("\n".join(_reference_outputs(tiny_bench["train_tables"])) + "\n",
+                       encoding="utf-8")
+        report = tmp_path / "cmp.json"
+        assert run_cli("eval", "--hyp", str(hyp), "--ref", tiny_bench["train_tables"],
+                       "--compare", str(hyp), "--out", str(report)) == 0
+        block = json.loads(report.read_text())["sign_test"]
+        assert block["rouge4_sign_test_p"] is None
+        assert block["note"] == "every paired comparison is a tie"
+
+    def test_eval_hypotheses_missing_a_table_is_data_error(self, tiny_bench, tmp_path, capsys):
+        lines = _reference_outputs(tiny_bench["train_tables"])
+        missing = json.loads(lines.pop(3))["table_id"]
+        hyp = tmp_path / "hyp.jsonl"
+        hyp.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        report = tmp_path / "report.json"
+        assert run_cli("eval", "--hyp", str(hyp), "--ref", tiny_bench["train_tables"],
+                       "--out", str(report)) == 2
+        assert f"hypothesis file lacks outputs for tables [{missing}]" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_generate_without_dataset_matches_base_conditioning(
+        self, tiny_bench, tiny_config, tmp_path, capsys
+    ):
+        """Without --dataset each table conditions on itself alone, as in a BASE run."""
+        config = tiny_config(variant="BASE", out_dir=str(tmp_path / "base"))
+        paths = run_pipeline(config).artifact_paths
+        argv = ["generate", "--model", paths["generator_model"], "--tables",
+                tiny_bench["test_tables"]]
+        assert run_cli(*argv, "--out", str(tmp_path / "alone.jsonl")) == 0
+        assert run_cli(*argv, "--dataset", paths["conditioning_test"],
+                       "--out", str(tmp_path / "dataset.jsonl")) == 0
+        alone = (tmp_path / "alone.jsonl").read_bytes()
+        assert alone == (tmp_path / "dataset.jsonl").read_bytes()
+        assert alone == Path(paths["outputs"]).read_bytes()
 
 
 def _reference_outputs(tables_path):

@@ -413,6 +413,22 @@ class TestTrainGenerator:
         assert "99" in caplog.text
         assert len(losses) == 1
 
+    def test_every_record_skipped_returns_the_initial_model(self, caplog):
+        records = make_records(["ada", "bob"], n=2)
+        records = [
+            AugmentedRecord(r.table_id, r.table, (), (), " ".join(["word"] * 40)) for r in records
+        ]
+        config = small_config(epochs=2, max_context=32)
+        vocab = vocab_of(records)
+        with caplog.at_level(logging.WARNING, logger="prototext.generator"):
+            model, losses = train_generator(records, config, vocab)
+        assert losses == []
+        assert "no trainable records" in caplog.text
+        initial = init_generator(vocab, config)
+        assert model.vocab == vocab
+        for key, value in initial.params.items():
+            assert np.array_equal(model.params[key], value), key
+
 
 def trained_inputs(records, config):
     """The (x_ids, y_ids) of every training step of ``train_generator``, and its losses."""

@@ -57,6 +57,17 @@ def wrong_typed_fields(sections=CONFIG_FILE_SECTIONS):
                     yield pytest.param(name, value, id=f"{name}={value!r}")
 
 
+def type_error(name, value):
+    """The whole message of a config file's ill-typed ``name`` (dotted): the class of its
+    section names the field and its type, or, for a name in RUN_SET, the reader refuses it."""
+    if name in pipeline.RUN_SET:
+        return rf"^config field {re.escape(name)} cannot be set: "
+    section, _, key = name.rpartition(".")
+    kind = get_type_hints(CONFIG_FILE_SECTIONS[section])[key]
+    return (rf"^bad config {section or 'file'}: config field {key} must be {kind.__name__}, "
+            rf"not {type(value).__name__}$")
+
+
 def read_jsonl(path):
     with open(path, encoding="utf-8") as fh:
         return [json.loads(line) for line in fh if line.strip()]
@@ -104,7 +115,8 @@ class TestConfig:
         ],
     )
     def test_ill_typed_section_field_rejected(self, section, fields):
-        with pytest.raises(InvalidConfig, match=f"{section}.{next(iter(fields))}"):
+        (key, value), = fields.items()
+        with pytest.raises(InvalidConfig, match=type_error(f"{section}.{key}", value)):
             typed_config(PipelineConfig, {"corpus_path": "x", section: fields})
 
     @pytest.mark.parametrize(
@@ -127,7 +139,7 @@ class TestConfig:
         raw = {"corpus_path": "c", "train_tables_path": "t", "test_tables_path": "s",
                "out_dir": "o"}
         raw.update({section: {key: value}} if section else {key: value})
-        with pytest.raises(InvalidConfig, match=rf"config field {re.escape(name)} must be"):
+        with pytest.raises(InvalidConfig, match=type_error(name, value)):
             typed_config(PipelineConfig, raw)
 
     @pytest.mark.parametrize("name, value", list(wrong_typed_fields(SECTIONS)))
@@ -279,8 +291,9 @@ class TestAblation:
             run_ablation(tiny_config(), variants=("BASE",))
 
     def test_unknown_variant_rejected(self, tiny_config):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidConfig, match=r"variant must be one of \(.*\), got 'NOPE'$"):
             run_ablation(tiny_config(), variants=("BASE", "NOPE"))
+        assert not Path(tiny_config().out_dir).exists()
 
 
 class TestSharedStages:
@@ -415,8 +428,9 @@ class TestSweepN:
             sweep_n(tiny_config(), [0])
 
     def test_n_beyond_m_rejected(self, tiny_config):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidConfig, match=r"^need n <= m, got m=4, n=5$"):
             sweep_n(tiny_config(m=4, n=1), [5])
+        assert not Path(tiny_config().out_dir).exists()
 
 
 class TestSelectorBenchmark:

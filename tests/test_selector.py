@@ -417,7 +417,7 @@ class TestAugmentedDataset:
         model = model_with(vocab, np.zeros((len(vocab), 2)), np.zeros(2))
         ex = Example(0, table_of(("name", "zzz")), "zzz sentence")
         other = Example(1, table_of(("name", "yyy")), "yyy sentence")
-        cands = {0: retrieve(index, ex.table, 5, table_id=0)}
+        cands = {0: retrieve(index, ex.table, 5, table_id=0), 1: CandidateSet(1, ())}
         assert len(cands[0]) == 0
         records = select_prototypes([ex, other], cands, corpus, 3, model)
         for rec in records:

@@ -131,6 +131,15 @@ class TestTablesFile:
             parse_tables_file(f)
         assert err.value.line_no == 2
 
+    def test_blank_lines_skipped_and_counted(self, tmp_path):
+        f = tmp_path / "tables.jsonl"
+        ada = json.dumps({"id": 0, "pairs": [["name", "ada"]], "reference": "ada is here"})
+        self.write_lines(f, ["", ada, " \t", json.dumps({"id": 1, "pairs": [], "reference": "x"})])
+        with pytest.raises(ParseError, match=re.escape(f"{f}:line 4: a table needs")):
+            parse_tables_file(f)
+        self.write_lines(f, ["", ada, " \t"])
+        assert parse_tables_file(f) == [Example(0, table(("name", "ada")), "ada is here")]
+
     def test_duplicate_id(self, tmp_path):
         f = tmp_path / "tables.jsonl"
         record = {"id": 7, "pairs": [["name", "ada"]], "reference": "x"}
