@@ -97,10 +97,10 @@ def _cmd_retrieve(args) -> None:
 
 
 def _cmd_train_selector(args) -> None:
+    config = SelectorTrainConfig(**_given(args, SelectorTrainConfig))
     corpus = load_corpus(args.corpus)
     cand_sets = {c.table_id: c for c in read_candidate_sets(args.candidates)}
     triples = training_triples(parse_tables_file(args.tables), cand_sets)
-    config = SelectorTrainConfig(**_given(args, SelectorTrainConfig))
     model, losses = train_selector(triples, corpus, config)
     save_selector(args.out, model)
     print(f"trained selector ({len(losses)} epochs) -> {args.out}")
@@ -117,10 +117,10 @@ def _cmd_select(args) -> None:
 
 
 def _cmd_train_generator(args) -> None:
+    config = GeneratorTrainConfig(**_given(args, GeneratorTrainConfig))
     examples = parse_tables_file(args.tables)
     records = read_augmented_dataset(args.dataset, examples)
     vocab = shared_vocabulary(load_corpus(args.corpus), examples)
-    config = GeneratorTrainConfig(**_given(args, GeneratorTrainConfig))
     model, losses = train_generator(records, config, vocab)
     save_generator(args.out, model)
     print(f"trained generator ({len(losses)} epochs) -> {args.out}")

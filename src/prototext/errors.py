@@ -7,6 +7,7 @@ data problems, and everything else.
 
 from __future__ import annotations
 
+import sys
 from functools import cache
 from typing import get_args, get_type_hints
 
@@ -45,10 +46,13 @@ _field_types = cache(get_type_hints)
 
 
 def check_fields(config, **low: int) -> None:
-    """:func:`check_type` on every field of the config dataclass instance ``config``, then
-    :func:`check_int` on each field that ``low`` names, with its lower bound."""
+    """:func:`check_type` on every field of the dataclass ``config``, a float field (a learning
+    rate) also finite and > 0; then :func:`check_int` on each field ``low`` names, at its bound."""
     for name, kind in _field_types(type(config)).items():
-        check_type(name, kind, getattr(config, name))
+        value = getattr(config, name)
+        check_type(name, kind, value)
+        if kind is float and not 0 < value < sys.float_info.max:  # NaN fails, a huge int too
+            raise InvalidConfig(f"config field {name} must be finite and > 0, got {value!r}")
     for name, bound in low.items():
         check_int(getattr(config, name), f"config field {name}", bound)
 

@@ -27,12 +27,19 @@ TokenSeq = Sequence[str]
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Corpus metrics for one hypothesis set."""
+    """Corpus BLEU-4 and each pair's ROUGE-4 F for one hypothesis set; the pair count
+    and the mean ROUGE-4 F (0.0 with no pairs) follow from them."""
 
     bleu4: float
-    rouge4_f: float
     per_example_rouge4: tuple[float, ...]
-    pair_count: int
+
+    @property
+    def pair_count(self) -> int:
+        return len(self.per_example_rouge4)
+
+    @property
+    def rouge4_f(self) -> float:
+        return sum(self.per_example_rouge4) / self.pair_count if self.pair_count else 0.0
 
 
 def _ngrams(tokens: TokenSeq, n: int) -> Counter:
@@ -89,15 +96,7 @@ def rouge4_f(hypothesis: TokenSeq, reference: TokenSeq) -> float:
 def evaluate_pairs(hypotheses: Sequence[TokenSeq], references: Sequence[TokenSeq]) -> EvalReport:
     """Bundle corpus BLEU-4 and mean ROUGE-4 F over aligned pairs; :func:`bleu4` checks
     that they pair up."""
-    corpus_bleu = bleu4(hypotheses, references)
-    per_rouge = tuple(rouge4_f(h, r) for h, r in zip(hypotheses, references))
-    mean_rouge = sum(per_rouge) / len(per_rouge) if per_rouge else 0.0
-    return EvalReport(
-        bleu4=corpus_bleu,
-        rouge4_f=mean_rouge,
-        per_example_rouge4=per_rouge,
-        pair_count=len(hypotheses),
-    )
+    return EvalReport(bleu4(hypotheses, references), tuple(map(rouge4_f, hypotheses, references)))
 
 
 def precision_at_k(selected: Sequence[int], relevant: set[int], k: int) -> float:

@@ -69,18 +69,6 @@ from .vocab import Vocabulary
 
 log = logging.getLogger(__name__)
 
-PARAM_KEYS = (
-    "tok_emb",
-    "pos_emb",
-    "w_query",
-    "w_key",
-    "w_value",
-    "w_attn_out",
-    "w_ff_in",
-    "w_ff_out",
-    "w_out",
-)
-
 CA_CLAMP = 1e-12
 
 
@@ -96,8 +84,6 @@ class GeneratorTrainConfig:
 
     def __post_init__(self):
         check_fields(self, epochs=0, seed=0, dim=1, max_context=2, max_decode_len=1)
-        if self.learning_rate <= 0:
-            raise InvalidConfig(f"config field learning_rate must be > 0, got {self.learning_rate}")
 
 
 @dataclass(frozen=True)
@@ -162,6 +148,9 @@ def param_shapes(v: int, d: int, max_context: int) -> dict[str, tuple[int, int]]
         "w_ff_out": (2 * d, d),
         "w_out": (d, v),
     }
+
+
+PARAM_KEYS = tuple(param_shapes(1, 1, 2))
 
 
 def init_generator(vocab: Vocabulary, config: GeneratorTrainConfig) -> GeneratorModel:
@@ -594,6 +583,7 @@ def read_outputs(path: str | Path) -> dict[int, str]:
     seen: set[int] = set()
 
     def parse(record: dict) -> tuple[int, str]:
+        known_keys(record, ("output", "table_id"), "outputs record")
         table_id = unique_id(record.get("table_id"), "table_id", seen)
         output = record["output"]
         if not isinstance(output, str):
@@ -631,6 +621,7 @@ def _record_ids(
     return list(cond.ids), y_ids, neg
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a diverged run is named by GeneratorModel
 def train_generator(
     dataset: Sequence[AugmentedRecord], config: GeneratorTrainConfig, vocab: Vocabulary
 ) -> tuple[GeneratorModel, list[float]]:
@@ -640,7 +631,9 @@ def train_generator(
     ``max_context``; a record whose <bos>, table and target alone do not fit is
     skipped with a warning. Every step writes its gradients and intermediates into
     arrays held for the whole run (:class:`StepBuffers`). Returns the model and mean
-    per-record loss for each epoch.
+    per-record loss for each epoch. The model is built anew from the parameters Adam
+    rewrote in place, so a run that diverged is InvalidConfig naming one that is not
+    finite; numpy's warnings of the overflow on the way are silenced.
     """
     if len(dataset) == 0:
         raise InvalidConfig("generator training needs a non-empty dataset")
@@ -650,11 +643,8 @@ def train_generator(
     for rec in dataset:
         ids = _record_ids(vocab, rec, config.max_context)
         if ids is None:
-            log.warning(
-                "skipping record %d: table plus target exceeds max_context %d",
-                rec.table_id,
-                config.max_context,
-            )
+            log.warning("skipping record %d: table plus target exceeds max_context %d",
+                        rec.table_id, config.max_context)
             continue
         prepared.append(ids)
     if not prepared:
@@ -675,7 +665,7 @@ def train_generator(
             total += lm + ca
         epoch_losses.append(total / len(prepared))
         log.info("generator epoch %d mean loss %.6f", epoch, epoch_losses[-1])
-    return model, epoch_losses
+    return GeneratorModel(vocab, model.params), epoch_losses
 
 
 def save_generator(path: str | Path, model: GeneratorModel) -> None:

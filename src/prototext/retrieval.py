@@ -13,7 +13,7 @@ import math
 import sys
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter
 from pathlib import Path
@@ -25,6 +25,7 @@ from .tabledata import (
     Example,
     Table,
     json_int,
+    known_keys,
     read_jsonl,
     unique_id,
     write_jsonl,
@@ -52,13 +53,19 @@ class InvertedIndex:
     In memory each term's postings are one :class:`Posting`, two
     parallel tuples of ints rather than a tuple per posting, so an index
     holds two tuples per term; a term's df is ``len(posting.ids)``. The
-    file that :func:`save_index` writes keeps ``[id, tf]`` pairs.
+    file that :func:`save_index` writes keeps ``[id, tf]`` pairs. ``doc_count``
+    and ``avgdl`` (0.0 for no documents) follow from ``doc_lengths``, once.
     """
 
     postings: dict[str, Posting]
     doc_lengths: dict[int, int]
-    doc_count: int
-    avgdl: float
+    doc_count: int = field(init=False)
+    avgdl: float = field(init=False)
+
+    def __post_init__(self):
+        n = len(self.doc_lengths)
+        object.__setattr__(self, "doc_count", n)
+        object.__setattr__(self, "avgdl", sum(self.doc_lengths.values()) / n if n else 0.0)
 
 
 @dataclass(frozen=True)
@@ -97,9 +104,7 @@ def build_index(corpus: Corpus) -> InvertedIndex:
             lists[1].append(tf)
     postings = {term: Posting(*map(tuple, raw.pop(term))) for term in sorted(raw)}
     doc_lengths = {sentence.id: len(sentence.tokens) for sentence in corpus}
-    n = len(doc_lengths)
-    avgdl = sum(doc_lengths.values()) / n if n else 0.0
-    return InvertedIndex(postings=postings, doc_lengths=doc_lengths, doc_count=n, avgdl=avgdl)
+    return InvertedIndex(postings, doc_lengths)
 
 
 def _idf(index: InvertedIndex, df: int) -> float:
@@ -202,6 +207,7 @@ def read_candidate_sets(path: str | Path) -> list[CandidateSet]:
     seen: set[int] = set()
 
     def parse(record: dict) -> CandidateSet:
+        known_keys(record, ("table_id", "candidates"), "candidates record")
         table_id = unique_id(record.get("table_id"), "table_id", seen)
         sids: set[int] = set()
         entries = []
@@ -232,7 +238,7 @@ def save_index(path: str | Path, index: InvertedIndex) -> None:
 
 def load_index(path: str | Path) -> InvertedIndex:
     """Read an index; one that contradicts itself is a ParseError at the line that shows it."""
-    header: dict = {}
+    header: list[tuple[int, float]] = []  # the header's doc_count and avgdl
     doc_lengths: dict[int, int] = {}
     doc_ids: dict[int, int] = {}
     postings: dict[str, Posting] = {}
@@ -244,20 +250,17 @@ def load_index(path: str | Path) -> InvertedIndex:
         avgdl = record["avgdl"]
         if type(avgdl) not in (int, float):  # a JSON true or false is a bool, not a number
             raise ParseError(f"avgdl must be a JSON number, got {avgdl!r}")
-        header.update(doc_count=doc_count, avgdl=float(avgdl))
+        header.append((doc_count, avgdl))
 
     def parse_lengths(record: dict) -> None:
         seen: set[int] = set()
         for sid, n in record["doc_lengths"]:
             doc_lengths[unique_id(sid, "doc id", seen)] = json_int(n, "document length")
-        if len(doc_lengths) != header["doc_count"]:
-            raise ParseError(
-                f"doc_count {header['doc_count']} but {len(doc_lengths)} document lengths"
-            )
-        # exactly as build_index computes it; a JSON float round-trips exactly
-        avgdl = sum(doc_lengths.values()) / len(doc_lengths) if doc_lengths else 0.0
-        if header["avgdl"] != avgdl:
-            raise ParseError(f"avgdl {header['avgdl']} but the document lengths give {avgdl}")
+        # a JSON float round-trips exactly, so a saved header equals what the lengths give
+        derived = InvertedIndex({}, doc_lengths)
+        given = (derived.doc_count, derived.avgdl)
+        if header[0] != given:
+            raise ParseError(f"header doc_count and avgdl {header[0]}, the lengths give {given}")
         doc_ids.update((sid, sid) for sid in doc_lengths)
 
     def parse_postings(record: dict) -> None:
@@ -286,4 +289,4 @@ def load_index(path: str | Path) -> InvertedIndex:
         pass
     if next(parsers, None) is not None:
         raise ParseError("index file ends before its document lengths", path=str(path))
-    return InvertedIndex(postings=postings, doc_lengths=doc_lengths, **header)
+    return InvertedIndex(postings, doc_lengths)

@@ -49,8 +49,8 @@ from .errors import (
 from .optim import Adam
 from .retrieval import CandidateSet
 from .tabledata import (
-    Corpus, Example, Table, decode_array, encode_array, read_jsonl, read_model_file, unique_id,
-    write_jsonl, write_model_file,
+    Corpus, Example, Table, decode_array, encode_array, known_keys, read_jsonl, read_model_file,
+    unique_id, write_jsonl, write_model_file,
 )
 from .tokenization import SEP, UNK, tokenize
 from .vocab import Vocabulary
@@ -89,8 +89,6 @@ class SelectorTrainConfig:
 
     def __post_init__(self):
         check_fields(self, k=1, epochs=0, seed=0, dim=1)
-        if self.learning_rate <= 0:
-            raise InvalidConfig(f"config field learning_rate must be > 0, got {self.learning_rate}")
 
 
 @dataclass(frozen=True)
@@ -379,6 +377,8 @@ def read_augmented_dataset(path: str | Path, examples: Sequence[Example]) -> lis
     seen: set[int] = set()
 
     def parse(record: dict) -> AugmentedRecord:
+        known_keys(record, ("table_id", "prototype_ids", "prototypes", "reference"),
+                   "augmented record")
         example = by_id.get(unique_id(record.get("table_id"), "table_id", seen))
         if example is None:
             raise ParseError(f"table_id {record['table_id']} not present in tables file")

@@ -33,6 +33,7 @@ from .tabledata import (
     Example,
     Sentence,
     Table,
+    known_keys,
     read_jsonl,
     unique_id,
     write_corpus,
@@ -188,17 +189,15 @@ def _fill(template: str, entity: _Entity, noise: str = "") -> str:
 
 
 def _related_sentence(
-    sid: int, entity: _Entity, reference: list[str], rng: np.random.Generator
+    sid: int, entity: _Entity, reference: tuple[str, ...], rng: np.random.Generator
 ) -> Sentence:
     """A related sentence of ``entity`` whose tokens differ from its ``reference``'s."""
     idx = int(rng.integers(0, len(_RELATED_TEMPLATES)))
-    text = _fill(_RELATED_TEMPLATES[idx], entity)
-    tokens = tokenize(text)
-    if tokens == reference:
-        # never plant the exact reference in the corpus
-        text = _fill(_RELATED_TEMPLATES[(idx + 1) % len(_RELATED_TEMPLATES)], entity)
-        tokens = tokenize(text)
-    return Sentence(sid, text, tuple(tokens))
+    sentence = Sentence(sid, _fill(_RELATED_TEMPLATES[idx], entity))
+    if sentence.tokens == reference:  # never plant the exact reference in the corpus
+        template = _RELATED_TEMPLATES[(idx + 1) % len(_RELATED_TEMPLATES)]
+        sentence = Sentence(sid, _fill(template, entity))
+    return sentence
 
 
 def _distractor_sentence(
@@ -242,7 +241,7 @@ def generate_benchmark(spec: SyntheticSpec) -> SyntheticBenchmark:
     assignments += [("distractor", -1)] * n_distractors
     order = rng.permutation(len(assignments))
 
-    references = [tokenize(ex.reference) for ex in examples]
+    references = [tuple(tokenize(ex.reference)) for ex in examples]
     sentences: list[Sentence] = []
     relevance: dict[int, list[int]] = {ex.id: [] for ex in examples}
     for sid, slot in enumerate(order):
@@ -252,7 +251,7 @@ def generate_benchmark(spec: SyntheticSpec) -> SyntheticBenchmark:
             relevance[owner].append(sid)
         else:
             text = _distractor_sentence(entities, eras, noise_words, rng)
-            sentences.append(Sentence.from_text(sid, text))
+            sentences.append(Sentence(sid, text))
 
     n_train = spec.num_entities
     return SyntheticBenchmark(
@@ -292,6 +291,7 @@ def read_labels(path: str | Path) -> dict[int, set[int]]:
     seen: set[int] = set()
 
     def parse(record: dict) -> tuple[int, set[int]]:
+        known_keys(record, ("table_id", "relevant_ids"), "labels record")
         relevant: set[int] = set()
         for sid in record["relevant_ids"]:
             unique_id(sid, "relevant id", relevant)

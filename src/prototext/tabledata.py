@@ -17,8 +17,8 @@ retrieval, the selector and the generator never tokenize them again.
 
 :func:`read_jsonl` and :func:`write_jsonl` read and write every JSONL
 format of the package; :func:`read_model_file` and :func:`write_model_file`
-read and write both model files, which hold only their format's keys
-(:func:`known_keys`) and whose parameters pass one array rule
+read and write both model files. A JSONL record or a model file holds only
+its format's keys (:func:`known_keys`); model parameters pass one array rule
 (:func:`encode_array` and :func:`decode_array`).
 
 All types are immutable after construction and safe to share across
@@ -89,19 +89,22 @@ class Example:
 
 @dataclass(frozen=True)
 class Sentence:
-    """A corpus sentence with its token sequence cached at load time."""
+    """A corpus sentence, with its text's tokens computed once at construction."""
 
     id: int
     text: str
-    tokens: tuple[str, ...]
+    tokens: tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "tokens", tuple(tokenize(self.text)))
 
     @classmethod
     def from_text(cls, sid: int, text: str) -> "Sentence":
-        return cls(sid, text, tuple(tokenize(text)))
+        return cls(sid, text)
 
 
 class Corpus:
-    """An id-addressable pool of sentences, kept in file order."""
+    """An id-addressable pool of sentences, iterated in file order; one dict holds them."""
 
     def __init__(self, sentences: Iterable[Sentence]):
         self._by_id: dict[int, Sentence] = {}
@@ -109,13 +112,12 @@ class Corpus:
             if s.id in self._by_id:
                 raise DuplicateId(s.id)
             self._by_id[s.id] = s
-        self.sentences: tuple[Sentence, ...] = tuple(self._by_id.values())
 
     def __len__(self) -> int:
-        return len(self.sentences)
+        return len(self._by_id)
 
     def __iter__(self) -> Iterator[Sentence]:
-        return iter(self.sentences)
+        return iter(self._by_id.values())
 
     def get(self, sid: int) -> Sentence:
         try:
@@ -216,9 +218,9 @@ def read_model_file(
 
 def known_keys(obj: dict, keys: Iterable[str], where: str) -> None:
     """A ParseError naming the first key of ``obj`` that is not one of ``keys``."""
-    unknown = sorted(set(obj) - set(keys))
+    unknown = obj.keys() - keys  # one set difference: every record of a JSONL file pays it
     if unknown:
-        raise ParseError(f"unknown key {unknown[0]!r} in {where}")
+        raise ParseError(f"unknown key {min(unknown)!r} in {where}")
 
 
 def encode_array(values) -> dict:
@@ -282,6 +284,7 @@ def parse_tables_file(path: str | Path) -> list[Example]:
     seen: set[int] = set()
 
     def parse(record: dict) -> Example:
+        known_keys(record, ("id", "pairs", "reference"), "tables record")
         rid = unique_id(record.get("id"), "id", seen)
         pairs = record.get("pairs")
         if not isinstance(pairs, list):
@@ -306,11 +309,12 @@ def load_corpus(path: str | Path) -> Corpus:
     seen: set[int] = set()
 
     def parse(record: dict) -> Sentence:
+        known_keys(record, ("id", "text"), "corpus record")
         rid = unique_id(record.get("id"), "id", seen)
         text = record.get("text")
         if not isinstance(text, str):
             raise ParseError("'text' must be a string")
-        return Sentence.from_text(rid, text)
+        return Sentence(rid, text)
 
     return Corpus(read_jsonl(path, parse))
 

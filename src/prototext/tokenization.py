@@ -37,8 +37,6 @@ EOS = "<eos>"
 ATTR_DELIM = ":"
 PAIR_DELIM = "|"
 
-RESERVED_TOKENS: tuple[str, ...] = (UNK, SEP, BOS, EOS, ATTR_DELIM, PAIR_DELIM)
-
 _ESCAPES = {
     UNK: "_unk_",
     SEP: "_sep_",
@@ -47,6 +45,8 @@ _ESCAPES = {
     ATTR_DELIM: "_colon_",
     PAIR_DELIM: "_bar_",
 }
+
+RESERVED_TOKENS: tuple[str, ...] = tuple(_ESCAPES)
 
 
 def _is_punct(ch: str) -> bool:

@@ -1,5 +1,7 @@
 """The Python API boundary: each misuse of a public stage function is a named error."""
 
+import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -48,6 +50,7 @@ def api(tmp_path_factory):
         generator=init_generator(vocab, config),
         eosless_generator=init_generator(Vocabulary.from_tokens(["cat", "red"]), config),
         cond=ConditioningInput(ids=(vocab.bos_id,), table_len=0, prototype_spans=()),
+        records=select_prototypes([Example(0, table, "the red cat sat")], {0: cands}, corpus, 1),
     )
 
 
@@ -187,3 +190,20 @@ BOUNDS = [
 def test_count_below_its_bound_is_named(api, call, name, low):
     with pytest.raises(InvalidConfig, match=f"^{name} must be an int >= {low}, got {low - 1}$"):
         call(api, low - 1)
+
+
+@pytest.mark.parametrize(
+    "rate", [0, -1.0, math.nan, math.inf, -math.inf, pytest.param(10**400, id="int-past-float")]
+)
+@pytest.mark.parametrize("cls", [SelectorTrainConfig, GeneratorTrainConfig])
+def test_learning_rate_must_be_finite_and_positive(cls, rate):
+    message = f"config field learning_rate must be finite and > 0, got {rate!r}"
+    with pytest.raises(InvalidConfig, match=f"^{re.escape(message)}$"):
+        cls(learning_rate=rate)
+
+
+def test_diverged_generator_training_names_a_parameter(api):
+    """Adam rewrites the parameters in place; the trained model is checked as built."""
+    config = GeneratorTrainConfig(learning_rate=1e300, epochs=2, dim=4, max_context=32)
+    with pytest.raises(InvalidConfig, match=r"^generator parameter \w+ is not finite$"):
+        train_generator(api.records, config, api.vocab)

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import math
 import os
 import re
 import shlex
@@ -14,17 +15,22 @@ import pytest
 from prototext import cli, pipeline
 from prototext.cli import build_parser, main
 from prototext.errors import DataError, ParseError, UsageError
-from prototext.generator import GeneratorTrainConfig, init_generator, save_generator, write_outputs
+from prototext.generator import (
+    GeneratorTrainConfig, init_generator, read_outputs, save_generator, write_outputs,
+)
 from prototext.pipeline import RUN_SET, run_pipeline
-from prototext.retrieval import build_index, load_index, retrieve, save_index, write_candidate_sets
+from prototext.retrieval import (
+    build_index, load_index, read_candidate_sets, retrieve, save_index, write_candidate_sets,
+)
 from prototext.selector import (
     SelectorModel,
     SelectorTrainConfig,
+    read_augmented_dataset,
     save_selector,
     select_prototypes,
     write_augmented_dataset,
 )
-from prototext.synth import SyntheticSpec, synth_benchmark
+from prototext.synth import SyntheticSpec, read_labels, synth_benchmark
 from prototext.tabledata import decode_array, encode_array, load_corpus, parse_tables_file
 from prototext.tokenization import tokenize
 from prototext.vocab import Vocabulary
@@ -283,6 +289,8 @@ MALFORMED_JSONL = [
     pytest.param("corpus", _repeat_first_line, id="corpus-repeated-id"),
     pytest.param("outputs", _set(1, output=5), id="outputs-output-not-text"),
     pytest.param("outputs", _set(2, table_id=True), id="outputs-table-id-true"),
+    *(pytest.param(kind, _set(2, extra=0), id=f"{kind}-unknown-key")
+      for kind in ("corpus", "tables", "candidates", "augmented", "outputs")),
 ]
 
 
@@ -488,6 +496,45 @@ class TestExitCodes:
         message = _data_error("index", index, tiny_bench, stage_files, tmp_path, capsys)
         assert message.startswith(f"{index}:line 2: ")
 
+    @pytest.mark.parametrize(
+        "command, rate",
+        [*(("train-generator", rate) for rate in ("1e300", "nan", "inf", "-inf")),
+         *(("train-selector", rate) for rate in ("nan", "inf", "-inf"))],
+    )
+    def test_learning_rate_not_finite_or_diverging_is_config_error(
+        self, stage_files, tmp_path, capsys, command, rate
+    ):
+        out = tmp_path / "model.json"
+        source = {"train-generator": "--dataset", "train-selector": "--candidates"}[command]
+        kind = {"train-generator": "augmented", "train-selector": "candidates"}[command]
+        code = run_cli(
+            command, source, str(stage_files[kind]), "--tables", str(stage_files["tables"]),
+            "--corpus", str(stage_files["corpus"]), f"--lr={rate}", "--epochs", "2",
+            "--dim", "8", "--out", str(out),
+        )
+        assert code == 1
+        last = capsys.readouterr().err.splitlines()[-1]
+        if rate == "1e300":
+            assert re.fullmatch(r"error: generator parameter \w+ is not finite", last)
+        else:
+            assert last == f"error: config field learning_rate must be finite and > 0, got {rate}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rate", [1e300, float("nan"), float("inf"), float("-inf")])
+    def test_learning_rate_not_finite_or_diverging_in_config_file_is_config_error(
+        self, tiny_bench, tmp_path, monkeypatch, capsys, rate
+    ):
+        monkeypatch.chdir(tmp_path)
+        write_pipeline_config(tiny_bench, generator={"epochs": 2, "dim": 8, "learning_rate": rate})
+        assert run_cli("ablate", "--config", "config.json", "--variants", "BASE,RET") == 1
+        err = capsys.readouterr().err
+        if math.isfinite(rate):
+            assert re.search(r"stage 'train-generator' failed: generator parameter \w+ is not", err)
+        else:
+            assert "bad config generator: config field learning_rate must be finite" in err
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+        assert not (tmp_path / "out" / "ablation.json").exists()
+
     @pytest.mark.parametrize("max_len", ["0", "16", "300"])
     def test_generate_max_len_outside_context_is_config_error(
         self, tiny_bench, tmp_path, capsys, max_len
@@ -610,6 +657,41 @@ def test_readme_run_set_matches_pipeline():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     listed = re.search(r"may not set (.*?) \(`pipeline\.RUN_SET`\)", readme, re.S).group(1)
     assert tuple(re.findall(r"`([a-z_.]+)`", listed)) == RUN_SET
+
+
+def _readme_file_formats():
+    """``{format: keys}`` from README's list of JSONL file formats."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    items = readme.split("## File formats")[1].split("\n\n")[2]
+    return {line[2:].split(":")[0]: set(re.findall(r'"(\w+)":', line))
+            for line in items.splitlines()}
+
+
+def test_readme_file_formats_match_writers_and_readers(tiny_bench, stage_files, tmp_path):
+    """Each JSONL format's writer writes the keys README lists, and its reader rejects one
+    key more."""
+    tables = parse_tables_file(stage_files["tables"])
+    # README's name of each format: a file that its writer wrote, and its reader
+    formats = {
+        "tables": (stage_files["tables"], parse_tables_file),
+        "corpus": (stage_files["corpus"], load_corpus),
+        "candidates": (stage_files["candidates"], read_candidate_sets),
+        "augmented dataset": (
+            stage_files["augmented"], lambda path: read_augmented_dataset(path, tables)
+        ),
+        "generation output": (stage_files["outputs"], read_outputs),
+        "labels (synthetic benchmark)": (Path(tiny_bench["labels"]), read_labels),
+    }
+    listed = _readme_file_formats()
+    assert set(listed) == set(formats)
+    for name, (path, read) in formats.items():
+        first, *rest = path.read_text(encoding="utf-8").splitlines()
+        record = json.loads(first)
+        assert set(record) == listed[name], name
+        bad = tmp_path / path.name
+        bad.write_text("\n".join([json.dumps({**record, "extra": 0}), *rest]) + "\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(bad))}:line 1: unknown key 'extra'"):
+            read(bad)
 
 
 def test_train_selector_without_candidates_for_a_table_is_data_error(

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from prototext.errors import AllTies, InvalidInput
 from prototext.evaluation import (
+    EvalReport,
     bleu4,
     evaluate_pairs,
     precision_at_k,
@@ -140,3 +141,8 @@ class TestEvaluatePairs:
         assert report.per_example_rouge4 == (pytest.approx(2 / 3), pytest.approx(1.0))
         assert report.rouge4_f == pytest.approx((2 / 3 + 1.0) / 2)
         assert 0.0 <= report.bleu4 <= 1.0
+
+    def test_mean_and_count_follow_from_per_example_scores(self):
+        report = EvalReport(0.5, (0.25, 0.75))
+        assert (report.rouge4_f, report.pair_count) == (0.5, 2)
+        assert (EvalReport(0.0, ()).rouge4_f, EvalReport(0.0, ()).pair_count) == (0.0, 0)

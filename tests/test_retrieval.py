@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from prototext.errors import UnknownDocument
 from prototext.retrieval import (
     CandidateSet,
+    InvertedIndex,
     Posting,
     bm25_score,
     build_index,
@@ -39,6 +40,12 @@ class TestBuildIndex:
         assert index.postings["b"] == Posting(ids=(1,), tfs=(1,))
         assert index.postings["c"] == Posting(ids=(2,), tfs=(1,))
         assert index.doc_lengths == {1: 2, 2: 2}
+
+    def test_statistics_follow_from_doc_lengths(self):
+        index = InvertedIndex({}, {1: 2, 2: 4})
+        assert (index.doc_count, index.avgdl) == (2, 3.0)
+        with pytest.raises(TypeError):
+            InvertedIndex({}, {1: 2, 2: 4}, doc_count=2)
 
     def test_empty_corpus(self):
         index = build_index(Corpus([]))

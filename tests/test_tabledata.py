@@ -198,6 +198,11 @@ class TestCorpusFile:
         s = Sentence.from_text(0, "The Quick, Brown Fox.")
         assert list(s.tokens) == tokenize(s.text)
 
+    def test_tokens_follow_from_text_alone(self):
+        assert Sentence(0, "The Quick, Brown Fox.").tokens == ("the", "quick", "brown", "fox")
+        with pytest.raises(TypeError):
+            Sentence(1, "a", ("b",))
+
     def test_direct_duplicate_rejected(self):
         s = Sentence.from_text(1, "x")
         with pytest.raises(DuplicateId):
